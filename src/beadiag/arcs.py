@@ -87,11 +87,8 @@ def arc_canonicalize(arcs, dashed):
             if gamma:
                 w = mul_letters(w, gamma)
         new_edges.append((tail, head, (w,)))
-    relabel = {old: new + 1 for new, old in enumerate(order)}
-    dia = dg.relabel_legs(
-        dg.Diagram(dashed.legs, dashed.tri, new_edges), relabel
-    )
-    dkey, sign = dg.canonicalize(dia)
+    legs = [dashed.legs[old - 1] for old in order]
+    dkey, sign = dg.canonicalize(dg.Diagram(legs, dashed.tri, new_edges))
     if dkey is ZERO:
         return (ZERO, 0)
     return ((m, tuple(arc_beads), tuple(counts), dkey), sign)
@@ -298,11 +295,14 @@ def ihx_relations_arc(key):
     return rels
 
 
-def arc_closure(seed_keys, max_bead_length=None):
+def arc_closure(seed_keys, max_bead_length=None, relations=None):
     """Close a key set under STU (both directions) and IHX neighbours.
 
-    Raises :class:`beadiag.jspaces.ClosureDiverged` on unbounded bead
-    growth, as for the labelled-diagram closure.
+    Every STU and IHX relation of every member is generated once on the
+    way; when ``relations`` is a list they are appended to it, so a caller
+    echelonizes them instead of generating them again.  Raises
+    :class:`beadiag.jspaces.ClosureDiverged` on unbounded bead growth, as
+    for the labelled-diagram closure.
     """
     from .jspaces import MAX_CLOSURE_BEAD_LENGTH, ClosureDiverged
 
@@ -312,10 +312,11 @@ def arc_closure(seed_keys, max_bead_length=None):
     frontier = list(seen)
     while frontier:
         key = frontier.pop()
+        rels = stu_relations(key) + ihx_relations_arc(key)
+        if relations is not None:
+            relations.extend(rels)
         neighbours = set()
-        for rel in stu_relations(key):
-            neighbours.update(rel)
-        for rel in ihx_relations_arc(key):
+        for rel in rels:
             neighbours.update(rel)
         neighbours.update(_unglue_neighbours(key))
         for nb in neighbours:
@@ -364,39 +365,27 @@ def _arcs_from_placement(placement, arc_beads=None):
 
 def enumerate_arc_diagrams(m, d, alphabet, class0=True):
     """All canonical arc keys of degree d on m arcs with canonical beads in
-    the alphabet (arc beads forced trivial when class0)."""
-    letters = alphabet.letter_elements()
-    members = alphabet._members
-    found = set()
-    basic = set()  # (counts, dkey) with dashed beads in the alphabet
-    for c in range(0, 2 * d + 1):
-        T = 2 * d - c
-        if c == 0:
-            if d == 0:
-                basic.add((tuple([0] * m), (0, 0, ())))
-            continue
-        for skeleton in dg._structures(c, T):
-            E = len(skeleton.edges)
-            for beads in itertools.product(letters, repeat=E):
-                dashed = dg.Diagram(
-                    skeleton.legs,
-                    skeleton.tri,
-                    [(t, h, (w,)) for (t, h, _), w in zip(skeleton.edges, beads)],
-                )
-                for placement in leg_placements(c, m):
-                    arcs = _arcs_from_placement(placement)
-                    key, _sign = arc_canonicalize(arcs, dashed)
-                    if key is ZERO:
-                        continue
-                    if all(w in members for w in dg.key_beads(key[3])):
-                        basic.add((key[2], key[3]))
+    the alphabet (arc beads forced trivial when class0).
+
+    The keys are {per-arc leg counts} x {canonical labelled keys with that
+    many legs} x {arc bead choices}.  A diagram glued onto bare arcs
+    canonicalizes to its dashed part relabelled in (arc, position) order,
+    and for fixed leg counts the leg placements only relabel the legs, so
+    they reach exactly the canonical labelled keys of ``enumerate_diagrams``;
+    arc beads sit at the arc starts, untouched by the dashed part.
+    """
     if class0:
         bead_choices = [tuple([IDENTITY] * m)]
     else:
-        bead_choices = list(itertools.product(letters, repeat=m))
-    for counts, dkey in basic:
-        for arc_beads in bead_choices:
-            found.add((m, arc_beads, counts, dkey))
+        bead_choices = list(itertools.product(alphabet.letter_elements(), repeat=m))
+    found = []
+    for c in range(0, 2 * d + 1):
+        dkeys = dg.enumerate_diagrams(d, c, alphabet)
+        for counts in itertools.product(range(c + 1), repeat=m):
+            if sum(counts) != c:
+                continue
+            for arc_beads in bead_choices:
+                found.extend((m, arc_beads, counts, dkey) for dkey in dkeys)
     return sorted(found)
 
 
@@ -417,12 +406,13 @@ class ASpace:
         return self.relations.reduce(vector)
 
     def dim(self, min_trivalent=0) -> int:
-        vecs = [
-            self.relations.reduce({k: Fraction(1)})
-            for k in self.span
-            if arc_key_trivalents(k) >= min_trivalent
-        ]
-        return echelonize(vecs).rank
+        """Dimension of the image of the span keys K with at least
+        ``min_trivalent`` trivalent vertices.  The rows are inter-reduced, so
+        it is |K minus pivots| plus the rank of K's pivot rows outside K."""
+        rows = self.relations.rows
+        keys = {k for k in self.span if arc_key_trivalents(k) >= min_trivalent}
+        tails = [{k2: c for k2, c in rows[k].items() if k2 not in keys} for k in keys & rows.keys()]
+        return len(keys) - len(tails) + echelonize(tails).rank
 
     @property
     def dimension(self) -> int:
@@ -432,7 +422,7 @@ class ASpace:
 _aspace_cache = {}
 
 
-def a_space(n, m, d, alphabet, class0=True, min_trivalent=0) -> ASpace:
+def a_space(n, m, d, alphabet, class0=True) -> ASpace:
     """The space of degree-d diagrams on m arcs over the alphabet; query its
     dimension (optionally of the at-least-t-trivalent subspace) via .dim(t)."""
     if alphabet.rank > n:
@@ -445,11 +435,8 @@ def a_space(n, m, d, alphabet, class0=True, min_trivalent=0) -> ASpace:
         space = cache.get("aspace", disk_key)
         if space is None:
             span = tuple(enumerate_arc_diagrams(m, d, alphabet, class0))
-            clo = arc_closure(span)
             rels = []
-            for key in clo:
-                rels.extend(stu_relations(key))
-                rels.extend(ihx_relations_arc(key))
+            clo = arc_closure(span, relations=rels)
             space = ASpace(
                 n=n,
                 m=m,
@@ -462,7 +449,6 @@ def a_space(n, m, d, alphabet, class0=True, min_trivalent=0) -> ASpace:
             )
             cache.put("aspace", disk_key, space)
         _aspace_cache[ck] = space
-    del min_trivalent
     return space
 
 

@@ -368,11 +368,8 @@ def _reduce_in_extended_quotient(vector):
     arc space."""
     if not vector:
         return {}
-    keys = ar.arc_closure(vector.keys())
     rels = []
-    for key in keys:
-        rels.extend(ar.stu_relations(key))
-        rels.extend(ar.ihx_relations_arc(key))
+    ar.arc_closure(vector.keys(), relations=rels)
     return echelonize(rels).reduce(vector)
 
 

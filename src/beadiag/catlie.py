@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagrams as dg
-from .jspaces import closure, ihx_relations, j_space
+from .jspaces import closure, j_space
 from .linalg import EchelonBasis, echelonize
 
 
@@ -107,10 +107,8 @@ def mu_transform(d: int, k: int, alphabet) -> MuTransform:
         raw_images[key] = img
         support.update(img)
     target = j_space(d, k, alphabet)
-    universe = closure(set(target.span) | support)
     rels = []
-    for key in universe:
-        rels.extend(ihx_relations(key))
+    closure(set(target.span) | support, relations=rels)
     basis = echelonize(rels)
     images = {key: basis.reduce(img) for key, img in raw_images.items()}
     return MuTransform(

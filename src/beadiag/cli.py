@@ -16,7 +16,7 @@ from . import catlie as cl
 from . import diagrams as dg
 from . import laws
 from . import reference as ref
-from .jspaces import j_space
+from .jspaces import ClosureDiverged, j_space
 from .words import alphabet_from_spec
 
 
@@ -348,7 +348,7 @@ def main(argv=None) -> int:
         cache.set_cache_dir(args.cache_dir)
     try:
         return args.func(args, args.format)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, ClosureDiverged) as exc:
         # invalid inputs (diagram JSON, alphabet specs, arities, diverging
         # closures); no partial report has been emitted at this point
         print("error: %s" % exc, file=sys.stderr)

@@ -588,10 +588,21 @@ def diagram_to_json(diagram: Diagram) -> dict:
     return {"vertices": vertices, "edges": edges}
 
 
+def _halfedge_id(value):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DiagramError("half-edge ids must be integers, got %r" % (value,))
+    return value
+
+
 def diagram_from_json(obj) -> Diagram:
     """Parse the JSON diagram schema, rejecting invariant violations."""
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise DiagramError("diagram JSON needs 'vertices' and 'edges'")
+    if not all(
+        isinstance(obj[part], list) and all(isinstance(x, dict) for x in obj[part])
+        for part in ("vertices", "edges")
+    ):
+        raise DiagramError("'vertices' and 'edges' must be lists of objects")
     legs = {}
     tri = []
     for v in obj["vertices"]:
@@ -604,12 +615,12 @@ def diagram_from_json(obj) -> Diagram:
                 raise DiagramError("leg label must be a positive integer, got %r" % (label,))
             if label in legs:
                 raise DiagramError("duplicate leg label %d" % label)
-            legs[label] = v["halfedge"]
+            legs[label] = _halfedge_id(v["halfedge"])
         elif kind == "tri":
             cyc = v.get("cyclic")
             if not isinstance(cyc, list) or len(cyc) != 3:
                 raise DiagramError("tri vertex needs 'cyclic' with 3 half-edges")
-            tri.append(tuple(cyc))
+            tri.append(tuple(_halfedge_id(h) for h in cyc))
         else:
             raise DiagramError("vertex kind must be 'uni' or 'tri', got %r" % (kind,))
     if legs and sorted(legs) != list(range(1, len(legs) + 1)):
@@ -618,7 +629,10 @@ def diagram_from_json(obj) -> Diagram:
     for e in obj["edges"]:
         if "from" not in e or "to" not in e:
             raise DiagramError("edge needs 'from' and 'to' half-edges")
-        beads = [parse_letters(b) for b in e.get("beads", [])]
-        edges.append((e["from"], e["to"], tuple(beads)))
+        beads = e.get("beads", [])
+        if not isinstance(beads, list) or not all(isinstance(b, str) for b in beads):
+            raise DiagramError("edge 'beads' must be a list of words")
+        beads = [parse_letters(b) for b in beads]
+        edges.append((_halfedge_id(e["from"]), _halfedge_id(e["to"]), tuple(beads)))
     ordered_legs = [legs[i] for i in range(1, len(legs) + 1)]
     return Diagram(ordered_legs, tri, edges)

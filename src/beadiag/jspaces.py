@@ -56,17 +56,23 @@ def ihx_relations(key):
     return out
 
 
-def closure(seed_keys, max_bead_length=MAX_CLOSURE_BEAD_LENGTH):
+def closure(seed_keys, max_bead_length=MAX_CLOSURE_BEAD_LENGTH, relations=None):
     """Smallest superset of the seeds closed under IHX neighbours.
 
-    Raises :class:`ClosureDiverged` when canonical beads outgrow
-    ``max_bead_length`` (see the class docstring for when that happens).
+    Every IHX relation of every member is generated once on the way; when
+    ``relations`` is a list they are appended to it, so a caller echelonizes
+    them instead of generating them again.  Raises :class:`ClosureDiverged`
+    when canonical beads outgrow ``max_bead_length`` (see the class
+    docstring for when that happens).
     """
     seen = set(seed_keys)
     frontier = list(seen)
     while frontier:
         key = frontier.pop()
-        for rel in ihx_relations(key):
+        rels = ihx_relations(key)
+        if relations is not None:
+            relations.extend(rels)
+        for rel in rels:
             for nb in rel:
                 if nb not in seen:
                     if any(len(w) > max_bead_length for w in dg.key_beads(nb)):
@@ -116,10 +122,8 @@ def j_space(d: int, m: int, alphabet) -> JSpace:
     disk_key = (d, m, alphabet.rank, alphabet.elements)
     space = cache.get("jspace", disk_key)
     if space is None:
-        span = closure(dg.enumerate_diagrams(d, m, alphabet))
         rels = []
-        for key in span:
-            rels.extend(ihx_relations(key))
+        span = closure(dg.enumerate_diagrams(d, m, alphabet), relations=rels)
         basis = echelonize(rels)
         dim = quotient_dim([{k: Fraction(1)} for k in span], [dict(r) for r in rels])
         space = JSpace(
@@ -139,8 +143,6 @@ def vector_is_zero_in_full_space(vector) -> bool:
     """
     if not vector:
         return True
-    keys = closure(vector.keys())
     rels = []
-    for key in keys:
-        rels.extend(ihx_relations(key))
+    closure(vector.keys(), relations=rels)
     return not echelonize(rels).reduce(vector)

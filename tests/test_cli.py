@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from beadiag import arcs as ar
 from beadiag import cache
 from beadiag.jspaces import j_space
@@ -98,6 +100,39 @@ def test_clean_error_for_bad_input():
     assert proc.returncode == 2
     assert proc.stdout == ""  # no partial report
     assert "error:" in proc.stderr
+
+
+_LIST_HALFEDGE = {
+    "vertices": [
+        {"id": 0, "kind": "uni", "label": 1, "halfedge": [0]},
+        {"id": 1, "kind": "uni", "label": 2, "halfedge": 1},
+    ],
+    "edges": [{"id": 0, "from": 0, "to": 1, "beads": []}],
+}
+
+
+@pytest.mark.parametrize(
+    "args,stdin",
+    [
+        # beaded closures with internal edges diverge (ClosureDiverged)
+        (("dim-j", "--d", "2", "--m", "2", "--alphabet", "gen:1:1"), None),
+        (("outer-check", "--d", "2", "--alphabet", "gen:1:1"), None),
+        (("dim-a", "--n", "1", "--m", "1", "--d", "2", "--alphabet", "gen:1:1"), None),
+        (("canonical",), json.dumps(_LIST_HALFEDGE)),
+        (("canonical",), json.dumps({"vertices": [1], "edges": []})),
+        (("canonical",), json.dumps({"vertices": {"a": 1}, "edges": []})),
+        (("canonical",), json.dumps({"vertices": [], "edges": [
+            {"from": 0, "to": 1, "beads": [3]}]})),
+    ],
+    ids=["dim-j-diverges", "outer-check-diverges", "dim-a-diverges", "list-halfedge",
+         "vertex-not-object", "vertices-not-list", "bead-not-word"],
+)
+def test_bad_input_exits_2_without_traceback(args, stdin):
+    proc = run_cli(*args, stdin=stdin)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_error_exit_code():
