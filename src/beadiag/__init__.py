@@ -14,7 +14,6 @@ from .diagrams import (
     diagram_to_json,
     enumerate_diagrams,
     gauge_at_vertex,
-    normalize_beads,
 )
 from .jspaces import JSpace, j_space
 from .catlie import catlie_basis, mu_action, outer_check, outer_quotient, perm_action
@@ -52,7 +51,6 @@ __all__ = [
     "j_space",
     "mu_action",
     "nonpoly_witness",
-    "normalize_beads",
     "outer_check",
     "outer_quotient",
     "partitions",

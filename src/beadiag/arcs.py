@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import cache
 from . import diagrams as dg
-from .linalg import EchelonBasis, echelonize
+from .linalg import EchelonBasis, echelonize, vec
 from .words import IDENTITY, Word, inv_letters, mul_letters
 
 ZERO = dg.ZERO
@@ -153,17 +153,12 @@ def homotopy_class_raw(arcs):
 
 def canonical_arc_vector(terms):
     """Sum of (coeff, arcs, dashed) raw terms as a vector over canonical keys."""
-    out = {}
+    pairs = []
     for coeff, arcs, dashed in terms:
         key, sign = arc_canonicalize(arcs, dashed)
-        if key is ZERO:
-            continue
-        c = out.get(key, 0) + Fraction(coeff * sign)
-        if c:
-            out[key] = c
-        else:
-            out.pop(key, None)
-    return out
+        if key is not ZERO:
+            pairs.append((key, coeff * sign))
+    return vec(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +202,11 @@ def stu_relations(key):
                     else:
                         new_items.append((kind, value))
                 arcs_s.append(new_items)
-            vec = canonical_arc_vector(
+            rel = canonical_arc_vector(
                 [(1, arcs, dashed), (-1, arcs_u, dashed), (-1, arcs_s, dashed_s)]
             )
-            if vec:
-                rels.append(vec)
+            if rel:
+                rels.append(rel)
     return rels
 
 
@@ -289,9 +284,9 @@ def ihx_relations_arc(key):
     rels = []
     for index in dg.internal_edges(dashed):
         terms = [(c, arcs, dia) for c, dia in dg.ihx_at_edge(dashed, index)]
-        vec = canonical_arc_vector(terms)
-        if vec:
-            rels.append(vec)
+        rel = canonical_arc_vector(terms)
+        if rel:
+            rels.append(rel)
     return rels
 
 
@@ -393,7 +388,6 @@ def enumerate_arc_diagrams(m, d, alphabet, class0=True):
 class ASpace:
     """A truncated space of degree-d arc diagrams modulo STU/IHX/AS."""
 
-    n: int
     m: int
     d: int
     alphabet: object
@@ -432,13 +426,12 @@ def a_space(n, m, d, alphabet, class0=True) -> ASpace:
         space = _aspace_cache[ck]
     else:
         disk_key = (m, d, alphabet.rank, alphabet.elements, class0)
-        space = cache.get("aspace", disk_key)
+        space = cache.get("aspace", disk_key, ASpace)
         if space is None:
             span = tuple(enumerate_arc_diagrams(m, d, alphabet, class0))
             rels = []
             clo = arc_closure(span, relations=rels)
             space = ASpace(
-                n=n,
                 m=m,
                 d=d,
                 alphabet=alphabet,
@@ -512,33 +505,23 @@ def _act_arc_key(gen, pos, key):
 
 def gr_act(gen, pos, vector):
     """Linear action of a Hopf generator at an arc position on a vector."""
-    out = {}
-    for key, coeff in vector.items():
-        for k2, c in _act_arc_key(gen, pos, key).items():
-            s = out.get(k2, 0) + coeff * c
-            if s:
-                out[k2] = s
-            else:
-                out.pop(k2, None)
-    return out
+    return vec(
+        (k2, coeff * c)
+        for key, coeff in vector.items()
+        for k2, c in _act_arc_key(gen, pos, key).items()
+    )
 
 
 def perm_arcs(sigma, vector):
     """Permute arcs; sigma[old_position] = new_position (1-based)."""
-    out = {}
+    terms = []
     for key, coeff in vector.items():
         arcs, dashed = rebuild_arc(key)
-        m = len(arcs)
-        arcs2 = [None] * m
+        arcs2 = [None] * len(arcs)
         for old0, items in enumerate(arcs):
             arcs2[sigma[old0 + 1] - 1] = items
-        for k2, c in canonical_arc_vector([(1, arcs2, dashed)]).items():
-            s = out.get(k2, 0) + coeff * c
-            if s:
-                out[k2] = s
-            else:
-                out.pop(k2, None)
-    return out
+        terms.append((coeff, arcs2, dashed))
+    return canonical_arc_vector(terms)
 
 
 def epsilon_embed(vector, n):

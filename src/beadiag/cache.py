@@ -1,8 +1,9 @@
 """On-disk cache of computed spaces.
 
 Entries are pickles keyed by a content hash of (cache version, kind,
-parameters); writes go through a temp file and an atomic rename, and a
-corrupt or unreadable entry falls back to recomputation.
+parameters); writes go through a temp file and an atomic rename.  An
+entry that fails to load for any reason, or loads as the wrong type, is a
+miss, so the caller recomputes it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import pickle
 import tempfile
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 _active_dir = None
 
@@ -38,15 +39,18 @@ def _entry_path(kind, params):
     return os.path.join(_active_dir, "%s-%s.pkl" % (kind, digest[:32]))
 
 
-def get(kind, params):
+def get(kind, params, cls=object):
+    """The stored object, or None on a miss: no entry, one that does not
+    load, or one that is not a ``cls``."""
     if _active_dir is None:
         return None
     path = _entry_path(kind, params)
     try:
         with open(path, "rb") as fh:
-            return pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError):
+            obj = pickle.load(fh)
+    except Exception:  # truncated, garbage, or naming a missing class
         return None
+    return obj if isinstance(obj, cls) else None
 
 
 def put(kind, params, obj):

@@ -14,63 +14,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagrams as dg
-from .jspaces import closure, j_space
-from .linalg import EchelonBasis, echelonize
+from .jspaces import canonical_vector, closure, j_space
+from .linalg import EchelonBasis, echelonize, vec
 
 
 def perm_action(sigma, vector):
     """Relabel legs by a permutation; sigma[old_label] = new_label (1-based)."""
-    out = {}
-    for key, coeff in vector.items():
-        dia = dg.relabel_legs(dg.rebuild(key), sigma)
-        k2, sign = dg.canonicalize(dia)
-        if k2 is dg.ZERO:
-            continue
-        c = out.get(k2, 0) + coeff * sign
-        if c:
-            out[k2] = c
-        else:
-            out.pop(k2, None)
-    return out
+    return canonical_vector(
+        (coeff, dg.relabel_legs(dg.rebuild(key), sigma)) for key, coeff in vector.items()
+    )
 
 
 def glue_pair_key(key, a, b):
     """Glue legs a and b of a canonical diagram; a one-term vector (or zero)."""
-    dia = dg.glue_pair(dg.rebuild(key), a, b)
-    k2, sign = dg.canonicalize(dia)
-    if k2 is dg.ZERO:
-        return {}
-    return {k2: Fraction(sign)}
+    return canonical_vector([(1, dg.glue_pair(dg.rebuild(key), a, b))])
 
 
 def mu_action(i: int, vector, arity: int):
     """The gluing generator mu_i from arity ``arity`` down to ``arity - 1``."""
     if not (1 <= i <= arity - 1):
         raise ValueError("mu_%d undefined at arity %d" % (i, arity))
-    out = {}
-    for key, coeff in vector.items():
-        if dg.key_num_legs(key) != arity:
-            raise ValueError("vector not supported in arity %d" % arity)
-        for k2, c in glue_pair_key(key, i, arity).items():
-            s = out.get(k2, 0) + coeff * c
-            if s:
-                out[k2] = s
-            else:
-                out.pop(k2, None)
-    return out
+    if any(dg.key_num_legs(key) != arity for key in vector):
+        raise ValueError("vector not supported in arity %d" % arity)
+    return canonical_vector(
+        (coeff, dg.glue_pair(dg.rebuild(key), i, arity)) for key, coeff in vector.items()
+    )
 
 
 def mu_sum(vector, arity: int):
     """Sum of mu_i over i = 1..arity-1 (the outer-property transformation)."""
-    out = {}
-    for i in range(1, arity):
-        for key, coeff in mu_action(i, vector, arity).items():
-            s = out.get(key, 0) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+    return vec(
+        pair for i in range(1, arity) for pair in mu_action(i, vector, arity).items()
+    )
 
 
 @dataclass

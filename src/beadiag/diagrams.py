@@ -147,12 +147,6 @@ class Diagram:
                 raise DiagramError("component without univalent vertex")
 
 
-def normalize_beads(diagram: Diagram) -> Diagram:
-    """One merged bead per edge, identity beads dropped.  Construction
-    already enforces this; kept as the named operation."""
-    return Diagram(diagram.legs, diagram.tri, diagram.edges)
-
-
 def gauge_at_vertex(diagram: Diagram, v: int, g) -> Diagram:
     """Regauge by g at trivalent vertex v (push-through-vertex moves)."""
     if v < diagram.num_legs or v >= diagram.num_legs + diagram.num_tri:
@@ -247,9 +241,10 @@ def _colour_classes(diagram: Diagram):
         if len(set(refined.values())) == len(set(colour.values())):
             break
         colour = refined
+    # colours are nested tuples of one depth, so they hash and compare
     classes = {}
     for v, c in colour.items():
-        classes.setdefault(repr(c), []).append(v)
+        classes.setdefault(c, []).append(v)
     return [sorted(classes[c]) for c in sorted(classes)]
 
 

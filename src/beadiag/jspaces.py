@@ -11,11 +11,10 @@ untruncated quotient restrict exactly to the closure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import cache
 from . import diagrams as dg
-from .linalg import EchelonBasis, echelonize, quotient_dim
+from .linalg import EchelonBasis, echelonize, vec
 
 MAX_CLOSURE_BEAD_LENGTH = 128
 
@@ -32,17 +31,12 @@ class ClosureDiverged(RuntimeError):
 
 def canonical_vector(terms):
     """Sum of (coeff, Diagram) terms as a sparse vector over canonical keys."""
-    out = {}
+    pairs = []
     for coeff, dia in terms:
         key, sign = dg.canonicalize(dia)
-        if key is dg.ZERO:
-            continue
-        c = out.get(key, 0) + Fraction(coeff * sign)
-        if c:
-            out[key] = c
-        else:
-            out.pop(key, None)
-    return out
+        if key is not dg.ZERO:
+            pairs.append((key, coeff * sign))
+    return vec(pairs)
 
 
 def ihx_relations(key):
@@ -50,9 +44,9 @@ def ihx_relations(key):
     dia = dg.rebuild(key)
     out = []
     for index in dg.internal_edges(dia):
-        vec = canonical_vector(dg.ihx_at_edge(dia, index))
-        if vec:
-            out.append(vec)
+        rel = canonical_vector(dg.ihx_at_edge(dia, index))
+        if rel:
+            out.append(rel)
     return out
 
 
@@ -120,14 +114,16 @@ def j_space(d: int, m: int, alphabet) -> JSpace:
     if ck in _jspace_cache:
         return _jspace_cache[ck]
     disk_key = (d, m, alphabet.rank, alphabet.elements)
-    space = cache.get("jspace", disk_key)
+    space = cache.get("jspace", disk_key, JSpace)
     if space is None:
         rels = []
         span = closure(dg.enumerate_diagrams(d, m, alphabet), relations=rels)
         basis = echelonize(rels)
-        dim = quotient_dim([{k: Fraction(1)} for k in span], [dict(r) for r in rels])
+        # the closure holds every key its relations touch, so the relations
+        # lie inside the span and the quotient has dimension |span| - rank
         space = JSpace(
-            d=d, m=m, alphabet=alphabet, span=span, relations=basis, dimension=dim
+            d=d, m=m, alphabet=alphabet, span=span, relations=basis,
+            dimension=len(span) - basis.rank,
         )
         cache.put("jspace", disk_key, space)
     _jspace_cache[ck] = space

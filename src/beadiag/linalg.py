@@ -18,24 +18,15 @@ class RelationOutsideSpan(Exception):
 
 
 def vec(items=()) -> dict:
-    """Build a sparse vector, dropping zero coefficients."""
+    """Sum a dict or an iterable of (key, coefficient) pairs into a sparse
+    vector: repeated keys add up, zero sums drop out, and each surviving
+    coefficient becomes a ``Fraction`` once."""
+    if isinstance(items, dict):
+        items = items.items()
     out = {}
-    for key, coeff in dict(items).items():
-        coeff = Fraction(coeff)
-        if coeff:
-            out[key] = coeff
-    return out
-
-
-def vadd(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for key, coeff in v.items():
-        s = out.get(key, 0) + coeff
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+    for key, coeff in items:
+        out[key] = out.get(key, 0) + coeff
+    return {key: Fraction(coeff) for key, coeff in out.items() if coeff}
 
 
 def vscale(u: dict, c) -> dict:
@@ -120,10 +111,6 @@ def echelonize(vectors) -> EchelonBasis:
     for v in vectors:
         basis.insert(v)
     return basis
-
-
-def reduce_mod(v: dict, basis: EchelonBasis) -> dict:
-    return basis.reduce(v)
 
 
 def quotient_dim(span, relations) -> int:

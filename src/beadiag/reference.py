@@ -115,26 +115,12 @@ def b_di_dim(d: int, i: int, m: int) -> int:
     """Dimension of the i-th graded piece of the trivalent-count filtration
     of the beadless degree-d functor, at rank m: the S_{2d-i}-coinvariants
     of (K^m)^(2d-i) tensor the labelled-diagram quotient at arity 2d-i."""
-    from .catlie import perm_action
+    from .bridge import coinvariant_dim
 
     if not 0 <= i <= 2 * d:
         raise ValueError("need 0 <= i <= 2d")
     k = 2 * d - i
-    space = j_space(d, k, TRIVIAL_ALPHABET)
-    if space.dimension == 0:
-        return 0
-    total = Fraction(0)
-    for typ, size, cycles in _cycle_types(k):
-        perm = _perm_from_type(typ)
-        sigma = {j + 1: perm[j] for j in range(k)}
-        tr = Fraction(0)
-        for key in space.free_keys:
-            red = space.reduce(perm_action(sigma, {key: Fraction(1)}))
-            tr += red.get(key, 0)
-        total += size * Fraction(m) ** cycles * tr
-    total /= math.factorial(k)
-    assert total.denominator == 1 and total >= 0
-    return int(total)
+    return coinvariant_dim(j_space(d, k, TRIVIAL_ALPHABET), k, m)
 
 
 def b_d0_reference(d: int, m: int) -> int:

@@ -1,13 +1,20 @@
+import io
 import json
+import os
+import pickle
+import random
 import subprocess
 import sys
 
 import pytest
 
 from beadiag import arcs as ar
-from beadiag import cache
+from beadiag import cache, cli, jspaces
+from beadiag import diagrams as dg
 from beadiag.jspaces import j_space
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
+
+from json_fuzzer import mutate
 
 
 def run_cli(*args, stdin=None):
@@ -183,3 +190,91 @@ def test_cache_used_by_cli(tmp_path):
     assert files  # spaces were stored
     b = run_cli(*args)
     assert b.stdout == a.stdout
+
+
+# a pickle naming a class in a module that does not exist
+_MISSING_MODULE = b"cbeadiag_no_such_module\nThing\n."
+
+_CACHED_COMMANDS = {
+    "jspace": (["dim-j", "--d", "1", "--m", "2"],
+               (1, 2, TRIVIAL_ALPHABET.rank, TRIVIAL_ALPHABET.elements)),
+    "aspace": (["dim-a", "--n", "0", "--m", "2", "--d", "1"],
+               (2, 1, TRIVIAL_ALPHABET.rank, TRIVIAL_ALPHABET.elements, True)),
+}
+
+
+def _forget_spaces(monkeypatch):
+    monkeypatch.setattr(jspaces, "_jspace_cache", {})
+    monkeypatch.setattr(ar, "_aspace_cache", {})
+
+
+@pytest.mark.parametrize("entry", ["truncated", "garbage", "wrong-type", "missing-module"])
+@pytest.mark.parametrize("kind", ["jspace", "aspace"])
+def test_bad_cache_entry_is_recomputed(tmp_path, monkeypatch, capsys, kind, entry):
+    monkeypatch.setattr(cache, "_active_dir", None)
+    command, params = _CACHED_COMMANDS[kind]
+    argv = ["--cache-dir", str(tmp_path)] + command
+    _forget_spaces(monkeypatch)
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    path = cache._entry_path(kind, params)
+    with open(path, "rb") as fh:
+        good = fh.read()
+    bad = {
+        "truncated": good[: len(good) // 2],
+        "garbage": b"not a pickle",
+        "wrong-type": pickle.dumps([1, 2]),
+        "missing-module": _MISSING_MODULE,
+    }[entry]
+    with open(path, "wb") as fh:
+        fh.write(bad)
+    _forget_spaces(monkeypatch)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    # the recomputed space replaced the bad entry
+    cls = jspaces.JSpace if kind == "jspace" else ar.ASpace
+    assert isinstance(cache.get(kind, params, cls), cls)
+
+
+def test_stale_aspace_pickle_loads_and_is_rebuilt(tmp_path, monkeypatch):
+    # version-1 entries pickled an ASpace that still carried the field n
+    monkeypatch.setattr(cache, "_active_dir", None)
+    _forget_spaces(monkeypatch)
+    params = _CACHED_COMMANDS["aspace"][1]
+    stale = ar.a_space(0, 2, 1, TRIVIAL_ALPHABET)
+    stale.n = 0
+    cache.set_cache_dir(str(tmp_path))
+    with monkeypatch.context() as m:
+        m.setattr(cache, "CACHE_VERSION", 1)
+        cache.put("aspace", params, stale)
+        old = cache.get("aspace", params, ar.ASpace)
+        assert old.n == 0 and old.dim(0) == stale.dim(0)
+    assert cache.get("aspace", params) is None  # another version, another entry
+    _forget_spaces(monkeypatch)
+    fresh = ar.a_space(0, 2, 1, TRIVIAL_ALPHABET)
+    assert not hasattr(fresh, "n") and fresh.dim(0) == stale.dim(0)
+    assert not hasattr(cache.get("aspace", params, ar.ASpace), "n")
+    assert len(os.listdir(tmp_path)) == 2
+
+
+def test_canonical_survives_mutated_json(monkeypatch, capsys):
+    gen11 = alphabet_from_spec("gen:1:1")
+    seeds = [
+        dg.diagram_to_json(dg.rebuild(key))
+        for d in (0, 1, 2)
+        for m in range(0, 2 * d + 1)
+        for key in dg.enumerate_diagrams(d, m, gen11)
+    ]
+    rng = random.Random(2024)
+    codes = set()
+    for case in range(1000):
+        doc = mutate(rng, rng.choice(seeds), rng.randint(1, 3))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        try:
+            code = cli.main(["canonical"])
+        except Exception as exc:
+            pytest.fail("case %d %r raised %r" % (case, doc, exc))
+        assert code in (0, 2), (case, doc)
+        codes.add(code)
+    capsys.readouterr()
+    assert codes == {0, 2}

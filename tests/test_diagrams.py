@@ -25,7 +25,32 @@ def test_constructor_merges_beads_and_drops_identity():
     assert d.edges[0][2] == Word.parse("x1*x2").letters
     d2 = dg.Diagram([0, 1], [], [(0, 1, (Word(),))])
     assert d2.edges[0][2] == ()
-    assert dg.normalize_beads(d2).edges == d2.edges
+    assert dg.Diagram(d2.legs, d2.tri, d2.edges).edges == d2.edges
+
+
+def test_canonical_keys_are_pinned():
+    # canonical keys name cache entries: a change of the trivalent numbering
+    # order must show here (and bump cache.CACHE_VERSION)
+    h_shape = dg.Diagram(
+        [0, 1, 2, 3],
+        [(4, 5, 6), (7, 8, 9)],
+        [(0, 4, ()), (1, 5, ()), (2, 7, ()), (3, 8, ()), (6, 9, ())],
+    )
+    assert dg.canonicalize(h_shape) == (
+        (4, 2, ((0, 4, ()), (1, 4, ()), (2, 5, ()), (3, 5, ()), (4, 5, ()))), 1)
+    x, xinv = Word.parse("x1"), Word.parse("x1^-1")
+    tripod = dg.Diagram([0, 1, 2], [(3, 4, 5)], [(0, 3, (x,)), (1, 4, ()), (2, 5, (xinv,))])
+    assert dg.canonicalize(tripod) == (
+        (3, 1, ((0, 3, ()), (1, 3, ((1, -1),)), (2, 3, ((1, -1), (1, -1))))), 1)
+    # an H whose vertices hold legs 3, 4 and legs 11, 12 among four struts:
+    # colour classes compare leg ids as numbers, so the vertex at legs 3, 4
+    # comes first
+    edges = [(0, 1, ()), (4, 5, ()), (6, 7, ()), (8, 9, ()), (10, 12, ()), (11, 13, ()),
+             (2, 15, ()), (3, 16, (x,)), (14, 17, ())]
+    wide = dg.Diagram(list(range(12)), [(12, 13, 14), (15, 16, 17)], edges)
+    assert dg.canonicalize(wide) == ((12, 2, (
+        (0, 1, ()), (2, 12, ()), (3, 12, ((1, 1),)), (4, 5, ()), (6, 7, ()), (8, 9, ()),
+        (10, 13, ()), (11, 13, ()), (12, 13, ()))), 1)
 
 
 def test_reverse_edge_inverts_bead():

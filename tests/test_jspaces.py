@@ -10,6 +10,7 @@ from beadiag.jspaces import (
     j_space,
     vector_is_zero_in_full_space,
 )
+from beadiag.linalg import quotient_dim
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
 
 GEN11 = alphabet_from_spec("gen:1:1")
@@ -70,10 +71,21 @@ def test_dimension_stability_under_seed_enlargement():
     rels = []
     for key in enlarged:
         rels.extend(ihx_relations(key))
-    from beadiag.linalg import quotient_dim
-
     dim = quotient_dim([{k: Fraction(1)} for k in enlarged], rels)
     assert dim == space.dimension
+
+
+@pytest.mark.parametrize(
+    "d,m,spec",
+    [(d, m, "trivial") for d in range(4) for m in range(2 * d + 2)]
+    + [(d, m, "gen:1:1") for d in range(2) for m in range(2 * d + 2)],
+)
+def test_dimension_is_span_minus_relation_rank(d, m, spec):
+    # j_space reads the dimension off the echelon rank; check it against the
+    # raw IHX relations of every span key
+    space = j_space(d, m, alphabet_from_spec(spec))
+    rels = [rel for key in space.span for rel in ihx_relations(key)]
+    assert space.dimension == quotient_dim([{k: Fraction(1)} for k in space.span], rels)
 
 
 def test_quotient_reduce_kills_relations():

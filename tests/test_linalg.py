@@ -7,13 +7,26 @@ from beadiag.linalg import (
     RelationOutsideSpan,
     echelonize,
     quotient_dim,
-    reduce_mod,
     vec,
 )
 
 
 def e(key, coeff=1):
     return {key: Fraction(coeff)}
+
+
+def test_vec_sums_repeated_pairs_and_drops_cancellations():
+    v = vec([(1, 1), (2, Fraction(1, 2)), (1, 2), (3, 1), (3, -1)])
+    assert v == {1: 3, 2: Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in v.values())
+    assert vec((k, c) for k, c in [(1, 1), (1, -1)]) == {}
+    assert vec([]) == vec() == {}
+
+
+def test_vec_of_a_dict_drops_zeros():
+    v = vec({1: 2, 2: 0, 3: Fraction(-1, 3)})
+    assert v == {1: 2, 3: Fraction(-1, 3)}
+    assert all(type(c) is Fraction for c in v.values())
 
 
 def test_echelonize_examples():
@@ -24,9 +37,9 @@ def test_echelonize_examples():
 
 def test_reduce_mod_examples():
     b = echelonize([e(1)])
-    assert reduce_mod(vec({1: 1, 2: 1}), b) == e(2)
-    assert reduce_mod(e(1), b) == {}
-    assert reduce_mod(e(1), echelonize([])) == e(1)
+    assert b.reduce(vec({1: 1, 2: 1})) == e(2)
+    assert b.reduce(e(1)) == {}
+    assert echelonize([]).reduce(e(1)) == e(1)
 
 
 def test_quotient_dim_examples():
@@ -64,8 +77,8 @@ def test_reduce_mod_idempotent():
     for _ in range(30):
         basis = echelonize([random_vec(rng) for _ in range(3)])
         v = random_vec(rng)
-        once = reduce_mod(v, basis)
-        assert reduce_mod(once, basis) == once
+        once = basis.reduce(v)
+        assert basis.reduce(once) == once
 
 
 def test_echelon_rows_are_reduced_and_pivot_normalised():

@@ -1,6 +1,8 @@
 import itertools
 
 from beadiag import arcs as ar
+from beadiag.bridge import coinvariant_dim
+from beadiag.jspaces import j_space
 from beadiag.reference import (
     a11_reference_dim,
     b_d0_reference,
@@ -90,6 +92,14 @@ def test_b_di_examples():
         assert b_di_dim(1, 1, m) == 0  # the one-leg degree-one space is zero
     assert b_di_dim(2, 0, 2) == 6
     assert b_di_dim(2, 0, 3) == 21
+
+
+def test_b_di_is_the_coinvariant_dimension_of_its_j_space():
+    # the cells of the tests above
+    cells = [(d, i, m) for d in (1, 2) for i in range(2 * d + 1) for m in (1, 2, 3)]
+    for d, i, m in cells:
+        space = j_space(d, 2 * d - i, TRIVIAL_ALPHABET)
+        assert b_di_dim(d, i, m) == coinvariant_dim(space, 2 * d - i, m)
 
 
 def test_graded_pieces_sum_to_total():
