@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from . import cache
 from . import diagrams as dg
+from .jspaces import _grow
 from .linalg import EchelonBasis, echelonize, vec
 from .words import IDENTITY, Word, inv_letters, mul_letters
 
@@ -112,10 +113,6 @@ def rebuild_arc(key):
 
 def arc_key_m(key):
     return key[0]
-
-
-def arc_key_beads(key):
-    return key[1]
 
 
 def arc_key_counts(key):
@@ -290,41 +287,24 @@ def ihx_relations_arc(key):
     return rels
 
 
-def arc_closure(seed_keys, max_bead_length=None, relations=None):
+def arc_closure(seed_keys, relations):
     """Close a key set under STU (both directions) and IHX neighbours.
 
-    Every STU and IHX relation of every member is generated once on the
-    way; when ``relations`` is a list they are appended to it, so a caller
-    echelonizes them instead of generating them again.  Raises
-    :class:`beadiag.jspaces.ClosureDiverged` on unbounded bead growth, as
-    for the labelled-diagram closure.
+    Every STU and IHX relation of every member is appended to the list
+    ``relations``.  Raises :class:`beadiag.jspaces.ClosureDiverged` on
+    unbounded bead growth, as for the labelled-diagram closure.
     """
-    from .jspaces import MAX_CLOSURE_BEAD_LENGTH, ClosureDiverged
 
-    if max_bead_length is None:
-        max_bead_length = MAX_CLOSURE_BEAD_LENGTH
-    seen = set(seed_keys)
-    frontier = list(seen)
-    while frontier:
-        key = frontier.pop()
+    def expand(key):
         rels = stu_relations(key) + ihx_relations_arc(key)
-        if relations is not None:
-            relations.extend(rels)
         neighbours = set()
         for rel in rels:
             neighbours.update(rel)
         neighbours.update(_unglue_neighbours(key))
-        for nb in neighbours:
-            if nb not in seen:
-                beads = dg.key_beads(nb[3]) + list(nb[1])
-                if any(len(w) > max_bead_length for w in beads):
-                    raise ClosureDiverged(
-                        "STU/IHX closure produced a bead longer than %d letters"
-                        % max_bead_length
-                    )
-                seen.add(nb)
-                frontier.append(nb)
-    return tuple(sorted(seen))
+        return rels, neighbours
+
+    return _grow(seed_keys, relations, expand,
+                 lambda key: dg.key_beads(key[3]) + list(key[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +373,6 @@ class ASpace:
     alphabet: object
     class0: bool
     span: tuple
-    closure: tuple
     relations: EchelonBasis
 
     def reduce(self, vector):
@@ -430,19 +409,37 @@ def a_space(n, m, d, alphabet, class0=True) -> ASpace:
         if space is None:
             span = tuple(enumerate_arc_diagrams(m, d, alphabet, class0))
             rels = []
-            clo = arc_closure(span, relations=rels)
+            arc_closure(span, rels)
             space = ASpace(
                 m=m,
                 d=d,
                 alphabet=alphabet,
                 class0=class0,
                 span=span,
-                closure=clo,
                 relations=echelonize(rels),
             )
             cache.put("aspace", disk_key, space)
         _aspace_cache[ck] = space
     return space
+
+
+def _is_zero_in_full_space(vector, d, alphabet) -> bool:
+    """Whether a class-0 arc vector of degree d vanishes in the untruncated
+    STU/IHX quotient.
+
+    Fast path: reduce against the cached relations of the a_space at the
+    vector's arc count (sound: hitting zero proves membership).  A nonzero
+    residue falls back to the exact test, reduction modulo the relations of
+    the closure of the vector's own support.
+    """
+    if not vector:
+        return True
+    m = arc_key_m(next(iter(vector)))
+    if not a_space(alphabet.rank, m, d, alphabet, class0=True).reduce(vector):
+        return True
+    rels = []
+    arc_closure(vector.keys(), rels)
+    return not echelonize(rels).reduce(vector)
 
 
 # ---------------------------------------------------------------------------

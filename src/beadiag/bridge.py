@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -187,28 +188,6 @@ def _mu_lifted_maps(fom: FiberOrderedMap, i):
 # verification drivers
 
 
-class _ArcZeroTester:
-    """Decides whether class-0 arc vectors vanish in the full quotient.
-
-    Fast path: reduce against the cached relations of the a_space at the
-    vector's arc count (sound: hitting zero proves membership).  A nonzero
-    residue falls back to the exact closure-of-support computation.
-    """
-
-    def __init__(self, d, alphabet):
-        self.d = d
-        self.alphabet = alphabet
-
-    def is_zero(self, vector) -> bool:
-        if not vector:
-            return True
-        m = ar.arc_key_m(next(iter(vector)))
-        space = ar.a_space(self.alphabet.rank, m, self.d, self.alphabet, class0=True)
-        if not space.reduce(vector):
-            return True
-        return not _reduce_in_extended_quotient(vector)
-
-
 def verify_bridge(d, alphabet, l, seed=0, sample=None):
     """Check the glued-functor correspondence at l arcs.
 
@@ -219,11 +198,8 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     Exhaustive when ``sample`` is None; otherwise a seeded sample caps each
     check's tuple count.
     """
-    import random
-
     rng = random.Random(seed)
     aspace = ar.a_space(alphabet.rank, l, d, alphabet, class0=True)
-    tester = _ArcZeroTester(d, alphabet)
     checks = []
 
     def record(name, ok, counterexample=None):
@@ -248,7 +224,7 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
             pairs = [(r, f) for r in rels for f in foms]
         for r, fom in pairs:
             image = glue_vector(fom, r)
-            if not tester.is_zero(image):
+            if not ar._is_zero_in_full_space(image, d, alphabet):
                 bad = (c, fom.fibers, dict(r))
                 break
         if bad:
@@ -293,7 +269,7 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
                     for k2, c2 in glue(fom2, key).items()
                 )
                 # naturality holds modulo the arc relations
-                if not tester.is_zero(vaxpy(lhs, -1, rhs)):
+                if not ar._is_zero_in_full_space(vaxpy(lhs, -1, rhs), d, alphabet):
                     bad = (gen, pos, fom.fibers, key)
                     break
             if bad:
@@ -319,7 +295,7 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
         fom_after, fom_before = _mu_lifted_maps(fom, i)
         lhs = vaxpy(glue(fom_after, key), -1, glue(fom_before, key))
         rhs = glue_vector(fom, cl.mu_action(i, {key: Fraction(1)}, c + 1))
-        if not tester.is_zero(vaxpy(lhs, -1, rhs)):
+        if not ar._is_zero_in_full_space(vaxpy(lhs, -1, rhs), d, alphabet):
             bad = (c, key, fom.fibers, i)
             break
     record("coequalizer", bad is None, bad)
@@ -331,17 +307,6 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-
-
-def _reduce_in_extended_quotient(vector):
-    """Reduce a class-0 arc vector modulo the relations generated by the
-    closure of its own support; empty iff the vector vanishes in the full
-    arc space."""
-    if not vector:
-        return {}
-    rels = []
-    ar.arc_closure(vector.keys(), relations=rels)
-    return echelonize(rels).reduce(vector)
 
 
 def verify_filtration(d, alphabet, l, t) -> bool:

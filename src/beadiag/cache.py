@@ -13,7 +13,7 @@ import os
 import pickle
 import tempfile
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 _active_dir = None
 

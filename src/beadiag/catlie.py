@@ -83,7 +83,7 @@ def mu_transform(d: int, k: int, alphabet) -> MuTransform:
         support.update(img)
     target = j_space(d, k, alphabet)
     rels = []
-    closure(set(target.span) | support, relations=rels)
+    closure(set(target.span) | support, rels)
     basis = echelonize(rels)
     images = {key: basis.reduce(img) for key, img in raw_images.items()}
     return MuTransform(

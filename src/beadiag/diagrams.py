@@ -606,7 +606,7 @@ def diagram_from_json(obj) -> Diagram:
             if "label" not in v or "halfedge" not in v:
                 raise DiagramError("uni vertex needs 'label' and 'halfedge'")
             label = v["label"]
-            if not isinstance(label, int) or label < 1:
+            if not isinstance(label, int) or isinstance(label, bool) or label < 1:
                 raise DiagramError("leg label must be a positive integer, got %r" % (label,))
             if label in legs:
                 raise DiagramError("duplicate leg label %d" % label)

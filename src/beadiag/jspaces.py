@@ -50,33 +50,47 @@ def ihx_relations(key):
     return out
 
 
-def closure(seed_keys, max_bead_length=MAX_CLOSURE_BEAD_LENGTH, relations=None):
-    """Smallest superset of the seeds closed under IHX neighbours.
+def _grow(seed_keys, relations, expand, beads_of):
+    """Smallest superset of the seeds closed under the neighbours ``expand``
+    reports; the one closure loop behind :func:`closure` and
+    ``arcs.arc_closure``.
 
-    Every IHX relation of every member is generated once on the way; when
-    ``relations`` is a list they are appended to it, so a caller echelonizes
-    them instead of generating them again.  Raises :class:`ClosureDiverged`
-    when canonical beads outgrow ``max_bead_length`` (see the class
-    docstring for when that happens).
+    ``expand(key)`` returns the key's relations and its neighbours; every
+    relation is appended to ``relations``, so a caller echelonizes them
+    instead of generating them again.  Raises :class:`ClosureDiverged` when
+    a new key has a bead (``beads_of(key)``) longer than
+    ``MAX_CLOSURE_BEAD_LENGTH`` letters.
     """
     seen = set(seed_keys)
     frontier = list(seen)
     while frontier:
-        key = frontier.pop()
-        rels = ihx_relations(key)
-        if relations is not None:
-            relations.extend(rels)
-        for rel in rels:
-            for nb in rel:
-                if nb not in seen:
-                    if any(len(w) > max_bead_length for w in dg.key_beads(nb)):
-                        raise ClosureDiverged(
-                            "IHX closure produced a bead longer than %d letters"
-                            % max_bead_length
-                        )
-                    seen.add(nb)
-                    frontier.append(nb)
+        rels, neighbours = expand(frontier.pop())
+        relations.extend(rels)
+        for nb in neighbours:
+            if nb not in seen:
+                if any(len(w) > MAX_CLOSURE_BEAD_LENGTH for w in beads_of(nb)):
+                    raise ClosureDiverged(
+                        "relation closure produced a bead longer than %d letters"
+                        % MAX_CLOSURE_BEAD_LENGTH
+                    )
+                seen.add(nb)
+                frontier.append(nb)
     return tuple(sorted(seen))
+
+
+def closure(seed_keys, relations):
+    """Smallest superset of the seeds closed under IHX neighbours.
+
+    Every IHX relation of every member is appended to the list
+    ``relations``.  Raises :class:`ClosureDiverged` on unbounded bead growth
+    (see the class docstring for when that happens).
+    """
+
+    def expand(key):
+        rels = ihx_relations(key)
+        return rels, (nb for rel in rels for nb in rel)
+
+    return _grow(seed_keys, relations, expand, dg.key_beads)
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,7 @@ def j_space(d: int, m: int, alphabet) -> JSpace:
     space = cache.get("jspace", disk_key, JSpace)
     if space is None:
         rels = []
-        span = closure(dg.enumerate_diagrams(d, m, alphabet), relations=rels)
+        span = closure(dg.enumerate_diagrams(d, m, alphabet), rels)
         basis = echelonize(rels)
         # the closure holds every key its relations touch, so the relations
         # lie inside the span and the quotient has dimension |span| - rank
@@ -140,5 +154,5 @@ def vector_is_zero_in_full_space(vector) -> bool:
     if not vector:
         return True
     rels = []
-    closure(vector.keys(), relations=rels)
+    closure(vector.keys(), rels)
     return not echelonize(rels).reduce(vector)

@@ -17,19 +17,21 @@ from .jspaces import j_space
 from .words import TRIVIAL_ALPHABET, inv_letters
 
 
+def _parts(n, largest):
+    """Partitions of n with parts at most ``largest``, weakly decreasing,
+    lexicographic from the largest part."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _parts(n - first, first):
+            yield (first,) + rest
+
+
 def partitions(d: int):
     """All partitions of d as weakly decreasing tuples, lexicographic from
     the largest part: (2) before (1, 1)."""
-
-    def gen(n, largest):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, largest), 0, -1):
-            for rest in gen(n - first, first):
-                yield (first,) + rest
-
-    return list(gen(d, d))
+    return list(_parts(d, d))
 
 
 def schur_dim(lam, m: int) -> int:
@@ -82,16 +84,7 @@ def a11_reference_dim(alphabet, m: int) -> int:
 
 def _cycle_types(k: int):
     """(cycle type, class size, cycle count) over the symmetric group S_k."""
-
-    def parts(n, largest):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, largest), 0, -1):
-            for rest in parts(n - first, first):
-                yield (first,) + rest
-
-    for typ in parts(k, k) if k else [()]:
+    for typ in _parts(k, k):
         denom = 1
         counts = {}
         for p in typ:

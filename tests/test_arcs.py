@@ -96,13 +96,24 @@ def test_stu_closure_fixpoint():
     dashed = two_leg_strut("x1")
     arcs = [[("leg", 1), ("leg", 2)]]
     key, _ = ar.arc_canonicalize(arcs, dashed)
-    clo = ar.arc_closure([key])
+    clo = ar.arc_closure([key], [])
     assert key in clo
-    assert ar.arc_closure(clo) == clo
+    assert ar.arc_closure(clo, []) == clo
     # every relation of a member stays inside the closure
     for k in clo:
         for rel in ar.stu_relations(k) + ar.ihx_relations_arc(k):
             assert set(rel) <= set(clo)
+
+
+def test_zero_test_falls_back_to_the_closure_of_the_support():
+    # the bead x1*x1 lies outside gen:1:1, so the cached a_space cannot
+    # reduce this STU relation to zero and the exact fallback decides
+    dashed = two_leg_strut("x1*x1")
+    key, _ = ar.arc_canonicalize([[("leg", 1), ("leg", 2)]], dashed)
+    (rel,) = ar.stu_relations(key)
+    assert ar.a_space(1, 1, 1, GEN11).reduce(rel)
+    assert ar._is_zero_in_full_space(rel, 1, GEN11)
+    assert not ar._is_zero_in_full_space(unit(key), 1, GEN11)
 
 
 def test_a_space_dims_degree_one():

@@ -117,6 +117,14 @@ _LIST_HALFEDGE = {
     "edges": [{"id": 0, "from": 0, "to": 1, "beads": []}],
 }
 
+_BOOL_LABEL = {
+    "vertices": [
+        {"id": 0, "kind": "uni", "label": True, "halfedge": 0},
+        {"id": 1, "kind": "uni", "label": 2, "halfedge": 1},
+    ],
+    "edges": [{"id": 0, "from": 0, "to": 1, "beads": []}],
+}
+
 
 @pytest.mark.parametrize(
     "args,stdin",
@@ -130,9 +138,10 @@ _LIST_HALFEDGE = {
         (("canonical",), json.dumps({"vertices": {"a": 1}, "edges": []})),
         (("canonical",), json.dumps({"vertices": [], "edges": [
             {"from": 0, "to": 1, "beads": [3]}]})),
+        (("canonical",), json.dumps(_BOOL_LABEL)),
     ],
     ids=["dim-j-diverges", "outer-check-diverges", "dim-a-diverges", "list-halfedge",
-         "vertex-not-object", "vertices-not-list", "bead-not-word"],
+         "vertex-not-object", "vertices-not-list", "bead-not-word", "bool-label"],
 )
 def test_bad_input_exits_2_without_traceback(args, stdin):
     proc = run_cli(*args, stdin=stdin)
@@ -237,24 +246,28 @@ def test_bad_cache_entry_is_recomputed(tmp_path, monkeypatch, capsys, kind, entr
 
 
 def test_stale_aspace_pickle_loads_and_is_rebuilt(tmp_path, monkeypatch):
-    # version-1 entries pickled an ASpace that still carried the field n
+    # older entries pickled an ASpace that still carried a field dropped
+    # since: n in version 1, closure in version 2
     monkeypatch.setattr(cache, "_active_dir", None)
-    _forget_spaces(monkeypatch)
     params = _CACHED_COMMANDS["aspace"][1]
-    stale = ar.a_space(0, 2, 1, TRIVIAL_ALPHABET)
-    stale.n = 0
-    cache.set_cache_dir(str(tmp_path))
-    with monkeypatch.context() as m:
-        m.setattr(cache, "CACHE_VERSION", 1)
-        cache.put("aspace", params, stale)
-        old = cache.get("aspace", params, ar.ASpace)
-        assert old.n == 0 and old.dim(0) == stale.dim(0)
-    assert cache.get("aspace", params) is None  # another version, another entry
-    _forget_spaces(monkeypatch)
-    fresh = ar.a_space(0, 2, 1, TRIVIAL_ALPHABET)
-    assert not hasattr(fresh, "n") and fresh.dim(0) == stale.dim(0)
-    assert not hasattr(cache.get("aspace", params, ar.ASpace), "n")
-    assert len(os.listdir(tmp_path)) == 2
+    for version, field, value in [(1, "n", 0), (2, "closure", ())]:
+        cache.set_cache_dir(None)
+        _forget_spaces(monkeypatch)
+        stale = ar.a_space(0, 2, 1, TRIVIAL_ALPHABET)
+        setattr(stale, field, value)
+        cache_dir = tmp_path / str(version)
+        cache.set_cache_dir(str(cache_dir))
+        with monkeypatch.context() as m:
+            m.setattr(cache, "CACHE_VERSION", version)
+            cache.put("aspace", params, stale)
+            old = cache.get("aspace", params, ar.ASpace)
+            assert getattr(old, field) == value and old.dim(0) == stale.dim(0)
+        assert cache.get("aspace", params) is None  # another version, another entry
+        _forget_spaces(monkeypatch)
+        fresh = ar.a_space(0, 2, 1, TRIVIAL_ALPHABET)
+        assert not hasattr(fresh, field) and fresh.dim(0) == stale.dim(0)
+        assert not hasattr(cache.get("aspace", params, ar.ASpace), field)
+        assert len(os.listdir(cache_dir)) == 2
 
 
 def test_canonical_survives_mutated_json(monkeypatch, capsys):

@@ -78,6 +78,14 @@ COMMANDS = [
     (["outer-check", "--d", "1", "--alphabet", "gen:1:1"], None),
     (["outer-check", "--d", "2"], None),
     (["verify", "filtration", "--d", "2", "--l", "2", "--t", "1"], None),
+    (["verify", "bridge", "--d", "1", "--alphabet", "gen:1:1", "--l", "2"], None),
+    (["verify", "bridge", "--d", "2", "--l", "2"], None),
+    (["verify", "bridge", "--d", "2", "--l", "3", "--sample", "50", "--seed", "3"], None),
+    (["verify", "gr-laws", "--d", "2", "--m", "2"], None),
+    (["verify", "gr-laws", "--d", "1", "--alphabet", "gen:1:1", "--m", "2"], None),
+    (["verify", "hopf-axioms", "--d", "1", "--alphabet", "gen:1:1", "--m", "2"], None),
+    (["verify", "a11", "--alphabet", "gen:1:1", "--m", "2"], None),
+    (["verify", "b_d0", "--d", "2", "--m", "2"], None),
 ]
 
 

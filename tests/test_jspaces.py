@@ -42,12 +42,12 @@ def test_ihx_of_h_shape():
 
 def test_closure_examples():
     matchings = dg.enumerate_diagrams(2, 4, TRIVIAL_ALPHABET)
-    assert closure(matchings[:1]) == (matchings[0],)  # struts have no IHX sites
-    assert closure([]) == ()
+    assert closure(matchings[:1], []) == (matchings[0],)  # struts have no IHX sites
+    assert closure([], []) == ()
     bubble = dg.enumerate_diagrams(2, 2, TRIVIAL_ALPHABET)
-    clo = closure(bubble)
+    clo = closure(bubble, [])
     assert set(bubble) <= set(clo)
-    assert closure(clo) == clo  # fixpoint
+    assert closure(clo, []) == clo  # fixpoint
 
 
 def test_j_space_paper_dims():
@@ -67,7 +67,7 @@ def test_dimension_stability_under_seed_enlargement():
     # adding closure members to the seeds never changes the dimension
     space = j_space(2, 2, TRIVIAL_ALPHABET)
     seeds = dg.enumerate_diagrams(2, 2, TRIVIAL_ALPHABET)
-    enlarged = closure(list(space.span) + seeds)
+    enlarged = closure(list(space.span) + seeds, [])
     rels = []
     for key in enlarged:
         rels.extend(ihx_relations(key))
