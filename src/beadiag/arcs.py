@@ -87,9 +87,9 @@ def arc_canonicalize(arcs, dashed):
             gamma = deposits[hv + 1]
             if gamma:
                 w = mul_letters(w, gamma)
-        new_edges.append((tail, head, (w,)))
-    legs = [dashed.legs[old - 1] for old in order]
-    dkey, sign = dg.canonicalize(dg.Diagram(legs, dashed.tri, new_edges))
+        new_edges.append((tail, head, w))
+    legs = tuple(dashed.legs[old - 1] for old in order)
+    dkey, sign = dg.canonicalize(dg.Diagram._trusted(legs, dashed.tri, tuple(new_edges)))
     if dkey is ZERO:
         return (ZERO, 0)
     return ((m, tuple(arc_beads), tuple(counts), dkey), sign)

@@ -11,6 +11,7 @@ relation) and naturality over the five Hopf generators.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -62,11 +63,15 @@ def cat_ass_basis(c, l):
 def glue(fom: FiberOrderedMap, jkey, arc_beads=None):
     """Glue a labelled diagram's legs onto arcs in fiber order; returns a
     one-term vector over canonical arc keys (possibly empty)."""
-    if dg.key_num_legs(jkey) != fom.source:
+    return _glue_rebuilt(fom, dg.rebuild(jkey), arc_beads)
+
+
+def _glue_rebuilt(fom, dashed, arc_beads=None):
+    """:func:`glue` on the rebuilt diagram of the key."""
+    if dashed.num_legs != fom.source:
         raise ar.ArityMismatch(
-            "diagram has %d legs, map has source %d" % (dg.key_num_legs(jkey), fom.source)
+            "diagram has %d legs, map has source %d" % (dashed.num_legs, fom.source)
         )
-    dashed = dg.rebuild(jkey)
     if arc_beads is None:
         arc_beads = tuple([IDENTITY] * fom.target)
     arcs = ar._arcs_from_placement(fom.fibers, arc_beads)
@@ -77,10 +82,15 @@ def glue(fom: FiberOrderedMap, jkey, arc_beads=None):
 
 
 def glue_vector(fom, jvector, arc_beads=None):
+    return _glue_vector(fom, jvector, dg.rebuild, arc_beads)
+
+
+def _glue_vector(fom, jvector, rebuild, arc_beads=None):
+    """:func:`glue_vector` with the keys' diagrams made by ``rebuild``."""
     return vec(
         (k2, coeff * c)
         for jkey, coeff in jvector.items()
-        for k2, c in glue(fom, jkey, arc_beads).items()
+        for k2, c in _glue_rebuilt(fom, rebuild(jkey), arc_beads).items()
     )
 
 
@@ -209,6 +219,7 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
         checks.append(entry)
 
     spaces = {c: j_space(d, c, alphabet) for c in range(0, 2 * d + 1)}
+    rebuild = functools.lru_cache(maxsize=None)(dg.rebuild)  # each J key is glued many times
 
     # (a) IHX relations die after gluing; the echelon rows span them all
     bad = None
@@ -223,7 +234,7 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
         else:
             pairs = [(r, f) for r in rels for f in foms]
         for r, fom in pairs:
-            image = glue_vector(fom, r)
+            image = _glue_vector(fom, r, rebuild)
             if not ar._is_zero_in_full_space(image, d, alphabet):
                 bad = (c, fom.fibers, dict(r))
                 break
@@ -236,7 +247,7 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     for c, space in spaces.items():
         for fom in cat_ass_basis(c, l):
             for key in space.span:
-                img = glue_vector(fom, {key: Fraction(1)})
+                img = _glue_rebuilt(fom, rebuild(key))
                 if img:
                     basis.insert(aspace.reduce(img))
     dim_arc = aspace.dim(0)
@@ -259,14 +270,14 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     if sample is not None and len(tuples) > sample:
         tuples = rng.sample(tuples, sample)
     for c, key, fom in tuples:
-        glued = glue_vector(fom, {key: Fraction(1)})
+        glued = _glue_rebuilt(fom, rebuild(key))
         for gen, positions in gens:
             for pos in positions:
                 lhs = ar.gr_act(gen, pos, glued)
                 rhs = vec(
                     (k2, coeff * c2)
                     for coeff, fom2 in catass_act(gen, pos, fom)
-                    for k2, c2 in glue(fom2, key).items()
+                    for k2, c2 in _glue_rebuilt(fom2, rebuild(key)).items()
                 )
                 # naturality holds modulo the arc relations
                 if not ar._is_zero_in_full_space(vaxpy(lhs, -1, rhs), d, alphabet):
@@ -293,8 +304,9 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
         tuples = rng.sample(tuples, sample)
     for c, key, fom, i in tuples:
         fom_after, fom_before = _mu_lifted_maps(fom, i)
-        lhs = vaxpy(glue(fom_after, key), -1, glue(fom_before, key))
-        rhs = glue_vector(fom, cl.mu_action(i, {key: Fraction(1)}, c + 1))
+        lhs = vaxpy(_glue_rebuilt(fom_after, rebuild(key)), -1,
+                    _glue_rebuilt(fom_before, rebuild(key)))
+        rhs = _glue_vector(fom, cl.mu_action(i, {key: Fraction(1)}, c + 1), rebuild)
         if not ar._is_zero_in_full_space(vaxpy(lhs, -1, rhs), d, alphabet):
             bad = (c, key, fom.fibers, i)
             break

@@ -31,6 +31,7 @@ edges to the remaining legs and the chords keep the residual holonomies.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .words import (
     IDENTITY,
@@ -40,7 +41,6 @@ from .words import (
     mul_letters,
     parse_letters,
     reduce_letters,
-    word_key,
 )
 
 ZERO = None  # canonicalize() returns (ZERO, 0) for diagrams equal to their negative
@@ -84,6 +84,19 @@ class Diagram:
         object.__setattr__(self, "edges", tuple(norm_edges))
         object.__setattr__(self, "_vert", None)
         self._validate()
+
+    @classmethod
+    def _trusted(cls, legs, tri, edges):
+        """A diagram from parts already in normal form, without bead merging
+        or validation: ``legs`` and ``tri`` as tuples of half-edge ids and of
+        triples, ``edges`` as a tuple of (tail, head, reduced letters).  Only
+        for rewrites that map valid diagrams to valid diagrams."""
+        dia = object.__new__(cls)
+        object.__setattr__(dia, "legs", legs)
+        object.__setattr__(dia, "tri", tri)
+        object.__setattr__(dia, "edges", edges)
+        object.__setattr__(dia, "_vert", None)
+        return dia
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
@@ -160,16 +173,16 @@ def gauge_at_vertex(diagram: Diagram, v: int, g) -> Diagram:
             w = mul_letters(ginv, w)
         if vert[head] == v:
             w = mul_letters(w, g)
-        new_edges.append((tail, head, (w,)))
-    return Diagram(diagram.legs, diagram.tri, new_edges)
+        new_edges.append((tail, head, w))
+    return Diagram._trusted(diagram.legs, diagram.tri, tuple(new_edges))
 
 
 def reverse_edge(diagram: Diagram, index: int) -> Diagram:
     """Reverse the orientation of one edge, inverting its bead."""
     edges = list(diagram.edges)
     tail, head, w = edges[index]
-    edges[index] = (head, tail, (inv_letters(w),))
-    return Diagram(diagram.legs, diagram.tri, edges)
+    edges[index] = (head, tail, inv_letters(w))
+    return Diagram._trusted(diagram.legs, diagram.tri, tuple(edges))
 
 
 def relabel_legs(diagram: Diagram, new_label_of) -> Diagram:
@@ -177,7 +190,9 @@ def relabel_legs(diagram: Diagram, new_label_of) -> Diagram:
     legs = [None] * diagram.num_legs
     for old0, h in enumerate(diagram.legs):
         legs[new_label_of[old0 + 1] - 1] = h
-    return Diagram(legs, diagram.tri, diagram.edges)
+    if None in legs:
+        raise DiagramError("new leg labels must be a bijection onto 1..%d" % len(legs))
+    return Diagram._trusted(tuple(legs), diagram.tri, diagram.edges)
 
 
 def _cyclic_parity(intrinsic, reference):
@@ -208,110 +223,121 @@ def _components(num_vertices, edge_vertex_pairs):
     return list(comps.values())
 
 
+def _ranks(values):
+    """Each value's position among the distinct values in sorted order."""
+    position = {c: i for i, c in enumerate(sorted(set(values)))}
+    return [position[c] for c in values]
+
+
 def _colour_classes(diagram: Diagram):
     """Trivalent vertices grouped by an isomorphism-invariant colour.
 
     Colours use only structure and leg labels (never beads or orientations),
-    so gauge moves and edge reversals preserve them.  Classes come back in a
-    deterministic order; canonical numbering assigns ids blockwise.
+    so gauge moves and edge reversals preserve them.  A refinement round
+    pairs each colour with the sorted colours of the trivalent neighbours,
+    until the number of colours stops growing.  Colours are replaced by
+    their ranks after every round: ranks order the pairs as the colours
+    they stand for would, so the classes come back in the same
+    deterministic order, in which canonical numbering assigns ids blockwise.
     """
     U, T = diagram.num_legs, diagram.num_tri
     if T == 0:
         return []
     vert = diagram.vertex_of()
-    incident = {U + j: [] for j in range(T)}
-    neighbours = {U + j: [] for j in range(T)}
+    incident = [[] for _ in range(T)]
+    neighbours = [[] for _ in range(T)]
     for tail, head, _ in diagram.edges:
         a, b = vert[tail], vert[head]
         for x, y in ((a, b), (b, a)):
             if x >= U:
                 if y == x:
-                    incident[x].append(("loop",))
+                    incident[x - U].append(("loop",))
                 elif y < U:
-                    incident[x].append(("leg", y))
+                    incident[x - U].append(("leg", y))
                 else:
-                    incident[x].append(("tri", 0))
-                    neighbours[x].append(y)
-    colour = {v: tuple(sorted(incident[v])) for v in incident}
+                    incident[x - U].append(("tri", 0))
+                    neighbours[x - U].append(y - U)
+    colour = _ranks([tuple(sorted(inc)) for inc in incident])
     while True:
-        refined = {
-            v: (colour[v], tuple(sorted(colour[x] for x in neighbours[v])))
-            for v in colour
-        }
-        if len(set(refined.values())) == len(set(colour.values())):
+        refined = _ranks([
+            (colour[j], tuple(sorted(colour[x] for x in neighbours[j]))) for j in range(T)
+        ])
+        if max(refined) == max(colour):
             break
         colour = refined
-    # colours are nested tuples of one depth, so they hash and compare
-    classes = {}
-    for v, c in colour.items():
-        classes.setdefault(c, []).append(v)
-    return [sorted(classes[c]) for c in sorted(classes)]
+    classes = [[] for _ in range(max(colour) + 1)]
+    for j, c in enumerate(colour):
+        classes[c].append(U + j)
+    return classes
 
 
 def _numberings(diagram: Diagram):
-    """Candidate maps presentation trivalent id -> canonical id."""
-    U = diagram.num_legs
+    """Candidate maps presentation vertex id -> canonical id, as lists; legs
+    keep their ids and each colour class fills its block in every order."""
+    U, T = diagram.num_legs, diagram.num_tri
     classes = _colour_classes(diagram)
-    sizes = [len(c) for c in classes]
-    offsets = []
-    acc = U
-    for s in sizes:
-        offsets.append(acc)
-        acc += s
-    for perms in itertools.product(*[itertools.permutations(c) for c in classes]):
-        cmap = {i: i for i in range(U)}
-        for cls_idx, perm in enumerate(perms):
-            for k, v in enumerate(perm):
-                cmap[v] = offsets[cls_idx] + k
+    for perms in itertools.product(*map(itertools.permutations, classes)):
+        cmap = list(range(U + T))
+        for new_id, v in enumerate(itertools.chain.from_iterable(perms), U):
+            cmap[v] = new_id
         yield cmap
 
 
-def _gauge_branches(U, cmap, working, components):
-    """All canonical-gauge assignments gamma (one per spanning-tree branch).
+def _tree_steps(U, cmap, adjacency):
+    """The spanning trees of one numbering as steps (a, b, parallel edges).
 
-    ``working`` is a list of (tail_v, head_v, tail_h, head_h, bead).  Per
-    component the tree grows Prim-style from the lowest leg, always towards
-    the unvisited trivalent vertex of least canonical id; parallel edges to
-    that vertex branch.  gamma(child) solves gamma(tail)^-1 w gamma(head)=1
-    along each tree edge.
+    ``adjacency[v]`` lists the (neighbour, edge index) pairs of the non-loop
+    edges at v.  Per component the tree grows Prim-style from its lowest
+    leg, always towards the unvisited trivalent vertex b of least canonical
+    id, from b's visited neighbour a of least canonical id; every edge
+    joining a and b is a candidate tree edge.  A later leg of a grown
+    component finds its trivalent neighbour visited and adds no step.
     """
+    steps = []
+    visited = set()
+    for root in range(U):
+        parent = {}  # unvisited trivalent vertex -> its best visited neighbour
+        new = root
+        while True:
+            for nb, _ei in adjacency[new]:
+                if nb >= U and nb not in visited:
+                    a = parent.get(nb)
+                    if a is None or cmap[new] < cmap[a]:
+                        parent[nb] = new
+            if not parent:
+                break
+            new = min(parent, key=cmap.__getitem__)
+            a = parent.pop(new)
+            visited.add(new)
+            steps.append((a, new, [ei for nb, ei in adjacency[new] if nb == a]))
+    return steps
 
-    def grow(comp_idx, gamma):
-        if comp_idx == len(components):
-            yield gamma
-            return
-        comp = components[comp_idx]
-        tri_left = {v for v in comp if v >= U}
-        if not tri_left:
-            yield from grow(comp_idx + 1, gamma)
-            return
-        root = min(v for v in comp if v < U)
 
-        def step(visited, remaining, gamma):
-            if not remaining:
-                yield from grow(comp_idx + 1, gamma)
-                return
-            cands = []
-            for ei, (tv, hv, _th, _hh, w) in enumerate(working):
-                for a, b in ((tv, hv), (hv, tv)):
-                    if a in visited and b in remaining:
-                        cands.append((cmap[b], cmap[a], ei, a, b))
-            best = min(cands)[:2]
-            for cb, ca, ei, a, b in cands:
-                if (cb, ca) != best:
-                    continue
-                tv, hv, _th, _hh, w = working[ei]
-                if tv == a:
-                    gb = mul_letters(inv_letters(w), gamma.get(a, IDENTITY))
-                else:
-                    gb = mul_letters(w, gamma.get(a, IDENTITY))
-                gamma2 = dict(gamma)
-                gamma2[b] = gb
-                yield from step(visited | {b}, remaining - {b}, gamma2)
+def _gauges(steps, base):
+    """The distinct canonical gauges gamma of one numbering.
 
-        yield from step({root}, tri_left, gamma)
+    gamma(b) solves gamma(tail)^-1 w gamma(head) = 1 along the tree edge a-b.
+    Parallel candidates branch; a branch whose gamma(b) was already tried at
+    that step grows the same subtree, so it is tried once.
+    """
+    gammas = [{}]
+    for a, b, parallel in steps:
+        grown = []
+        for gamma in gammas:
+            ga = gamma.get(a, IDENTITY)
+            tried = set()
+            for ei in parallel:
+                tv, _hv, _th, _hh, w = base[ei]
+                gb = mul_letters(inv_letters(w), ga) if tv == a else mul_letters(w, ga)
+                if gb not in tried:
+                    tried.add(gb)
+                    grown.append({**gamma, b: gb})
+        gammas = grown
+    return gammas
 
-    yield from grow(0, {})
+
+# entries sort by (u, v, bead length, bead letters); ties keep edge order
+_ENTRY_ORDER = operator.itemgetter(0, 1, 2, 3)
 
 
 def canonicalize(diagram: Diagram):
@@ -321,54 +347,69 @@ def canonicalize(diagram: Diagram):
     (u, v, bead_letters) in canonical orientation; equivalent inputs yield
     identical keys, an antisymmetry swap flips the sign, and a diagram with
     a sign-reversing symmetry returns (ZERO, 0).
+
+    Candidates are numberings x loop orientations x canonical gauges; the
+    least certificate is the key.  Flipping a loop changes only that loop's
+    entry, inverting its bead: a bead-free loop reaches every certificate
+    with both signs, so the diagram is zero, and otherwise only the
+    orientation with the smaller bead can be least.  The gauges depend on
+    the numbering alone, and are all trivial when no edge carries a bead.
     """
     U, T = diagram.num_legs, diagram.num_tri
     if not diagram.edges:
         return ((U, T, ()), 1)
     vert = diagram.vertex_of()
     base = [(vert[t], vert[h], t, h, w) for (t, h, w) in diagram.edges]
-    loops = [i for i, e in enumerate(base) if e[0] == e[1]]
-    comps = _components(U + T, [(e[0], e[1]) for e in base])
-    comps.sort(key=lambda c: min(c))
+    if any(tv == hv and not w for tv, hv, _th, _hh, w in base):
+        return (ZERO, 0)
+    beaded = any(e[4] for e in base)
+    if beaded:
+        adjacency = [[] for _ in range(U + T)]
+        for ei, (tv, hv, _th, _hh, _w) in enumerate(base):
+            if tv != hv:
+                adjacency[tv].append((hv, ei))
+                adjacency[hv].append((tv, ei))
 
     best_cert = None
     best_signs = set()
     for cmap in _numberings(diagram):
-        for flip_mask in itertools.product((False, True), repeat=len(loops)):
-            working = list(base)
-            for li, flip in zip(loops, flip_mask):
-                if flip:
-                    tv, hv, th, hh, w = working[li]
-                    working[li] = (tv, hv, hh, th, inv_letters(w))
-            for gamma in _gauge_branches(U, cmap, working, comps):
-                entries = []
-                for tv, hv, th, hh, w in working:
-                    w2 = mul_letters(
-                        inv_letters(gamma.get(tv, IDENTITY)),
-                        mul_letters(w, gamma.get(hv, IDENTITY)),
-                    )
-                    cu, cv = cmap[tv], cmap[hv]
-                    if cu > cv:
-                        cu, cv, th, hh, w2 = cv, cu, hh, th, inv_letters(w2)
-                    entries.append((cu, cv, w2, th, hh))
-                entries.sort(key=lambda e: (e[0], e[1], word_key(e[2])))
-                cert = (U, T, tuple(e[:3] for e in entries))
-                if best_cert is not None and cert > best_cert:
-                    continue
-                ref = {}
-                for cu, cv, _w2, th, hh in entries:
-                    if cu >= U:
-                        ref.setdefault(cu, []).append(th)
-                    if cv >= U:
-                        ref.setdefault(cv, []).append(hh)
-                sign = 1
-                for j, triple in enumerate(diagram.tri):
-                    sign *= _cyclic_parity(triple, ref[cmap[U + j]])
-                if cert == best_cert:
-                    best_signs.add(sign)
-                else:
-                    best_cert = cert
-                    best_signs = {sign}
+        gammas = _gauges(_tree_steps(U, cmap, adjacency), base) if beaded else ({},)
+        for gamma in gammas:
+            entries = []
+            for tv, hv, th, hh, w in base:
+                if gamma:
+                    g = gamma.get(tv)
+                    if g:
+                        w = mul_letters(inv_letters(g), w)
+                    g = gamma.get(hv)
+                    if g:
+                        w = mul_letters(w, g)
+                cu, cv = cmap[tv], cmap[hv]
+                if cu > cv:
+                    cu, cv, th, hh, w = cv, cu, hh, th, inv_letters(w)
+                elif cu == cv:
+                    wi = inv_letters(w)
+                    if wi < w:
+                        th, hh, w = hh, th, wi
+                entries.append((cu, cv, len(w), w, th, hh))
+            entries.sort(key=_ENTRY_ORDER)
+            cert = (U, T, tuple((cu, cv, w) for cu, cv, _n, w, _th, _hh in entries))
+            if best_cert is not None and cert > best_cert:
+                continue
+            ref = {}
+            for cu, cv, _n, _w, th, hh in entries:
+                if cu >= U:
+                    ref.setdefault(cu, []).append(th)
+                if cv >= U:
+                    ref.setdefault(cv, []).append(hh)
+            sign = 1
+            for j, triple in enumerate(diagram.tri):
+                sign *= _cyclic_parity(triple, ref[cmap[U + j]])
+            if cert == best_cert:
+                best_signs.add(sign)
+            else:
+                best_cert = cert
+                best_signs = {sign}
     if len(best_signs) == 2:
         return (ZERO, 0)
     return (best_cert, best_signs.pop())
@@ -382,13 +423,14 @@ def rebuild(key) -> Diagram:
     edges = []
     for i, (u, v, w) in enumerate(entries):
         th, hh = 2 * i, 2 * i + 1
-        edges.append((th, hh, (w,)))
+        edges.append((th, hh, w))
         for vertex, h in ((u, th), (v, hh)):
             if vertex < U:
                 legs[vertex] = h
             else:
                 triples[vertex].append(h)
-    return Diagram(legs, [triples[U + j] for j in range(T)], edges)
+    return Diagram._trusted(
+        tuple(legs), tuple(tuple(triples[U + j]) for j in range(T)), tuple(edges))
 
 
 def key_num_legs(key):
@@ -420,14 +462,14 @@ def glue_pair(diagram: Diagram, a: int, b: int) -> Diagram:
     ha, hb = diagram.legs[a - 1], diagram.legs[b - 1]
     top = max(list(diagram.legs) + [h for t in diagram.tri for h in t]) + 1
     h_stub, h_leg = top, top + 1
-    new_tri = list(diagram.tri) + [(h_stub, hb, ha)]
-    new_edges = list(diagram.edges) + [(h_stub, h_leg, ())]
+    new_tri = diagram.tri + ((h_stub, hb, ha),)
+    new_edges = diagram.edges + ((h_stub, h_leg, IDENTITY),)
     keep = sorted(set(range(1, U + 1)) - {a, b})
     provisional = {min(a, b): h_leg}
     for lab in keep:
         provisional[lab] = diagram.legs[lab - 1]
-    new_legs = [provisional[lab] for lab in sorted(provisional)]
-    return Diagram(new_legs, new_tri, new_edges)
+    new_legs = tuple(provisional[lab] for lab in sorted(provisional))
+    return Diagram._trusted(new_legs, new_tri, new_edges)
 
 
 def ihx_at_edge(diagram: Diagram, index: int):
@@ -457,7 +499,7 @@ def ihx_at_edge(diagram: Diagram, index: int):
         t2 = list(triples)
         t2[u - U] = (tail, u_pair[0], u_pair[1])
         t2[v - U] = (head, v_pair[0], v_pair[1])
-        return Diagram(diagram.legs, t2, diagram.edges)
+        return Diagram._trusted(diagram.legs, tuple(t2), diagram.edges)
 
     return [
         (1, diagram),
@@ -529,11 +571,10 @@ def _structures(num_legs: int, num_tri: int):
             matched[h2] = False
         matched[h] = False
 
+    legs = tuple(range(U))
+    tri = tuple((U + 3 * t, U + 3 * t + 1, U + 3 * t + 2) for t in range(T))
     for pairing in rec():
-        legs = list(range(U))
-        tri = [(U + 3 * t, U + 3 * t + 1, U + 3 * t + 2) for t in range(T)]
-        edges = [(a, b, ()) for a, b in pairing]
-        yield Diagram(legs, tri, edges)
+        yield Diagram._trusted(legs, tri, tuple((a, b, IDENTITY) for a, b in pairing))
 
 
 def enumerate_diagrams(d: int, m: int, alphabet):
@@ -553,10 +594,10 @@ def enumerate_diagrams(d: int, m: int, alphabet):
     for skeleton in _structures(m, T):
         E = len(skeleton.edges)
         for beads in itertools.product(letters, repeat=E):
-            dia = Diagram(
+            dia = Diagram._trusted(
                 skeleton.legs,
                 skeleton.tri,
-                [(t, h, (w,)) for (t, h, _), w in zip(skeleton.edges, beads)],
+                tuple((t, h, w) for (t, h, _), w in zip(skeleton.edges, beads)),
             )
             key, _sign = canonicalize(dia)
             if key is ZERO:

@@ -1,12 +1,20 @@
+import hashlib
 import json
 import random
 
 import pytest
 
+from beadiag import arcs as ar
+from beadiag import cache
 from beadiag import diagrams as dg
 from beadiag.words import TRIVIAL_ALPHABET, Word, alphabet_from_spec
 
-from move_fuzzer import random_move_sequence, seed_diagrams, shuffle_presentation
+from move_fuzzer import (
+    random_arc_moves,
+    random_move_sequence,
+    seed_diagrams,
+    shuffle_presentation,
+)
 
 GEN11 = alphabet_from_spec("gen:1:1")
 
@@ -51,6 +59,65 @@ def test_canonical_keys_are_pinned():
     assert dg.canonicalize(wide) == ((12, 2, (
         (0, 1, ()), (2, 12, ()), (3, 12, ((1, 1),)), (4, 5, ()), (6, 7, ()), (8, 9, ()),
         (10, 13, ()), (11, 13, ()), (12, 13, ()))), 1)
+
+
+def test_canonical_keys_hash_names_the_cache_version():
+    # the disk cache names entries by canonical keys: if this digest has to
+    # change, bump cache.CACHE_VERSION in the same change
+    cells = [(d, m, alphabet)
+             for alphabet, top in ((TRIVIAL_ALPHABET, 3), (GEN11, 2))
+             for d in range(top + 1) for m in range(2 * d + 1)]
+    keys = [(d, m, alphabet.label, dg.enumerate_diagrams(d, m, alphabet))
+            for d, m, alphabet in cells]
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert (cache.CACHE_VERSION, digest) == (
+        3, "dae54082cdfac4a5065618c8bd0cdc90cb7b387ec3dcc74b350aa3602a7ce003")
+
+
+def assert_valid(dia):
+    """A diagram made without validation equals its validated reconstruction."""
+    again = dg.Diagram(dia.legs, dia.tri, dia.edges)
+    assert (again.legs, again.tri, again.edges) == (dia.legs, dia.tri, dia.edges)
+
+
+def test_trusted_rewrites_pass_validation(monkeypatch):
+    made = []
+    canonicalize = dg.canonicalize
+
+    def recording(dia):
+        made.append(dia)
+        return canonicalize(dia)
+
+    # enumeration and arc_canonicalize hand their unvalidated diagrams to it
+    monkeypatch.setattr(dg, "canonicalize", recording)
+    cells = [(TRIVIAL_ALPHABET, d, m) for d in (1, 2, 3) for m in range(1, 2 * d + 1)]
+    cells += [(GEN11, d, m) for d in (1, 2) for m in range(1, 2 * d + 1)]
+    rng = random.Random(3)
+    for alphabet, d, m in cells:
+        for key in dg.enumerate_diagrams(d, m, alphabet):
+            dia = dg.rebuild(key)
+            made.append(dia)
+            for index in dg.internal_edges(dia):
+                made.extend(term for _c, term in dg.ihx_at_edge(dia, index))
+            for a in range(1, m + 1):
+                for b in range(1, m + 1):
+                    if a != b:
+                        made.append(dg.glue_pair(dia, a, b))
+            made.append(dg.relabel_legs(dia, {i: m + 1 - i for i in range(1, m + 1)}))
+            made.append(dg.reverse_edge(dia, rng.randrange(len(dia.edges))))
+            if dia.num_tri:
+                made.append(dg.gauge_at_vertex(dia, m, Word.parse("x1*x2^-1")))
+            arcs = [[("bead", ((1, 1),))] + [("leg", lab) for lab in range(1, m + 1)]]
+            arcs, dashed, _sign = random_arc_moves(rng, arcs, dia, GEN11)
+            ar.arc_canonicalize(arcs, dashed)
+    assert len(made) > 3000
+    for dia in made:
+        assert_valid(dia)
+
+
+def test_relabel_legs_needs_a_bijection():
+    with pytest.raises(dg.DiagramError, match="bijection"):
+        dg.relabel_legs(strut(), {1: 1, 2: 1})
 
 
 def test_reverse_edge_inverts_bead():
