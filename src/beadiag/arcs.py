@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cache
+from . import catlie as cl
 from . import diagrams as dg
 from .jspaces import _grow
 from .linalg import EchelonBasis, echelonize, vec
@@ -111,6 +112,21 @@ def rebuild_arc(key):
     return arcs, dg.rebuild(dkey)
 
 
+def on_bare_arcs(fibers, jvector):
+    """A vector of labelled keys glued onto bare arcs, the legs of fiber j
+    attached to arc j in order; returns a vector over canonical arc keys.
+
+    On bare arcs no bead slides onto a leg, so the canonical form is the
+    labelled key with its legs relabelled in (arc, position) order.
+    """
+    order = [label for fiber in fibers for label in fiber]
+    relabelled = cl.perm_action({old: new for new, old in enumerate(order, 1)}, jvector)
+    m = len(fibers)
+    bare = tuple([IDENTITY] * m)
+    counts = tuple(len(fiber) for fiber in fibers)
+    return {(m, bare, counts, dkey): c for dkey, c in relabelled.items()}
+
+
 def arc_key_m(key):
     return key[0]
 
@@ -171,6 +187,21 @@ def _leg_positions(arcs):
     return out
 
 
+def _relabel_arc_legs(arcs, relabel):
+    """Raw arcs with each leg item replaced by leg items carrying the labels
+    ``relabel(label)`` returns, in order (none drops the leg); beads stay."""
+    out = []
+    for items in arcs:
+        new_items = []
+        for kind, value in items:
+            if kind == "leg":
+                new_items.extend(("leg", lab) for lab in relabel(value))
+            else:
+                new_items.append((kind, value))
+        out.append(new_items)
+    return out
+
+
 def stu_relations(key):
     """One STU relation per adjacent leg pair on an arc: T - U - S = 0."""
     arcs, dashed = rebuild_arc(key)
@@ -187,18 +218,8 @@ def stu_relations(key):
             # S: glue the two legs onto a tripod; its free end attaches at p.
             # glue_pair relabels: new leg = l1, labels above l2 shift down.
             dashed_s = dg.glue_pair(dashed, l1, l2)
-            arcs_s = []
-            for jj, items in enumerate(arcs):
-                new_items = []
-                for i, (kind, value) in enumerate(items):
-                    if kind == "leg":
-                        if jj == j and i == i2:
-                            continue
-                        lab = value if value < l2 else value - 1
-                        new_items.append(("leg", lab))
-                    else:
-                        new_items.append((kind, value))
-                arcs_s.append(new_items)
+            arcs_s = _relabel_arc_legs(arcs, lambda lab: (
+                (lab,) if lab < l2 else (lab - 1,) if lab > l2 else ()))
             rel = canonical_arc_vector(
                 [(1, arcs, dashed), (-1, arcs_u, dashed), (-1, arcs_s, dashed_s)]
             )
@@ -240,36 +261,13 @@ def _unglue_neighbours(key):
         second, first = triple[(pos + 1) % 3], triple[(pos + 2) % 3]
         # rebuild the dashed part without vertex x and the leg edge; the two
         # strands attach directly: 'first' at the leg's spot, 'second' after
-        new_tri = [t for i, t in enumerate(dia.tri) if i != x - U]
-        new_edges = [e for i, e in enumerate(dia.edges) if i != eidx]
-        for swap in (False, True):
-            ha, hb = (first, second) if not swap else (second, first)
-            new_legs = []
-            for lab in range(1, U + 1):
-                if lab < label:
-                    new_legs.append(dia.legs[lab - 1])
-                elif lab == label:
-                    new_legs.append(ha)
-                    new_legs.append(hb)
-                else:
-                    new_legs.append(dia.legs[lab - 1])
-            new_dashed = dg.Diagram(new_legs, new_tri, new_edges)
-            new_arcs = []
-            for items in arcs:
-                new_items = []
-                for kind, value in items:
-                    if kind == "leg":
-                        if value < label:
-                            new_items.append(("leg", value))
-                        elif value == label:
-                            new_items.append(("leg", label))
-                            new_items.append(("leg", label + 1))
-                        else:
-                            new_items.append(("leg", value + 1))
-                    else:
-                        new_items.append((kind, value))
-                new_arcs.append(new_items)
-            k2, _s = arc_canonicalize(new_arcs, new_dashed)
+        new_tri = dia.tri[: x - U] + dia.tri[x - U + 1 :]
+        new_edges = dia.edges[:eidx] + dia.edges[eidx + 1 :]
+        new_arcs = _relabel_arc_legs(arcs, lambda lab: (
+            (lab,) if lab < label else (lab + 1,) if lab > label else (lab, lab + 1)))
+        for ha, hb in ((first, second), (second, first)):
+            legs = dia.legs[: label - 1] + (ha, hb) + dia.legs[label:]
+            k2, _s = arc_canonicalize(new_arcs, dg.Diagram._trusted(legs, new_tri, new_edges))
             if k2 is not ZERO:
                 out.append(k2)
     return out
@@ -327,15 +325,9 @@ def leg_placements(c, m):
             yield tuple(orders)
 
 
-def _arcs_from_placement(placement, arc_beads=None):
-    arcs = []
-    for j, fiber in enumerate(placement):
-        items = []
-        if arc_beads is not None and arc_beads[j]:
-            items.append(("bead", arc_beads[j]))
-        items.extend(("leg", lab) for lab in fiber)
-        arcs.append(items)
-    return arcs
+def _arcs_from_placement(placement):
+    """Bare raw arcs carrying the legs of each fiber in order."""
+    return [[("leg", lab) for lab in fiber] for fiber in placement]
 
 
 def enumerate_arc_diagrams(m, d, alphabet, class0=True):
@@ -555,17 +547,24 @@ def insert_bare_arc(key, pos):
     return (m + 1, beads2, counts2, dkey)
 
 
+def _insertion_images(spec: FunctorSpec, k: int):
+    """The space N(F_k) and the echelon basis of the images of the k bare-arc
+    insertions N(F_{k-1})^k -> N(F_k), each reduced by its relations."""
+    target = a_space(spec.n, k, spec.d, spec.alphabet, spec.class0)
+    source = a_space(spec.n, k - 1, spec.d, spec.alphabet, spec.class0)
+    images = echelonize(
+        target.reduce({insert_bare_arc(key, pos): Fraction(1)})
+        for key in source.span
+        for pos in range(1, k + 1)
+    )
+    return target, images
+
+
 def cross_effect_dim(spec: FunctorSpec, k: int) -> int:
     """dim of the k-th cross-effect at (1,...,1): the cokernel of the k
     bare-arc insertions N(F_{k-1})^k -> N(F_k)."""
-    target = a_space(spec.n, k, spec.d, spec.alphabet, spec.class0)
-    source = a_space(spec.n, k - 1, spec.d, spec.alphabet, spec.class0)
-    images = []
-    for key in source.span:
-        for pos in range(1, k + 1):
-            images.append(target.reduce({insert_bare_arc(key, pos): Fraction(1)}))
-    image_rank = echelonize(images).rank
-    return target.dim(0) - image_rank
+    target, images = _insertion_images(spec, k)
+    return target.dim(0) - images.rank
 
 
 def nonpoly_witness(n, d, k, alphabet):
@@ -594,12 +593,5 @@ def nonpoly_witness(n, d, k, alphabet):
             arcs.append([("bead", w)])
     key, sign = arc_canonicalize(arcs, dashed)
     assert key is not ZERO
-    spec = FunctorSpec(n=n, d=d, alphabet=alphabet, class0=False)
-    target = a_space(spec.n, k, spec.d, spec.alphabet, spec.class0)
-    source = a_space(spec.n, k - 1, spec.d, spec.alphabet, spec.class0)
-    basis = target.relations.copy()
-    for skey in source.span:
-        for pos in range(1, k + 1):
-            basis.insert({insert_bare_arc(skey, pos): Fraction(1)})
-    reduced = basis.reduce({key: Fraction(sign)})
-    return key, reduced
+    target, images = _insertion_images(FunctorSpec(n=n, d=d, alphabet=alphabet, class0=False), k)
+    return key, images.reduce(target.reduce({key: Fraction(sign)}))

@@ -11,7 +11,6 @@ relation) and naturality over the five Hopf generators.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -24,7 +23,6 @@ from . import diagrams as dg
 from .jspaces import j_space
 from .linalg import echelonize, vaxpy, vec
 from .reference import _cycle_types, _perm_from_type
-from .words import IDENTITY
 
 
 @dataclass(frozen=True)
@@ -60,38 +58,23 @@ def cat_ass_basis(c, l):
     return out
 
 
-def glue(fom: FiberOrderedMap, jkey, arc_beads=None):
-    """Glue a labelled diagram's legs onto arcs in fiber order; returns a
-    one-term vector over canonical arc keys (possibly empty)."""
-    return _glue_rebuilt(fom, dg.rebuild(jkey), arc_beads)
+def glue_vector(fom: FiberOrderedMap, jvector):
+    """Glue labelled diagrams' legs onto bare arcs in fiber order; returns a
+    vector over canonical arc keys."""
+    for jkey in jvector:
+        if dg.key_num_legs(jkey) != fom.source:
+            raise ar.ArityMismatch(
+                "diagram has %d legs, map has source %d" % (dg.key_num_legs(jkey), fom.source)
+            )
+    return ar.on_bare_arcs(fom.fibers, jvector)
 
 
-def _glue_rebuilt(fom, dashed, arc_beads=None):
-    """:func:`glue` on the rebuilt diagram of the key."""
-    if dashed.num_legs != fom.source:
-        raise ar.ArityMismatch(
-            "diagram has %d legs, map has source %d" % (dashed.num_legs, fom.source)
-        )
-    if arc_beads is None:
-        arc_beads = tuple([IDENTITY] * fom.target)
-    arcs = ar._arcs_from_placement(fom.fibers, arc_beads)
-    key, sign = ar.arc_canonicalize(arcs, dashed)
-    if key is ar.ZERO:
-        return {}
-    return {key: Fraction(sign)}
-
-
-def glue_vector(fom, jvector, arc_beads=None):
-    return _glue_vector(fom, jvector, dg.rebuild, arc_beads)
-
-
-def _glue_vector(fom, jvector, rebuild, arc_beads=None):
-    """:func:`glue_vector` with the keys' diagrams made by ``rebuild``."""
-    return vec(
-        (k2, coeff * c)
-        for jkey, coeff in jvector.items()
-        for k2, c in _glue_rebuilt(fom, rebuild(jkey), arc_beads).items()
-    )
+def glue(fom: FiberOrderedMap, jkey):
+    """:func:`glue_vector` of one labelled key: a one-term vector (possibly
+    empty)."""
+    # an int coefficient keeps the sign products off Fraction arithmetic;
+    # the result's coefficients are Fractions all the same
+    return glue_vector(fom, {jkey: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +189,7 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     computations agree, (d) gluing is natural for the five Hopf generators,
     (e) the coequalizer identity f(L(..)) = f(R(..)) (an STU instance).
     Exhaustive when ``sample`` is None; otherwise a seeded sample caps each
-    check's tuple count.
+    check's tuple count (in (a), each arity's).
     """
     rng = random.Random(seed)
     aspace = ar.a_space(alphabet.rank, l, d, alphabet, class0=True)
@@ -218,26 +201,28 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
             entry["counterexample"] = repr(counterexample)
         checks.append(entry)
 
-    spaces = {c: j_space(d, c, alphabet) for c in range(0, 2 * d + 1)}
-    rebuild = functools.lru_cache(maxsize=None)(dg.rebuild)  # each J key is glued many times
+    def first_failure(tuples, counterexample):
+        """The first counterexample among the tuples, or among a seeded
+        sample of them when there are more than ``sample``."""
+        if sample is not None and len(tuples) > sample:
+            tuples = rng.sample(tuples, sample)
+        return next(filter(None, (counterexample(*t) for t in tuples)), None)
 
-    # (a) IHX relations die after gluing; the echelon rows span them all
-    bad = None
+    def vanishes(vector):
+        return ar._is_zero_in_full_space(vector, d, alphabet)
+
+    spaces = {c: j_space(d, c, alphabet) for c in range(0, 2 * d + 1)}
+    foms = {c: cat_ass_basis(c, l) for c in spaces}
+
+    # (a) IHX relations die after gluing; the echelon rows span them all.
+    # One sample per arity, and none after the first failure.
+    def ihx_counterexample(c, r, fom):
+        if not vanishes(glue_vector(fom, r)):
+            return (c, fom.fibers, dict(r))
+
     for c, space in spaces.items():
-        rels = list(space.relations.rows.values())
-        if not rels:
-            continue
-        foms = cat_ass_basis(c, l)
-        if sample is not None and len(rels) * len(foms) > sample:
-            pairs = [(r, f) for r in rels for f in foms]
-            pairs = rng.sample(pairs, sample)
-        else:
-            pairs = [(r, f) for r in rels for f in foms]
-        for r, fom in pairs:
-            image = _glue_vector(fom, r, rebuild)
-            if not ar._is_zero_in_full_space(image, d, alphabet):
-                bad = (c, fom.fibers, dict(r))
-                break
+        bad = first_failure([(c, r, f) for r in space.relations.rows.values() for f in foms[c]],
+                            ihx_counterexample)
         if bad:
             break
     record("ihx_image_vanishes", bad is None, bad)
@@ -245,9 +230,9 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     # (b) surjectivity of gluing onto the arc space
     basis = echelonize([])
     for c, space in spaces.items():
-        for fom in cat_ass_basis(c, l):
+        for fom in foms[c]:
             for key in space.span:
-                img = _glue_rebuilt(fom, rebuild(key))
+                img = glue(fom, key)
                 if img:
                     basis.insert(aspace.reduce(img))
     dim_arc = aspace.dim(0)
@@ -257,59 +242,43 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     dim_alpha = alpha_dim(d, alphabet, l)
     record("dimension_equality", dim_alpha == dim_arc, (dim_alpha, dim_arc))
 
-    # (d) naturality for the five generators
-    bad = None
+    # (d) naturality for the five generators, modulo the arc relations
     gens = [("eta", range(1, l + 2)), ("eps", range(1, l + 1)),
             ("mu", range(1, l)), ("antipode", range(1, l + 1)),
             ("delta", range(1, l + 1))]
-    tuples = []
-    for c, space in spaces.items():
-        for key in space.span:
-            for fom in cat_ass_basis(c, l):
-                tuples.append((c, key, fom))
-    if sample is not None and len(tuples) > sample:
-        tuples = rng.sample(tuples, sample)
-    for c, key, fom in tuples:
-        glued = _glue_rebuilt(fom, rebuild(key))
+
+    def naturality_counterexample(key, fom):
+        glued = glue(fom, key)
         for gen, positions in gens:
             for pos in positions:
                 lhs = ar.gr_act(gen, pos, glued)
                 rhs = vec(
                     (k2, coeff * c2)
                     for coeff, fom2 in catass_act(gen, pos, fom)
-                    for k2, c2 in _glue_rebuilt(fom2, rebuild(key)).items()
+                    for k2, c2 in glue(fom2, key).items()
                 )
-                # naturality holds modulo the arc relations
-                if not ar._is_zero_in_full_space(vaxpy(lhs, -1, rhs), d, alphabet):
-                    bad = (gen, pos, fom.fibers, key)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+                if not vanishes(vaxpy(lhs, -1, rhs)):
+                    return (gen, pos, fom.fibers, key)
+
+    bad = first_failure(
+        [(key, fom) for c, space in spaces.items() for key in space.span for fom in foms[c]],
+        naturality_counterexample,
+    )
     record("naturality", bad is None, bad)
 
     # (e) coequalizer identity via the STU relation
-    bad = None
-    tuples = []
-    for c in range(1, 2 * d + 1):
-        source = spaces.get(c + 1)
-        if source is None or not source.span:
-            continue
-        for key in source.span:
-            for fom in cat_ass_basis(c, l):
-                for i in range(1, c + 1):
-                    tuples.append((c, key, fom, i))
-    if sample is not None and len(tuples) > sample:
-        tuples = rng.sample(tuples, sample)
-    for c, key, fom, i in tuples:
+    def coequalizer_counterexample(c, key, fom, i):
         fom_after, fom_before = _mu_lifted_maps(fom, i)
-        lhs = vaxpy(_glue_rebuilt(fom_after, rebuild(key)), -1,
-                    _glue_rebuilt(fom_before, rebuild(key)))
-        rhs = _glue_vector(fom, cl.mu_action(i, {key: Fraction(1)}, c + 1), rebuild)
-        if not ar._is_zero_in_full_space(vaxpy(lhs, -1, rhs), d, alphabet):
-            bad = (c, key, fom.fibers, i)
-            break
+        lhs = vaxpy(glue(fom_after, key), -1, glue(fom_before, key))
+        rhs = glue_vector(fom, cl.mu_action(i, {key: Fraction(1)}, c + 1))
+        if not vanishes(vaxpy(lhs, -1, rhs)):
+            return (c, key, fom.fibers, i)
+
+    bad = first_failure(
+        [(c, key, fom, i) for c in range(1, 2 * d) for key in spaces[c + 1].span
+         for fom in foms[c] for i in range(1, c + 1)],
+        coequalizer_counterexample,
+    )
     record("coequalizer", bad is None, bad)
 
     return {

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import diagrams as dg
 from .jspaces import canonical_vector, closure, j_space
-from .linalg import EchelonBasis, echelonize, vec
+from .linalg import echelonize, vec
 
 
 def perm_action(sigma, vector):
@@ -57,7 +57,6 @@ class MuTransform:
     alphabet: object
     source_keys: tuple  # quotient basis of J_d(k+1)
     images: dict  # source key -> image vector reduced in the target universe
-    target_relations: EchelonBasis
 
     @property
     def is_zero(self) -> bool:
@@ -92,7 +91,6 @@ def mu_transform(d: int, k: int, alphabet) -> MuTransform:
         alphabet=alphabet,
         source_keys=tuple(source.free_keys),
         images=images,
-        target_relations=basis,
     )
 
 

@@ -142,21 +142,9 @@ class Diagram:
             raise DiagramError("total vertex count must be even")
         # every connected component must contain a univalent vertex
         vert = self.vertex_of()
-        parent = list(range(len(self.legs) + len(self.tri)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for tail, head, _ in self.edges:
-            a, b = find(vert[tail]), find(vert[head])
-            if a != b:
-                parent[a] = b
-        roots_with_leg = {find(i) for i in range(len(self.legs))}
-        for j in range(len(self.tri)):
-            if find(len(self.legs) + j) not in roots_with_leg:
+        pairs = [(vert[tail], vert[head]) for tail, head, _ in self.edges]
+        for comp in _components(len(self.legs) + len(self.tri), pairs):
+            if min(comp) >= len(self.legs):
                 raise DiagramError("component without univalent vertex")
 
 

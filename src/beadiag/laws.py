@@ -15,6 +15,14 @@ from .jspaces import j_space, vector_is_zero_in_full_space
 from .linalg import vaxpy, vec
 
 
+def _antipode_axiom_holds(v, doubled, j, d, alphabet):
+    """mu_j(S_j(delta_j v)) = eta_j(eps_j v) in the arc quotient, where
+    ``doubled`` is delta_j v."""
+    lhs = ar.gr_act("mu", j, ar.gr_act("antipode", j, doubled))
+    rhs = ar.gr_act("eta", j, ar.gr_act("eps", j, v))
+    return ar._is_zero_in_full_space(vaxpy(lhs, -1, rhs), d, alphabet)
+
+
 def check_gr_laws(d, alphabet, m):
     """All defining relations among the five generators and arc swaps, on
     the spanning set of the class-0 space at m arcs.  Returns a report."""
@@ -38,9 +46,7 @@ def check_gr_laws(d, alphabet, m):
                 failures.append(("unit_left", j, key))
             if vaxpy(ar.gr_act("mu", j, ar.gr_act("eta", j + 1, v)), -1, v):
                 failures.append(("unit_right", j, key))
-            lhs = ar.gr_act("mu", j, ar.gr_act("antipode", j, doubled))
-            rhs = ar.gr_act("eta", j, ar.gr_act("eps", j, v))
-            if not ar._is_zero_in_full_space(vaxpy(lhs, -1, rhs), d, alphabet):
+            if not _antipode_axiom_holds(v, doubled, j, d, alphabet):
                 failures.append(("antipode_axiom", j, key))
         for j in range(1, m + 1):
             # associativity of concatenation, on a twice-doubled arc
@@ -66,10 +72,7 @@ def check_hopf_antipode(d, alphabet, m):
     for key in space.span:
         v = {key: Fraction(1)}
         for j in range(1, m + 1):
-            doubled = ar.gr_act("delta", j, v)
-            lhs = ar.gr_act("mu", j, ar.gr_act("antipode", j, doubled))
-            rhs = ar.gr_act("eta", j, ar.gr_act("eps", j, v))
-            if not ar._is_zero_in_full_space(vaxpy(lhs, -1, rhs), d, alphabet):
+            if not _antipode_axiom_holds(v, ar.gr_act("delta", j, v), j, d, alphabet):
                 failures.append((j, key))
     return {
         "d": d,

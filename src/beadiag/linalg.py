@@ -96,11 +96,6 @@ class EchelonBasis:
         self.rows[pivot] = r
         return True
 
-    def copy(self) -> "EchelonBasis":
-        dup = EchelonBasis()
-        dup.rows = {k: dict(v) for k, v in self.rows.items()}
-        return dup
-
     def contains(self, v: dict) -> bool:
         return not self.reduce(v)
 

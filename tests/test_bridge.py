@@ -11,6 +11,7 @@ from beadiag.bridge import (
     cat_ass_basis,
     catass_act,
     glue,
+    glue_vector,
     verify_bridge,
     verify_filtration,
 )
@@ -63,6 +64,26 @@ def test_glue_examples():
     # arity mismatch
     with pytest.raises(ar.ArityMismatch):
         glue(FiberOrderedMap(3, 1, ((1, 2, 3),)), key)
+
+
+def test_glue_is_the_raw_route_on_bare_arcs():
+    # gluing relabels the legs in fiber order; the raw route places the
+    # legs on bare arcs and canonicalizes the arc diagram
+    cells = [(TRIVIAL_ALPHABET, d) for d in (1, 2)] + [(GEN11, 1)]
+    pairs = 0
+    for alphabet, d in cells:
+        for c in range(2 * d + 1):
+            for key in dg.enumerate_diagrams(d, c, alphabet):
+                for l in range(4):
+                    for fom in cat_ass_basis(c, l):
+                        akey, sign = ar.arc_canonicalize(
+                            ar._arcs_from_placement(fom.fibers), dg.rebuild(key))
+                        expect = {} if akey is ar.ZERO else {akey: Fraction(sign)}
+                        assert glue(fom, key) == expect
+                        pairs += 1
+    assert pairs > 1000
+    with pytest.raises(ar.ArityMismatch, match="^diagram has 2 legs, map has source 3$"):
+        glue_vector(FiberOrderedMap(3, 1, ((3, 1, 2),)), {key: Fraction(1)})
 
 
 def test_glue_order_difference_is_the_glued_tree_mod_stu():

@@ -110,8 +110,23 @@ def test_trusted_rewrites_pass_validation(monkeypatch):
             arcs = [[("bead", ((1, 1),))] + [("leg", lab) for lab in range(1, m + 1)]]
             arcs, dashed, _sign = random_arc_moves(rng, arcs, dia, GEN11)
             ar.arc_canonicalize(arcs, dashed)
-    assert len(made) > 3000
-    for dia in made:
+    # the ungluings of the arc closure hand their dashed parts to
+    # arc_canonicalize
+    unglued = []
+    arc_canonicalize = ar.arc_canonicalize
+
+    def recording_arcs(arcs, dashed):
+        unglued.append(dashed)
+        return arc_canonicalize(arcs, dashed)
+
+    monkeypatch.setattr(ar, "arc_canonicalize", recording_arcs)
+    arc_cells = [(TRIVIAL_ALPHABET, m, d, True) for m in (1, 2) for d in (1, 2)]
+    arc_cells += [(GEN11, m, 1, class0) for m in (1, 2) for class0 in (True, False)]
+    for alphabet, m, d, class0 in arc_cells:
+        for key in ar.enumerate_arc_diagrams(m, d, alphabet, class0):
+            ar._unglue_neighbours(key)
+    assert len(made) > 3000 and len(unglued) > 80
+    for dia in made + unglued:
         assert_valid(dia)
 
 
