@@ -7,7 +7,9 @@ dashed leg, so the canonical form holds one bead at the start of each arc
 (the arc's holonomy) and none elsewhere; class-0 diagrams have none at all.
 
 Canonical keys are ``(m, arc_beads, per_arc_leg_counts, dashed_key)`` where
-the dashed part's legs are relabelled 1..U in (arc, position) order.
+the dashed part's legs are relabelled 1..U in (arc, position) order.  Every
+operation below acts on the arc data and the labelled key; raw presentations
+(item lists per arc) are only the input of ``arc_canonicalize``.
 
 The one-sided functor structure over free groups acts through the five
 Hopf generators: eta inserts a bare arc, eps deletes an arc (zero if legs
@@ -27,7 +29,7 @@ from fractions import Fraction
 from . import cache
 from . import catlie as cl
 from . import diagrams as dg
-from .jspaces import _grow
+from .jspaces import _grow, ihx_relations
 from .linalg import EchelonBasis, echelonize, vec
 from .words import IDENTITY, Word, inv_letters, mul_letters
 
@@ -39,7 +41,40 @@ class ArityMismatch(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# raw presentations and the canonical form
+# the canonical form; raw presentations are its input
+
+
+def _lift(m, arc_beads, counts, dashed, order, deposits):
+    """Arc data over a dashed part, as (canonical arc key, sign) or (ZERO, 0).
+
+    ``dashed`` is a canonical labelled key, or at the raw boundary a
+    Diagram.  Its leg ``order[i]`` becomes leg i + 1, after the edge at each
+    leg l in ``deposits`` takes the holonomy ``deposits[l]`` slid onto it
+    (gauge at the attachment point).  A key kept in the identity order with
+    nothing to deposit is returned as it is, since canonicalize(rebuild(k))
+    is (k, +1).  Neither step changes which automorphisms fix the legs, so
+    from a key the result is never ZERO.
+    """
+    if not isinstance(dashed, dg.Diagram):
+        if not deposits and order == list(range(1, len(order) + 1)):
+            return ((m, arc_beads, counts, dashed), 1)
+        dashed = dg.rebuild(dashed)
+    U = dashed.num_legs
+    vert = dashed.vertex_of()
+    new_edges = []
+    for tail, head, w in dashed.edges:
+        tv, hv = vert[tail], vert[head]
+        if tv < U and tv + 1 in deposits:
+            w = mul_letters(inv_letters(deposits[tv + 1]), w)
+        if hv < U and hv + 1 in deposits:
+            w = mul_letters(w, deposits[hv + 1])
+        new_edges.append((tail, head, w))
+    legs = tuple(dashed.legs[old - 1] for old in order)
+    dkey, sign = dg.canonicalize(dg.Diagram._trusted(legs, dashed.tri, tuple(new_edges)))
+    if dkey is ZERO:
+        return (ZERO, 0)
+    return ((m, arc_beads, counts, dkey), sign)
+
 
 # raw arcs: list over arcs of item lists; item = ("bead", letters) | ("leg", label)
 
@@ -52,7 +87,6 @@ def arc_canonicalize(arcs, dashed):
     (gauge at the attachment point).  The dashed part is then relabelled in
     (arc, position) order and canonicalised.
     """
-    m = len(arcs)
     arc_beads = []
     counts = []
     deposits = {}  # leg label -> letters
@@ -64,7 +98,8 @@ def arc_canonicalize(arcs, dashed):
             if kind == "bead":
                 suffix = mul_letters(tuple(value), suffix)
             elif kind == "leg":
-                deposits[value] = suffix
+                if suffix:
+                    deposits[value] = suffix
                 legs_here.append(value)
             else:
                 raise ValueError("arc item kind must be 'bead' or 'leg'")
@@ -76,24 +111,7 @@ def arc_canonicalize(arcs, dashed):
         raise ArityMismatch(
             "arc legs must reference the dashed legs 1..%d exactly once" % dashed.num_legs
         )
-    vert = dashed.vertex_of()
-    new_edges = []
-    for tail, head, w in dashed.edges:
-        tv, hv = vert[tail], vert[head]
-        if tv < dashed.num_legs:
-            gamma = deposits[tv + 1]
-            if gamma:
-                w = mul_letters(inv_letters(gamma), w)
-        if hv < dashed.num_legs:
-            gamma = deposits[hv + 1]
-            if gamma:
-                w = mul_letters(w, gamma)
-        new_edges.append((tail, head, w))
-    legs = tuple(dashed.legs[old - 1] for old in order)
-    dkey, sign = dg.canonicalize(dg.Diagram._trusted(legs, dashed.tri, tuple(new_edges)))
-    if dkey is ZERO:
-        return (ZERO, 0)
-    return ((m, tuple(arc_beads), tuple(counts), dkey), sign)
+    return _lift(len(arcs), tuple(arc_beads), tuple(counts), dashed, order, deposits)
 
 
 def rebuild_arc(key):
@@ -164,64 +182,39 @@ def homotopy_class_raw(arcs):
     return tuple(out)
 
 
-def canonical_arc_vector(terms):
-    """Sum of (coeff, arcs, dashed) raw terms as a vector over canonical keys."""
-    pairs = []
-    for coeff, arcs, dashed in terms:
-        key, sign = arc_canonicalize(arcs, dashed)
-        if key is not ZERO:
-            pairs.append((key, coeff * sign))
-    return vec(pairs)
+def _leg_blocks(counts):
+    """The leg labels on each arc, in order."""
+    blocks = []
+    start = 1
+    for c in counts:
+        blocks.append(list(range(start, start + c)))
+        start += c
+    return blocks
 
 
 # ---------------------------------------------------------------------------
 # STU and IHX relations, closure
 
 
-def _leg_positions(arcs):
-    """(arc_index, item_index) of each leg item, per arc."""
-    out = []
-    for j, items in enumerate(arcs):
-        here = [(j, i) for i, (kind, _v) in enumerate(items) if kind == "leg"]
-        out.append(here)
-    return out
-
-
-def _relabel_arc_legs(arcs, relabel):
-    """Raw arcs with each leg item replaced by leg items carrying the labels
-    ``relabel(label)`` returns, in order (none drops the leg); beads stay."""
-    out = []
-    for items in arcs:
-        new_items = []
-        for kind, value in items:
-            if kind == "leg":
-                new_items.extend(("leg", lab) for lab in relabel(value))
-            else:
-                new_items.append((kind, value))
-        out.append(new_items)
-    return out
-
-
 def stu_relations(key):
-    """One STU relation per adjacent leg pair on an arc: T - U - S = 0."""
-    arcs, dashed = rebuild_arc(key)
+    """One STU relation per adjacent leg pair on an arc: T - U - S = 0.
+
+    For legs l, l + 1 adjacent on arc j: T is the key, U swaps the two
+    labels, and S glues the two legs onto a tripod whose free end, leg l,
+    takes their place on the arc.
+    """
+    m, arc_beads, counts, dkey = key
+    labels = list(range(1, sum(counts) + 1))
     rels = []
-    positions = _leg_positions(arcs)
-    for j, here in enumerate(positions):
-        for p in range(len(here) - 1):
-            (_, i1), (_, i2) = here[p], here[p + 1]
-            l1 = arcs[j][i1][1]
-            l2 = arcs[j][i2][1]
-            # U: swap the attachment order of the two legs
-            arcs_u = [list(items) for items in arcs]
-            arcs_u[j][i1], arcs_u[j][i2] = arcs_u[j][i2], arcs_u[j][i1]
-            # S: glue the two legs onto a tripod; its free end attaches at p.
-            # glue_pair relabels: new leg = l1, labels above l2 shift down.
-            dashed_s = dg.glue_pair(dashed, l1, l2)
-            arcs_s = _relabel_arc_legs(arcs, lambda lab: (
-                (lab,) if lab < l2 else (lab - 1,) if lab > l2 else ()))
-            rel = canonical_arc_vector(
-                [(1, arcs, dashed), (-1, arcs_u, dashed), (-1, arcs_s, dashed_s)]
+    for j, block in enumerate(_leg_blocks(counts)):
+        counts_s = counts[:j] + (counts[j] - 1,) + counts[j + 1 :]
+        for l in block[:-1]:
+            swapped = labels[: l - 1] + [l + 1, l] + labels[l + 1 :]
+            u_key, u_sign = _lift(m, arc_beads, counts, dkey, swapped, {})
+            rel = vec(
+                [(key, 1), (u_key, -u_sign)]
+                + [((m, arc_beads, counts_s, k), -c)
+                   for k, c in cl.glue_pair_key(dkey, l, l + 1).items()]
             )
             if rel:
                 rels.append(rel)
@@ -231,58 +224,28 @@ def stu_relations(key):
 def _unglue_neighbours(key):
     """Keys of the T and U terms of STU instances whose S term is this key.
 
-    Needed so that the closure contains every STU instance touching it: for
-    each leg whose dashed edge ends at a trivalent vertex, detach the vertex
-    back onto the arc in both orders.
+    Needed so that the closure contains every STU instance touching it: each
+    leg whose dashed edge ends at a trivalent vertex is unglued back onto
+    its arc in both orders (``diagrams.unglue_leg``), one more leg there.
     """
-    arcs, dashed = rebuild_arc(key)
-    U = dashed.num_legs
-    vert = dashed.vertex_of()
+    m, arc_beads, counts, dkey = key
+    dashed = dg.rebuild(dkey)
     out = []
-    for label in range(1, U + 1):
-        h = dashed.legs[label - 1]
-        eidx = next(
-            i for i, (t, hd, _w) in enumerate(dashed.edges) if h in (t, hd)
-        )
-        tail, head, w = dashed.edges[eidx]
-        x = vert[tail] if head == h else vert[head]
-        if x < U:
-            continue  # strut between legs: nothing to unglue
-        dia = dashed
-        if w:
-            # gauge the leg edge's bead to 1 at the trivalent end:
-            # head at x needs g = w^-1, tail at x needs g = w
-            g = inv_letters(w) if vert[head] == x else w
-            dia = dg.gauge_at_vertex(dia, x, g)
-        tail, head, _one = dia.edges[eidx]
-        hx = tail if vert[tail] == x else head
-        triple = dia.tri[x - U]
-        pos = triple.index(hx)
-        second, first = triple[(pos + 1) % 3], triple[(pos + 2) % 3]
-        # rebuild the dashed part without vertex x and the leg edge; the two
-        # strands attach directly: 'first' at the leg's spot, 'second' after
-        new_tri = dia.tri[: x - U] + dia.tri[x - U + 1 :]
-        new_edges = dia.edges[:eidx] + dia.edges[eidx + 1 :]
-        new_arcs = _relabel_arc_legs(arcs, lambda lab: (
-            (lab,) if lab < label else (lab + 1,) if lab > label else (lab, lab + 1)))
-        for ha, hb in ((first, second), (second, first)):
-            legs = dia.legs[: label - 1] + (ha, hb) + dia.legs[label:]
-            k2, _s = arc_canonicalize(new_arcs, dg.Diagram._trusted(legs, new_tri, new_edges))
-            if k2 is not ZERO:
-                out.append(k2)
+    for j, block in enumerate(_leg_blocks(counts)):
+        counts_t = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
+        for label in block:
+            for dia in dg.unglue_leg(dashed, label):
+                k, _sign = dg.canonicalize(dia)
+                if k is not ZERO:
+                    out.append((m, arc_beads, counts_t, k))
     return out
 
 
 def ihx_relations_arc(key):
     """IHX relations at internal dashed edges, arc structure unchanged."""
-    arcs, dashed = rebuild_arc(key)
-    rels = []
-    for index in dg.internal_edges(dashed):
-        terms = [(c, arcs, dia) for c, dia in dg.ihx_at_edge(dashed, index)]
-        rel = canonical_arc_vector(terms)
-        if rel:
-            rels.append(rel)
-    return rels
+    m, arc_beads, counts, dkey = key
+    return [{(m, arc_beads, counts, k): c for k, c in rel.items()}
+            for rel in ihx_relations(dkey)]
 
 
 def arc_closure(seed_keys, relations):
@@ -323,11 +286,6 @@ def leg_placements(c, m):
             *[itertools.permutations(f) for f in fibers]
         ):
             yield tuple(orders)
-
-
-def _arcs_from_placement(placement):
-    """Bare raw arcs carrying the legs of each fiber in order."""
-    return [[("leg", lab) for lab in fiber] for fiber in placement]
 
 
 def enumerate_arc_diagrams(m, d, alphabet, class0=True):
@@ -392,6 +350,8 @@ def a_space(n, m, d, alphabet, class0=True) -> ASpace:
     dimension (optionally of the at-least-t-trivalent subspace) via .dim(t)."""
     if alphabet.rank > n:
         raise ValueError("alphabet uses generators beyond rank %d" % n)
+    if d < 0 or m < 0:
+        raise ValueError("d and m must be >= 0")
     ck = (m, d, alphabet, class0)
     if ck in _aspace_cache:
         space = _aspace_cache[ck]
@@ -439,57 +399,47 @@ def _is_zero_in_full_space(vector, d, alphabet) -> bool:
 
 
 def _act_arc_key(gen, pos, key):
-    """Action of one generator at arc position pos on a canonical key."""
-    arcs, dashed = rebuild_arc(key)
-    m = len(arcs)
+    """Action of one generator at arc position pos on a canonical key, as
+    (key, sign) terms."""
+    m, arc_beads, counts, dkey = key
+    top = {"eta": m + 1, "eps": m, "mu": m - 1, "antipode": m, "delta": m}.get(gen)
+    if top is None:
+        raise ValueError("unknown generator %r" % gen)
+    if not 1 <= pos <= top:
+        raise ArityMismatch("%s position out of range" % gen)
     if gen == "eta":
-        if not 1 <= pos <= m + 1:
-            raise ArityMismatch("eta position out of range")
-        arcs2 = arcs[: pos - 1] + [[]] + arcs[pos - 1 :]
-        return canonical_arc_vector([(1, arcs2, dashed)])
+        return [(insert_bare_arc(key, pos), 1)]
+    j = pos - 1
+    labels = list(range(1, sum(counts) + 1))
+    start, end = sum(counts[:j]), sum(counts[:pos])
+    before, here, after = labels[:start], labels[start:end], labels[end:]
     if gen == "eps":
-        if not 1 <= pos <= m:
-            raise ArityMismatch("eps position out of range")
-        if any(kind == "leg" for kind, _ in arcs[pos - 1]):
-            return {}
-        arcs2 = arcs[: pos - 1] + arcs[pos:]
-        return canonical_arc_vector([(1, arcs2, dashed)])
+        if here:
+            return []
+        return [((m - 1, arc_beads[:j] + arc_beads[pos:], counts[:j] + counts[pos:], dkey), 1)]
     if gen == "mu":
-        if not 1 <= pos <= m - 1:
-            raise ArityMismatch("mu position out of range")
-        merged = arcs[pos - 1] + arcs[pos]
-        arcs2 = arcs[: pos - 1] + [merged] + arcs[pos + 1 :]
-        return canonical_arc_vector([(1, arcs2, dashed)])
+        # the second arc's bead slides back across the first arc's legs
+        bead = arc_beads[pos]
+        merged_beads = arc_beads[:j] + (mul_letters(arc_beads[j], bead),) + arc_beads[pos + 1 :]
+        merged_counts = counts[:j] + (counts[j] + counts[pos],) + counts[pos + 1 :]
+        deposits = dict.fromkeys(here, bead) if bead else {}
+        return [_lift(m - 1, merged_beads, merged_counts, dkey, labels, deposits)]
     if gen == "antipode":
-        if not 1 <= pos <= m:
-            raise ArityMismatch("antipode position out of range")
-        items = []
-        for kind, value in reversed(arcs[pos - 1]):
-            items.append((kind, inv_letters(value)) if kind == "bead" else (kind, value))
-        sign = (-1) ** sum(1 for kind, _ in items if kind == "leg")
-        arcs2 = arcs[: pos - 1] + [items] + arcs[pos:]
-        return canonical_arc_vector([(sign, arcs2, dashed)])
-    if gen == "delta":
-        if not 1 <= pos <= m:
-            raise ArityMismatch("delta position out of range")
-        items = arcs[pos - 1]
-        leg_idx = [i for i, (kind, _) in enumerate(items) if kind == "leg"]
-        terms = []
-        for mask in itertools.product((0, 1), repeat=len(leg_idx)):
-            side = dict(zip(leg_idx, mask))
-            copy1, copy2 = [], []
-            for i, (kind, value) in enumerate(items):
-                if kind == "bead":
-                    copy1.append((kind, value))
-                    copy2.append((kind, value))
-                elif side[i] == 0:
-                    copy1.append((kind, value))
-                else:
-                    copy2.append((kind, value))
-            arcs2 = arcs[: pos - 1] + [copy1, copy2] + arcs[pos:]
-            terms.append((1, arcs2, dashed))
-        return canonical_arc_vector(terms)
-    raise ValueError("unknown generator %r" % gen)
+        # reversed legs; the inverted bead slides back across all of them
+        bead = inv_letters(arc_beads[j])
+        deposits = dict.fromkeys(here, bead) if bead else {}
+        beads2 = arc_beads[:j] + (bead,) + arc_beads[pos:]
+        key2, sign = _lift(m, beads2, counts, dkey, before + here[::-1] + after, deposits)
+        return [(key2, sign * (-1) ** len(here))]
+    # delta: both copies start with the arc's bead; sum over leg shuffles
+    beads2 = arc_beads[:j] + (arc_beads[j],) + arc_beads[j:]
+    terms = []
+    for mask in itertools.product((0, 1), repeat=len(here)):
+        one = [l for l, side in zip(here, mask) if not side]
+        two = [l for l, side in zip(here, mask) if side]
+        counts2 = counts[:j] + (len(one), len(two)) + counts[pos:]
+        terms.append(_lift(m + 1, beads2, counts2, dkey, before + one + two + after, {}))
+    return terms
 
 
 def gr_act(gen, pos, vector):
@@ -497,20 +447,24 @@ def gr_act(gen, pos, vector):
     return vec(
         (k2, coeff * c)
         for key, coeff in vector.items()
-        for k2, c in _act_arc_key(gen, pos, key).items()
+        for k2, c in _act_arc_key(gen, pos, key)
     )
 
 
 def perm_arcs(sigma, vector):
     """Permute arcs; sigma[old_position] = new_position (1-based)."""
-    terms = []
+    pairs = []
     for key, coeff in vector.items():
-        arcs, dashed = rebuild_arc(key)
-        arcs2 = [None] * len(arcs)
-        for old0, items in enumerate(arcs):
-            arcs2[sigma[old0 + 1] - 1] = items
-        terms.append((coeff, arcs2, dashed))
-    return canonical_arc_vector(terms)
+        m, arc_beads, counts, dkey = key
+        blocks = _leg_blocks(counts)
+        olds = [None] * m  # new position - 1 -> old position - 1
+        for old0 in range(m):
+            olds[sigma[old0 + 1] - 1] = old0
+        k2, sign = _lift(
+            m, tuple(arc_beads[o] for o in olds), tuple(counts[o] for o in olds), dkey,
+            [l for o in olds for l in blocks[o]], {})
+        pairs.append((k2, coeff * sign))
+    return vec(pairs)
 
 
 def epsilon_embed(vector, n):

@@ -22,7 +22,6 @@ from . import catlie as cl
 from . import diagrams as dg
 from .jspaces import j_space
 from .linalg import echelonize, vaxpy, vec
-from .reference import _cycle_types, _perm_from_type
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,8 @@ def coinvariant_dim(space, i, l) -> int:
     if space.dimension == 0:
         return 0
     total = Fraction(0)
-    for typ, size, cycles in _cycle_types(i):
-        tr = _perm_trace(space, _perm_from_type(typ))
+    for typ, size, cycles in cl._cycle_types(i):
+        tr = _perm_trace(space, cl._perm_from_type(typ))
         if tr:
             total += size * Fraction(l) ** cycles * tr
     total /= math.factorial(i)
@@ -191,6 +190,8 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     Exhaustive when ``sample`` is None; otherwise a seeded sample caps each
     check's tuple count (in (a), each arity's).
     """
+    if sample is not None and sample < 1:
+        raise ValueError("sample must be >= 1")
     rng = random.Random(seed)
     aspace = ar.a_space(alphabet.rank, l, d, alphabet, class0=True)
     checks = []
@@ -227,15 +228,17 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
             break
     record("ihx_image_vanishes", bad is None, bad)
 
-    # (b) surjectivity of gluing onto the arc space
-    basis = echelonize([])
-    for c, space in spaces.items():
-        for fom in foms[c]:
-            for key in space.span:
-                img = glue(fom, key)
-                if img:
-                    basis.insert(aspace.reduce(img))
+    # (b) surjectivity of gluing onto the arc space; the rank cannot pass
+    # the dimension, so the images stop once it is reached
     dim_arc = aspace.dim(0)
+    basis = echelonize([])
+    images = (glue(fom, key) for c, space in spaces.items() for fom in foms[c]
+              for key in space.span)
+    for img in images:
+        if img:
+            basis.insert(aspace.reduce(img))
+        if basis.rank == dim_arc:
+            break
     record("glue_surjective", basis.rank == dim_arc, (basis.rank, dim_arc))
 
     # (c) dimension equality

@@ -10,12 +10,46 @@ at every arity.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagrams as dg
 from .jspaces import canonical_vector, closure, j_space
 from .linalg import echelonize, vec
+
+
+def _parts(n, largest):
+    """Partitions of n with parts at most ``largest``, weakly decreasing,
+    lexicographic from the largest part."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _parts(n - first, first):
+            yield (first,) + rest
+
+
+def _cycle_types(k: int):
+    """(cycle type, class size, cycle count) over the symmetric group S_k."""
+    for typ in _parts(k, k):
+        denom = 1
+        counts = {}
+        for p in typ:
+            denom *= p
+            counts[p] = counts.get(p, 0) + 1
+        for mult in counts.values():
+            denom *= math.factorial(mult)
+        yield typ, math.factorial(k) // denom, len(typ)
+
+
+def _perm_from_type(typ):
+    perm = []
+    start = 1
+    for p in typ:
+        perm.extend(list(range(start + 1, start + p)) + [start])
+        start += p
+    return tuple(perm)
 
 
 def perm_action(sigma, vector):
@@ -100,6 +134,8 @@ def outer_check(d: int, alphabet):
     Returns (verdict, witness); the witness is (k, source_key, image_vector)
     for the first nonvanishing image, or None.
     """
+    if d < 0:
+        raise ValueError("d must be >= 0")
     for k in range(0, 2 * d):
         t = mu_transform(d, k, alphabet)
         for key in t.source_keys:

@@ -10,22 +10,12 @@ diagram computations.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
+from .bridge import coinvariant_dim
+from .catlie import _parts
 from .jspaces import j_space
 from .words import TRIVIAL_ALPHABET, inv_letters
-
-
-def _parts(n, largest):
-    """Partitions of n with parts at most ``largest``, weakly decreasing,
-    lexicographic from the largest part."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _parts(n - first, first):
-            yield (first,) + rest
 
 
 def partitions(d: int):
@@ -82,34 +72,10 @@ def a11_reference_dim(alphabet, m: int) -> int:
     return int(total)
 
 
-def _cycle_types(k: int):
-    """(cycle type, class size, cycle count) over the symmetric group S_k."""
-    for typ in _parts(k, k):
-        denom = 1
-        counts = {}
-        for p in typ:
-            denom *= p
-            counts[p] = counts.get(p, 0) + 1
-        for mult in counts.values():
-            denom *= math.factorial(mult)
-        yield typ, math.factorial(k) // denom, len(typ)
-
-
-def _perm_from_type(typ):
-    perm = []
-    start = 1
-    for p in typ:
-        perm.extend(list(range(start + 1, start + p)) + [start])
-        start += p
-    return tuple(perm)
-
-
 def b_di_dim(d: int, i: int, m: int) -> int:
     """Dimension of the i-th graded piece of the trivalent-count filtration
     of the beadless degree-d functor, at rank m: the S_{2d-i}-coinvariants
     of (K^m)^(2d-i) tensor the labelled-diagram quotient at arity 2d-i."""
-    from .bridge import coinvariant_dim
-
     if not 0 <= i <= 2 * d:
         raise ValueError("need 0 <= i <= 2d")
     k = 2 * d - i

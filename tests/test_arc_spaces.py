@@ -46,7 +46,7 @@ def brute_force_arc_keys(m, d, alphabet, class0=True):
                 )
                 for placement in ar.leg_placements(c, m):
                     key, _sign = ar.arc_canonicalize(
-                        ar._arcs_from_placement(placement), dashed
+                        [[("leg", lab) for lab in fiber] for fiber in placement], dashed
                     )
                     if key is ar.ZERO:
                         continue

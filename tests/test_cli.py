@@ -139,9 +139,18 @@ _BOOL_LABEL = {
         (("canonical",), json.dumps({"vertices": [], "edges": [
             {"from": 0, "to": 1, "beads": [3]}]})),
         (("canonical",), json.dumps(_BOOL_LABEL)),
+        # negative degrees and empty samples are out of range
+        (("verify", "bridge", "--d", "-1", "--l", "1"), None),
+        (("verify", "bridge", "--d", "1", "--l", "2", "--sample", "0"), None),
+        (("verify", "bridge", "--d", "1", "--l", "2", "--sample", "-1"), None),
+        (("dim-a", "--n", "0", "--m", "1", "--d", "-1"), None),
+        (("verify", "hopf-axioms", "--d", "-1", "--m", "1"), None),
+        (("outer-check", "--d", "-1"), None),
     ],
     ids=["dim-j-diverges", "outer-check-diverges", "dim-a-diverges", "list-halfedge",
-         "vertex-not-object", "vertices-not-list", "bead-not-word", "bool-label"],
+         "vertex-not-object", "vertices-not-list", "bead-not-word", "bool-label",
+         "bridge-negative-degree", "bridge-sample-zero", "bridge-sample-negative",
+         "dim-a-negative-degree", "hopf-axioms-negative-degree", "outer-check-negative-degree"],
 )
 def test_bad_input_exits_2_without_traceback(args, stdin):
     proc = run_cli(*args, stdin=stdin)

@@ -110,16 +110,16 @@ def test_trusted_rewrites_pass_validation(monkeypatch):
             arcs = [[("bead", ((1, 1),))] + [("leg", lab) for lab in range(1, m + 1)]]
             arcs, dashed, _sign = random_arc_moves(rng, arcs, dia, GEN11)
             ar.arc_canonicalize(arcs, dashed)
-    # the ungluings of the arc closure hand their dashed parts to
-    # arc_canonicalize
+    # the ungluings of the arc closure build their dashed parts in unglue_leg
     unglued = []
-    arc_canonicalize = ar.arc_canonicalize
+    unglue_leg = dg.unglue_leg
 
-    def recording_arcs(arcs, dashed):
-        unglued.append(dashed)
-        return arc_canonicalize(arcs, dashed)
+    def recording_unglue(dia, label):
+        out = unglue_leg(dia, label)
+        unglued.extend(out)
+        return out
 
-    monkeypatch.setattr(ar, "arc_canonicalize", recording_arcs)
+    monkeypatch.setattr(dg, "unglue_leg", recording_unglue)
     arc_cells = [(TRIVIAL_ALPHABET, m, d, True) for m in (1, 2) for d in (1, 2)]
     arc_cells += [(GEN11, m, 1, class0) for m in (1, 2) for class0 in (True, False)]
     for alphabet, m, d, class0 in arc_cells:
