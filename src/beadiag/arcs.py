@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import cache
 from . import catlie as cl
 from . import diagrams as dg
-from .jspaces import _grow, ihx_relations
+from .jspaces import _grow, full_residue, ihx_relations
 from .linalg import EchelonBasis, echelonize, vec
 from .words import IDENTITY, Word, inv_letters, mul_letters
 
@@ -332,6 +332,8 @@ class ASpace:
         """Dimension of the image of the span keys K with at least
         ``min_trivalent`` trivalent vertices.  The rows are inter-reduced, so
         it is |K minus pivots| plus the rank of K's pivot rows outside K."""
+        if min_trivalent < 0:
+            raise ValueError("min_trivalent must be >= 0")
         rows = self.relations.rows
         keys = {k for k in self.span if arc_key_trivalents(k) >= min_trivalent}
         tails = [{k2: c for k2, c in rows[k].items() if k2 not in keys} for k in keys & rows.keys()]
@@ -342,9 +344,6 @@ class ASpace:
         return self.dim(0)
 
 
-_aspace_cache = {}
-
-
 def a_space(n, m, d, alphabet, class0=True) -> ASpace:
     """The space of degree-d diagrams on m arcs over the alphabet; query its
     dimension (optionally of the at-least-t-trivalent subspace) via .dim(t)."""
@@ -352,46 +351,25 @@ def a_space(n, m, d, alphabet, class0=True) -> ASpace:
         raise ValueError("alphabet uses generators beyond rank %d" % n)
     if d < 0 or m < 0:
         raise ValueError("d and m must be >= 0")
-    ck = (m, d, alphabet, class0)
-    if ck in _aspace_cache:
-        space = _aspace_cache[ck]
-    else:
-        disk_key = (m, d, alphabet.rank, alphabet.elements, class0)
-        space = cache.get("aspace", disk_key, ASpace)
-        if space is None:
-            span = tuple(enumerate_arc_diagrams(m, d, alphabet, class0))
-            rels = []
-            arc_closure(span, rels)
-            space = ASpace(
-                m=m,
-                d=d,
-                alphabet=alphabet,
-                class0=class0,
-                span=span,
-                relations=echelonize(rels),
-            )
-            cache.put("aspace", disk_key, space)
-        _aspace_cache[ck] = space
-    return space
+
+    def build():
+        span = tuple(enumerate_arc_diagrams(m, d, alphabet, class0))
+        rels = []
+        arc_closure(span, rels)
+        return ASpace(m=m, d=d, alphabet=alphabet, class0=class0, span=span,
+                      relations=echelonize(rels))
+
+    return cache.space("aspace", (m, d, alphabet.rank, alphabet.elements, class0), ASpace, build)
 
 
 def _is_zero_in_full_space(vector, d, alphabet) -> bool:
     """Whether a class-0 arc vector of degree d vanishes in the untruncated
-    STU/IHX quotient.
-
-    Fast path: reduce against the cached relations of the a_space at the
-    vector's arc count (sound: hitting zero proves membership).  A nonzero
-    residue falls back to the exact test, reduction modulo the relations of
-    the closure of the vector's own support.
-    """
+    STU/IHX quotient: its residue after the relations of the a_space at the
+    vector's arc count, then modulo the closure of what is left."""
     if not vector:
         return True
-    m = arc_key_m(next(iter(vector)))
-    if not a_space(alphabet.rank, m, d, alphabet, class0=True).reduce(vector):
-        return True
-    rels = []
-    arc_closure(vector.keys(), rels)
-    return not echelonize(rels).reduce(vector)
+    space = a_space(alphabet.rank, arc_key_m(next(iter(vector))), d, alphabet, class0=True)
+    return not full_residue(vector, space.relations, arc_closure)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +495,8 @@ def _insertion_images(spec: FunctorSpec, k: int):
 def cross_effect_dim(spec: FunctorSpec, k: int) -> int:
     """dim of the k-th cross-effect at (1,...,1): the cokernel of the k
     bare-arc insertions N(F_{k-1})^k -> N(F_k)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     target, images = _insertion_images(spec, k)
     return target.dim(0) - images.rank
 

@@ -110,6 +110,8 @@ def coinvariant_dim(space, i, l) -> int:
 def alpha_dim(d, alphabet, l, max_arity=None) -> int:
     """The glued functor's dimension at l arcs: sum over arities i of the
     coinvariant dimensions; ``max_arity`` truncates the module."""
+    if l < 0:
+        raise ValueError("l must be >= 0")
     if max_arity is None:
         max_arity = 2 * d
     total = 0
@@ -190,6 +192,8 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     Exhaustive when ``sample`` is None; otherwise a seeded sample caps each
     check's tuple count (in (a), each arity's).
     """
+    if l < 0:
+        raise ValueError("l must be >= 0")
     if sample is not None and sample < 1:
         raise ValueError("sample must be >= 1")
     rng = random.Random(seed)
@@ -297,6 +301,8 @@ def verify_filtration(d, alphabet, l, t) -> bool:
     """The truncation-to-filtration correspondence at one cell: the glued
     dimension restricted to arities <= 2d-t equals the dimension of the
     at-least-t-trivalent arc subspace."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
     lhs = alpha_dim(d, alphabet, l, max_arity=2 * d - t)
     rhs = ar.a_space(alphabet.rank, l, d, alphabet, class0=True).dim(t)
     return lhs == rhs

@@ -1,9 +1,9 @@
-"""On-disk cache of computed spaces.
+"""Cache of computed spaces: one in-process memo over on-disk entries.
 
-Entries are pickles keyed by a content hash of (cache version, kind,
+Disk entries are pickles keyed by a content hash of (cache version, kind,
 parameters); writes go through a temp file and an atomic rename.  An
 entry that fails to load for any reason, or loads as the wrong type, is a
-miss, so the caller recomputes it.
+miss, so the space is built again.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import tempfile
 CACHE_VERSION = 3
 
 _active_dir = None
+_spaces = {}  # (kind, params) -> space, for the life of the process
 
 
 def set_cache_dir(path):
@@ -67,6 +68,20 @@ def put(kind, params, obj):
             os.unlink(tmp)
         except OSError:
             pass
+
+
+def space(kind, params, cls, build):
+    """The space stored under (kind, params): from the in-process memo, else
+    a ``cls`` entry on disk, else ``build()``, which is then stored in both."""
+    memo_key = (kind, params)
+    obj = _spaces.get(memo_key)
+    if obj is None:
+        obj = get(kind, params, cls)
+        if obj is None:
+            obj = build()
+            put(kind, params, obj)
+        _spaces[memo_key] = obj
+    return obj
 
 
 def roundtrip(kind, params, obj):

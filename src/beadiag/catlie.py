@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagrams as dg
-from .jspaces import canonical_vector, closure, j_space
+from .jspaces import canonical_vector, closure, full_residue, j_space
 from .linalg import echelonize, vec
 
 
@@ -103,22 +103,15 @@ class MuTransform:
 def mu_transform(d: int, k: int, alphabet) -> MuTransform:
     """Matrix data of the mu map at arity k (source arity k+1).
 
-    The target universe is the closure of the target space's span together
-    with all image supports, so reducing an image to zero is equivalent to
-    it vanishing in the untruncated quotient.
+    Each image is reduced in the untruncated target quotient, so an image
+    reduces to zero iff it vanishes there.
     """
     source = j_space(d, k + 1, alphabet)
-    raw_images = {}
-    support = set()
-    for key in source.free_keys:
-        img = mu_sum({key: Fraction(1)}, k + 1)
-        raw_images[key] = img
-        support.update(img)
     target = j_space(d, k, alphabet)
-    rels = []
-    closure(set(target.span) | support, rels)
-    basis = echelonize(rels)
-    images = {key: basis.reduce(img) for key, img in raw_images.items()}
+    images = {
+        key: full_residue(mu_sum({key: Fraction(1)}, k + 1), target.relations, closure)
+        for key in source.free_keys
+    }
     return MuTransform(
         d=d,
         k=k,

@@ -93,6 +93,24 @@ def closure(seed_keys, relations):
     return _grow(seed_keys, relations, expand, dg.key_beads)
 
 
+def full_residue(vector, relations, close):
+    """The reduced form of a vector in the untruncated quotient.
+
+    Reduces by the echelon rows ``relations``, which must lie in the
+    quotient's relation span, then reduces what is left modulo the relations
+    of the closure of its support under ``close`` (:func:`closure` or
+    ``arcs.arc_closure``).  Exact: a relation that meets a closed key set
+    lies inside it, so the result is zero iff the vector lies in the full
+    relation span, and it is the same as modulo any larger closed key set.
+    """
+    residue = relations.reduce(vector)
+    if not residue:
+        return residue
+    rels = []
+    close(residue.keys(), rels)
+    return echelonize(rels).reduce(residue)
+
+
 @dataclass(frozen=True)
 class JSpace:
     """A truncated space J_d(m) over a finite bead alphabet."""
@@ -102,7 +120,13 @@ class JSpace:
     alphabet: object
     span: tuple  # closure of the enumerated canonical keys
     relations: EchelonBasis = field(compare=False)
-    dimension: int
+
+    @property
+    def dimension(self) -> int:
+        # the closure holds every key its relations touch, so the relations
+        # lie inside the span; as a property it also shadows the count that
+        # entries pickled before it carry
+        return len(self.span) - self.relations.rank
 
     @property
     def free_keys(self):
@@ -118,41 +142,18 @@ class JSpace:
         return not self.relations.reduce(vector)
 
 
-_jspace_cache = {}
-
-
 def j_space(d: int, m: int, alphabet) -> JSpace:
     """The truncated quotient space spanned by degree-d, m-leg diagrams with
     canonical beads in the alphabet, modulo AS (signs) and IHX."""
-    ck = (d, m, alphabet)
-    if ck in _jspace_cache:
-        return _jspace_cache[ck]
-    disk_key = (d, m, alphabet.rank, alphabet.elements)
-    space = cache.get("jspace", disk_key, JSpace)
-    if space is None:
+
+    def build():
         rels = []
         span = closure(dg.enumerate_diagrams(d, m, alphabet), rels)
-        basis = echelonize(rels)
-        # the closure holds every key its relations touch, so the relations
-        # lie inside the span and the quotient has dimension |span| - rank
-        space = JSpace(
-            d=d, m=m, alphabet=alphabet, span=span, relations=basis,
-            dimension=len(span) - basis.rank,
-        )
-        cache.put("jspace", disk_key, space)
-    _jspace_cache[ck] = space
-    return space
+        return JSpace(d=d, m=m, alphabet=alphabet, span=span, relations=echelonize(rels))
+
+    return cache.space("jspace", (d, m, alphabet.rank, alphabet.elements), JSpace, build)
 
 
 def vector_is_zero_in_full_space(vector) -> bool:
-    """Whether a diagram vector vanishes in the untruncated AS/IHX quotient.
-
-    Exact: any IHX instance meeting the closure of the support lies entirely
-    inside it, so reduction modulo the closure's relations decides membership
-    in the full relation span.
-    """
-    if not vector:
-        return True
-    rels = []
-    closure(vector.keys(), rels)
-    return not echelonize(rels).reduce(vector)
+    """Whether a diagram vector vanishes in the untruncated AS/IHX quotient."""
+    return not full_residue(vector, EchelonBasis(), closure)

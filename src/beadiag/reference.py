@@ -63,6 +63,8 @@ def a11_reference_dim(alphabet, m: int) -> int:
     """dim of the order-two coinvariants of the dual degree-two space
     tensored with the span of the alphabet, the involution acting by
     ``passi_sigma`` dualised and by inversion on the alphabet."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
     n = m + m * m
     size = len(alphabet)
     fixed = sum(1 for w in alphabet.letter_elements() if inv_letters(w) == w)
@@ -76,6 +78,8 @@ def b_di_dim(d: int, i: int, m: int) -> int:
     """Dimension of the i-th graded piece of the trivalent-count filtration
     of the beadless degree-d functor, at rank m: the S_{2d-i}-coinvariants
     of (K^m)^(2d-i) tensor the labelled-diagram quotient at arity 2d-i."""
+    if d < 0 or m < 0:
+        raise ValueError("d and m must be >= 0")
     if not 0 <= i <= 2 * d:
         raise ValueError("need 0 <= i <= 2d")
     k = 2 * d - i
@@ -84,4 +88,6 @@ def b_di_dim(d: int, i: int, m: int) -> int:
 
 def b_d0_reference(d: int, m: int) -> int:
     """Top graded piece via the doubled-partition Schur decomposition."""
+    if d < 0 or m < 0:
+        raise ValueError("d and m must be >= 0")
     return sum(schur_dim(tuple(2 * p for p in lam), m) for lam in partitions(d))

@@ -126,6 +126,19 @@ _BOOL_LABEL = {
 }
 
 
+# out-of-range parameters, each with the name its error message gives
+_RANGE_ERRORS = [
+    (("reference", "b_d0", "--d", "-1", "--m", "2"), "d "),
+    (("reference", "a11", "--m", "-1"), "m "),
+    (("verify", "b_d0", "--d", "1", "--m", "-2"), " m "),
+    (("cross-effect", "--n", "0", "--d", "1", "--k", "0"), "k "),
+    (("verify", "bridge", "--d", "1", "--l", "-1"), "l "),
+    (("verify", "filtration", "--d", "2", "--l", "-1", "--t", "0"), "l "),
+    (("verify", "filtration", "--d", "2", "--l", "2", "--t", "-1"), "t "),
+    (("dim-a", "--n", "0", "--m", "1", "--d", "1", "--min-trivalent", "-1"), "min_trivalent "),
+]
+
+
 @pytest.mark.parametrize(
     "args,stdin",
     [
@@ -146,11 +159,16 @@ _BOOL_LABEL = {
         (("dim-a", "--n", "0", "--m", "1", "--d", "-1"), None),
         (("verify", "hopf-axioms", "--d", "-1", "--m", "1"), None),
         (("outer-check", "--d", "-1"), None),
+        *((args, None) for args, _name in _RANGE_ERRORS),
     ],
     ids=["dim-j-diverges", "outer-check-diverges", "dim-a-diverges", "list-halfedge",
          "vertex-not-object", "vertices-not-list", "bead-not-word", "bool-label",
          "bridge-negative-degree", "bridge-sample-zero", "bridge-sample-negative",
-         "dim-a-negative-degree", "hopf-axioms-negative-degree", "outer-check-negative-degree"],
+         "dim-a-negative-degree", "hopf-axioms-negative-degree", "outer-check-negative-degree",
+         "reference-b_d0-negative-degree", "reference-a11-negative-rank",
+         "verify-b_d0-negative-rank", "cross-effect-k-zero", "bridge-negative-arcs",
+         "filtration-negative-arcs", "filtration-negative-trivalents",
+         "dim-a-negative-min-trivalent"],
 )
 def test_bad_input_exits_2_without_traceback(args, stdin):
     proc = run_cli(*args, stdin=stdin)
@@ -158,6 +176,14 @@ def test_bad_input_exits_2_without_traceback(args, stdin):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args,name", _RANGE_ERRORS)
+def test_range_error_names_the_parameter_given(args, name, capsys):
+    assert cli.main(list(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and name in captured.err
 
 
 def test_usage_error_exit_code():
@@ -222,8 +248,7 @@ _CACHED_COMMANDS = {
 
 
 def _forget_spaces(monkeypatch):
-    monkeypatch.setattr(jspaces, "_jspace_cache", {})
-    monkeypatch.setattr(ar, "_aspace_cache", {})
+    monkeypatch.setattr(cache, "_spaces", {})
 
 
 @pytest.mark.parametrize("entry", ["truncated", "garbage", "wrong-type", "missing-module"])
@@ -277,6 +302,25 @@ def test_stale_aspace_pickle_loads_and_is_rebuilt(tmp_path, monkeypatch):
         assert not hasattr(fresh, field) and fresh.dim(0) == stale.dim(0)
         assert not hasattr(cache.get("aspace", params, ar.ASpace), field)
         assert len(os.listdir(cache_dir)) == 2
+
+
+def test_stale_jspace_dimension_is_not_read(tmp_path, monkeypatch, capsys):
+    # version-3 entries pickled a stored dimension; the dimension is now
+    # derived from the rows, so a wrong stored value is never reported
+    monkeypatch.setattr(cache, "_active_dir", None)
+    command, params = _CACHED_COMMANDS["jspace"]
+    _forget_spaces(monkeypatch)
+    stale = j_space(1, 2, TRIVIAL_ALPHABET)
+    stale.__dict__["dimension"] = 99
+    cache.set_cache_dir(str(tmp_path))
+    cache.put("jspace", params, stale)
+    _forget_spaces(monkeypatch)
+    assert cli.main(["--cache-dir", str(tmp_path)] + command) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["dim"] == report["span_size"] - report["relation_rank"] == 1
+    loaded = cache.get("jspace", params, jspaces.JSpace)
+    assert loaded.__dict__["dimension"] == 99  # the stale entry was read, not rebuilt
+    assert loaded.dimension == 1
 
 
 def test_canonical_survives_mutated_json(monkeypatch, capsys):

@@ -86,6 +86,8 @@ COMMANDS = [
     (["verify", "hopf-axioms", "--d", "1", "--alphabet", "gen:1:1", "--m", "2"], None),
     (["verify", "a11", "--alphabet", "gen:1:1", "--m", "2"], None),
     (["verify", "b_d0", "--d", "2", "--m", "2"], None),
+    (["outer-check", "--d", "3"], None),
+    (["outer-check", "--d", "1", "--alphabet", "gen:2:1"], None),
 ]
 
 
