@@ -50,14 +50,14 @@ def _lift(m, arc_beads, counts, dashed, order, deposits):
     ``dashed`` is a canonical labelled key, or at the raw boundary a
     Diagram.  Its leg ``order[i]`` becomes leg i + 1, after the edge at each
     leg l in ``deposits`` takes the holonomy ``deposits[l]`` slid onto it
-    (gauge at the attachment point).  A key kept in the identity order with
-    nothing to deposit is returned as it is, since canonicalize(rebuild(k))
-    is (k, +1).  Neither step changes which automorphisms fix the legs, so
-    from a key the result is never ZERO.
+    (gauge at the attachment point).  A key with nothing to deposit is only
+    renumbered (``diagrams.relabel_key``).  Neither step changes which
+    automorphisms fix the legs, so from a key the result is never ZERO.
     """
     if not isinstance(dashed, dg.Diagram):
-        if not deposits and order == list(range(1, len(order) + 1)):
-            return ((m, arc_beads, counts, dashed), 1)
+        if not deposits:
+            dkey, sign = dg.relabel_key(dashed, tuple(order))
+            return ((m, arc_beads, counts, dkey), sign)
         dashed = dg.rebuild(dashed)
     U = dashed.num_legs
     vert = dashed.vertex_of()
@@ -137,12 +137,15 @@ def on_bare_arcs(fibers, jvector):
     On bare arcs no bead slides onto a leg, so the canonical form is the
     labelled key with its legs relabelled in (arc, position) order.
     """
-    order = [label for fiber in fibers for label in fiber]
-    relabelled = cl.perm_action({old: new for new, old in enumerate(order, 1)}, jvector)
+    order = tuple(label for fiber in fibers for label in fiber)
     m = len(fibers)
     bare = tuple([IDENTITY] * m)
     counts = tuple(len(fiber) for fiber in fibers)
-    return {(m, bare, counts, dkey): c for dkey, c in relabelled.items()}
+    return vec(
+        ((m, bare, counts, dkey), coeff * sign)
+        for key, coeff in jvector.items()
+        for dkey, sign in [dg.relabel_key(key, order)]
+    )
 
 
 def arc_key_m(key):
@@ -347,10 +350,12 @@ class ASpace:
 def a_space(n, m, d, alphabet, class0=True) -> ASpace:
     """The space of degree-d diagrams on m arcs over the alphabet; query its
     dimension (optionally of the at-least-t-trivalent subspace) via .dim(t)."""
-    if alphabet.rank > n:
-        raise ValueError("alphabet uses generators beyond rank %d" % n)
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if d < 0 or m < 0:
         raise ValueError("d and m must be >= 0")
+    if alphabet.rank > n:
+        raise ValueError("alphabet uses generators beyond rank %d" % n)
 
     def build():
         span = tuple(enumerate_arc_diagrams(m, d, alphabet, class0))

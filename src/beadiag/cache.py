@@ -82,9 +82,3 @@ def space(kind, params, cls, build):
             put(kind, params, obj)
         _spaces[memo_key] = obj
     return obj
-
-
-def roundtrip(kind, params, obj):
-    """Store and reload an object; used to validate cache fidelity."""
-    put(kind, params, obj)
-    return get(kind, params)

@@ -54,8 +54,13 @@ def _perm_from_type(typ):
 
 def perm_action(sigma, vector):
     """Relabel legs by a permutation; sigma[old_label] = new_label (1-based)."""
-    return canonical_vector(
-        (coeff, dg.relabel_legs(dg.rebuild(key), sigma)) for key, coeff in vector.items()
+    if sorted(sigma.values()) != list(range(1, len(sigma) + 1)):
+        raise dg.DiagramError("new leg labels must be a bijection onto 1..%d" % len(sigma))
+    order = tuple(sorted(sigma, key=sigma.__getitem__))
+    return vec(
+        (k2, coeff * sign)
+        for key, coeff in vector.items()
+        for k2, sign in [dg.relabel_key(key, order)]
     )
 
 

@@ -30,6 +30,7 @@ edges to the remaining legs and the chords keep the residual holonomies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -419,6 +420,22 @@ def rebuild(key) -> Diagram:
                 triples[vertex].append(h)
     return Diagram._trusted(
         tuple(legs), tuple(tuple(triples[U + j]) for j in range(T)), tuple(edges))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def relabel_key(key, order):
+    """(key, sign) of a canonical key whose leg ``order[i]`` becomes leg i + 1:
+    ``canonicalize(relabel_legs(rebuild(key), sigma))`` with
+    ``sigma[order[i]] = i + 1``, for a tuple ``order``.
+
+    Pure, so memoised for the life of the process; the bound holds the
+    12,246 distinct relabellings of ``verify_bridge(3, trivial, 1)``.
+    """
+    dia = rebuild(key)
+    if sorted(order) != list(range(1, dia.num_legs + 1)):
+        raise DiagramError("leg order must be a permutation of 1..%d" % dia.num_legs)
+    legs = tuple(dia.legs[old - 1] for old in order)
+    return canonicalize(Diagram._trusted(legs, dia.tri, dia.edges))
 
 
 def key_num_legs(key):

@@ -121,11 +121,17 @@ class JSpace:
     span: tuple  # closure of the enumerated canonical keys
     relations: EchelonBasis = field(compare=False)
 
+    def __setstate__(self, state):
+        # the closure holds every key its relations touch, so a loaded entry
+        # whose rows leave the span is corrupt; raising makes it a cache miss
+        if not {k for row in state["relations"].rows.values() for k in row} <= set(state["span"]):
+            raise ValueError("relation rows reach keys outside the span")
+        self.__dict__.update(state)
+
     @property
     def dimension(self) -> int:
-        # the closure holds every key its relations touch, so the relations
-        # lie inside the span; as a property it also shadows the count that
-        # entries pickled before it carry
+        # the relations lie inside the span; as a property it also shadows
+        # the count that entries pickled before it carry
         return len(self.span) - self.relations.rank
 
     @property

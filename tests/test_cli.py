@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from beadiag import arcs as ar
 from beadiag import cache, cli, jspaces
 from beadiag import diagrams as dg
 from beadiag.jspaces import j_space
+from beadiag.linalg import EchelonBasis
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
 
 from json_fuzzer import mutate
@@ -136,6 +138,7 @@ _RANGE_ERRORS = [
     (("verify", "filtration", "--d", "2", "--l", "-1", "--t", "0"), "l "),
     (("verify", "filtration", "--d", "2", "--l", "2", "--t", "-1"), "t "),
     (("dim-a", "--n", "0", "--m", "1", "--d", "1", "--min-trivalent", "-1"), "min_trivalent "),
+    (("dim-a", "--n", "-1", "--m", "1", "--d", "1"), "n "),
 ]
 
 
@@ -168,7 +171,7 @@ _RANGE_ERRORS = [
          "reference-b_d0-negative-degree", "reference-a11-negative-rank",
          "verify-b_d0-negative-rank", "cross-effect-k-zero", "bridge-negative-arcs",
          "filtration-negative-arcs", "filtration-negative-trivalents",
-         "dim-a-negative-min-trivalent"],
+         "dim-a-negative-min-trivalent", "dim-a-negative-rank"],
 )
 def test_bad_input_exits_2_without_traceback(args, stdin):
     proc = run_cli(*args, stdin=stdin)
@@ -192,23 +195,27 @@ def test_usage_error_exit_code():
 
 
 def test_cache_roundtrip(tmp_path):
+    def roundtrip(kind, params, obj):
+        cache.put(kind, params, obj)
+        return cache.get(kind, params)
+
     cache.set_cache_dir(str(tmp_path))
     try:
         gen11 = alphabet_from_spec("gen:1:1")
         space = j_space(1, 2, gen11)
         params = (1, 2, gen11.rank, gen11.elements)
-        loaded = cache.roundtrip("jspace", params, space)
+        loaded = roundtrip("jspace", params, space)
         assert loaded.span == space.span
         assert loaded.dimension == space.dimension
         assert loaded.relations.rows == space.relations.rows
         aspace = ar.a_space(0, 2, 1, TRIVIAL_ALPHABET)
-        loaded2 = cache.roundtrip("aspace", ("t",), aspace)
+        loaded2 = roundtrip("aspace", ("t",), aspace)
         assert loaded2.span == aspace.span
         assert loaded2.dim(0) == aspace.dim(0)
         from beadiag.catlie import catlie_basis
 
         basis = catlie_basis(2, 2)
-        loaded3 = cache.roundtrip("misc", ("catlie", 2, 2), basis)
+        loaded3 = roundtrip("misc", ("catlie", 2, 2), basis)
         assert loaded3 == basis
     finally:
         cache.set_cache_dir(None)
@@ -321,6 +328,28 @@ def test_stale_jspace_dimension_is_not_read(tmp_path, monkeypatch, capsys):
     loaded = cache.get("jspace", params, jspaces.JSpace)
     assert loaded.__dict__["dimension"] == 99  # the stale entry was read, not rebuilt
     assert loaded.dimension == 1
+
+
+def test_jspace_rows_outside_the_span_are_a_miss(tmp_path, monkeypatch, capsys):
+    # the closure holds every key its relations touch, so an entry whose
+    # rows leave its span is corrupt: it is rebuilt, not read
+    monkeypatch.setattr(cache, "_active_dir", None)
+    command, params = _CACHED_COMMANDS["jspace"]
+    argv = ["--cache-dir", str(tmp_path)] + command
+    _forget_spaces(monkeypatch)
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    clean = cache.get("jspace", params, jspaces.JSpace)
+    (key,) = clean.span
+    tampered = jspaces.JSpace(clean.d, clean.m, clean.alphabet, clean.span, EchelonBasis())
+    tampered.relations.rows[key] = {key: Fraction(1), (2, 0, ((0, 1, ((1, 1),)),)): Fraction(1)}
+    with open(cache._entry_path("jspace", params), "wb") as fh:
+        pickle.dump(tampered, fh)
+    _forget_spaces(monkeypatch)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    rewritten = cache.get("jspace", params, jspaces.JSpace)
+    assert rewritten.relations.rows == clean.relations.rows == {}
 
 
 def test_canonical_survives_mutated_json(monkeypatch, capsys):

@@ -81,6 +81,9 @@ def assert_valid(dia):
 
 
 def test_trusted_rewrites_pass_validation(monkeypatch):
+    # a warm relabel_key memo would answer without building the relabelled
+    # diagram, so it would never reach the recording canonicalize below
+    dg.relabel_key.cache_clear()
     made = []
     canonicalize = dg.canonicalize
 
@@ -104,6 +107,7 @@ def test_trusted_rewrites_pass_validation(monkeypatch):
                     if a != b:
                         made.append(dg.glue_pair(dia, a, b))
             made.append(dg.relabel_legs(dia, {i: m + 1 - i for i in range(1, m + 1)}))
+            dg.relabel_key(key, tuple(range(m, 0, -1)))
             made.append(dg.reverse_edge(dia, rng.randrange(len(dia.edges))))
             if dia.num_tri:
                 made.append(dg.gauge_at_vertex(dia, m, Word.parse("x1*x2^-1")))
