@@ -1,61 +1,35 @@
-"""Exact computations with beaded Jacobi diagram spaces on arcs."""
+"""Exact computations with beaded Jacobi diagram spaces on arcs.
 
-from .words import (
-    BeadAlphabet,
-    TRIVIAL_ALPHABET,
-    Word,
-    alphabet_closure,
-    alphabet_from_spec,
-)
-from .diagrams import (
-    Diagram,
-    canonicalize,
-    diagram_from_json,
-    diagram_to_json,
-    enumerate_diagrams,
-    gauge_at_vertex,
-)
-from .jspaces import JSpace, j_space
-from .catlie import catlie_basis, mu_action, outer_check, outer_quotient, perm_action
-from .arcs import ASpace, FunctorSpec, a_space, cross_effect_dim, gr_act, nonpoly_witness
-from .bridge import alpha_dim, cat_ass_basis, glue, verify_bridge, verify_filtration
-from .reference import a11_reference_dim, b_d0_reference, b_di_dim, partitions, schur_dim
+The names below are imported from their layer on first access (PEP 562), so
+``import beadiag`` loads no layer and a caller pays only for the layers it uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ASpace",
-    "BeadAlphabet",
-    "Diagram",
-    "FunctorSpec",
-    "JSpace",
-    "TRIVIAL_ALPHABET",
-    "Word",
-    "a11_reference_dim",
-    "a_space",
-    "alphabet_closure",
-    "alphabet_from_spec",
-    "alpha_dim",
-    "b_d0_reference",
-    "b_di_dim",
-    "canonicalize",
-    "cat_ass_basis",
-    "catlie_basis",
-    "cross_effect_dim",
-    "diagram_from_json",
-    "diagram_to_json",
-    "enumerate_diagrams",
-    "gauge_at_vertex",
-    "glue",
-    "gr_act",
-    "j_space",
-    "mu_action",
-    "nonpoly_witness",
-    "outer_check",
-    "outer_quotient",
-    "partitions",
-    "perm_action",
-    "schur_dim",
-    "verify_bridge",
-    "verify_filtration",
-]
+_EXPORTS = {
+    "words": ("BeadAlphabet", "TRIVIAL_ALPHABET", "Word", "alphabet_closure",
+              "alphabet_from_spec"),
+    "diagrams": ("Diagram", "canonicalize", "diagram_from_json", "diagram_to_json",
+                 "enumerate_diagrams", "gauge_at_vertex"),
+    "jspaces": ("JSpace", "j_space"),
+    "catlie": ("catlie_basis", "mu_action", "outer_check", "outer_quotient", "perm_action"),
+    "arcs": ("ASpace", "FunctorSpec", "a_space", "cross_effect_dim", "gr_act",
+             "nonpoly_witness"),
+    "bridge": ("alpha_dim", "cat_ass_basis", "glue", "verify_bridge", "verify_filtration"),
+    "reference": ("a11_reference_dim", "b_d0_reference", "b_di_dim", "partitions",
+                  "schur_dim"),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_LAYER_OF)
+
+
+def __getattr__(name):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + layer, __name__), name)
+    globals()[name] = value
+    return value

@@ -83,12 +83,14 @@ def glue(fom: FiberOrderedMap, jkey):
 def _perm_trace(space, perm):
     """Trace of a leg permutation acting on a J-space quotient."""
     sigma = {i + 1: perm[i] for i in range(len(perm))}
-    free = space.free_keys
+    order = tuple(sorted(sigma, key=sigma.__getitem__))  # as in catlie.perm_action
+    # the unmemoised body: each (key, order) is asked once, so memoising
+    # them would only crowd the memo that the bridge checks reuse
+    relabel = dg.relabel_key.__wrapped__
     tr = Fraction(0)
-    for key in free:
-        img = cl.perm_action(sigma, {key: Fraction(1)})
-        red = space.reduce(img)
-        tr += red.get(key, 0)
+    for key in space.free_keys:
+        image, sign = relabel(key, order)
+        tr += space.reduce({image: Fraction(sign)}).get(key, 0)
     return tr
 
 

@@ -3,15 +3,14 @@
 Disk entries are pickles keyed by a content hash of (cache version, kind,
 parameters); writes go through a temp file and an atomic rename.  An
 entry that fails to load for any reason, or loads as the wrong type, is a
-miss, so the space is built again.
+miss, so the space is built again.  The modules that only disk access
+needs are imported on first use, so a process that never reads or writes an
+entry does not load them (``hashlib`` alone maps OpenSSL, about 3.5 MB).
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
-import tempfile
 
 CACHE_VERSION = 3
 
@@ -34,6 +33,8 @@ def cache_dir():
 
 
 def _entry_path(kind, params):
+    import hashlib  # disk access only, see the module docstring
+
     digest = hashlib.sha256(
         repr((CACHE_VERSION, kind, params)).encode("utf-8")
     ).hexdigest()
@@ -45,6 +46,8 @@ def get(kind, params, cls=object):
     load, or one that is not a ``cls``."""
     if _active_dir is None:
         return None
+    import pickle  # disk access only
+
     path = _entry_path(kind, params)
     try:
         with open(path, "rb") as fh:
@@ -57,6 +60,9 @@ def get(kind, params, cls=object):
 def put(kind, params, obj):
     if _active_dir is None:
         return
+    import pickle  # disk access only
+    import tempfile
+
     path = _entry_path(kind, params)
     fd, tmp = tempfile.mkstemp(dir=_active_dir, suffix=".tmp")
     try:

@@ -9,14 +9,9 @@ import json
 import os
 import sys
 
-from . import arcs as ar
-from . import bridge as br
-from . import cache
-from . import catlie as cl
+# Each command imports the layers it runs, so a request loads only those
+# (canonical and enumerate need just these two).
 from . import diagrams as dg
-from . import laws
-from . import reference as ref
-from .jspaces import ClosureDiverged, j_space
 from .words import alphabet_from_spec
 
 
@@ -47,6 +42,7 @@ def _witness_json(witness):
 
 
 def cmd_dim_j(args, fmt):
+    from .jspaces import j_space  # command-local: only the layers this command runs
     alphabet = alphabet_from_spec(args.alphabet)
     space = j_space(args.d, args.m, alphabet)
     report = {
@@ -63,6 +59,7 @@ def cmd_dim_j(args, fmt):
 
 
 def cmd_dim_a(args, fmt):
+    from . import arcs as ar  # command-local: only the layers this command runs
     alphabet = alphabet_from_spec(args.alphabet)
     space = ar.a_space(args.n, args.m, args.d, alphabet, class0=args.class0)
     report = {
@@ -81,6 +78,7 @@ def cmd_dim_a(args, fmt):
 
 
 def cmd_outer_check(args, fmt):
+    from . import catlie as cl  # command-local: only the layers this command runs
     alphabet = alphabet_from_spec(args.alphabet)
     verdict, witness = cl.outer_check(args.d, alphabet)
     report = {
@@ -95,6 +93,7 @@ def cmd_outer_check(args, fmt):
 
 
 def cmd_cross_effect(args, fmt):
+    from . import arcs as ar  # command-local: only the layers this command runs
     alphabet = alphabet_from_spec(args.alphabet)
     spec = ar.FunctorSpec(n=args.n, d=args.d, alphabet=alphabet, class0=args.class0)
     dim = ar.cross_effect_dim(spec, args.k)
@@ -147,6 +146,7 @@ def cmd_canonical(args, fmt):
 
 
 def cmd_reference(args, fmt):
+    from . import reference as ref  # command-local: only the layers this command runs
     if args.kind == "b_d0":
         value = ref.b_d0_reference(args.d, args.m)
         report = {"command": "reference", "kind": "b_d0", "d": args.d, "m": args.m, "dim": value}
@@ -167,11 +167,13 @@ def cmd_reference(args, fmt):
 def cmd_verify(args, fmt):
     ok = True
     if args.what == "bridge":
+        from . import bridge as br  # command-local: only the layers this suite runs
         alphabet = alphabet_from_spec(args.alphabet)
         report = br.verify_bridge(args.d, alphabet, args.l, seed=args.seed, sample=args.sample)
         ok = report["pass"]
         report["command"] = "verify-bridge"
     elif args.what == "filtration":
+        from . import bridge as br  # command-local: only the layers this suite runs
         alphabet = alphabet_from_spec(args.alphabet)
         ok = br.verify_filtration(args.d, alphabet, args.l, args.t)
         report = {
@@ -183,6 +185,8 @@ def cmd_verify(args, fmt):
             "pass": ok,
         }
     elif args.what == "a11":
+        from . import arcs as ar  # command-local: only the layers this suite runs
+        from . import reference as ref  # command-local: only the layers this suite runs
         alphabet = alphabet_from_spec(args.alphabet)
         lhs = ref.a11_reference_dim(alphabet, args.m)
         rhs = ar.a_space(alphabet.rank, args.m, 1, alphabet, class0=True).dim(0)
@@ -196,6 +200,7 @@ def cmd_verify(args, fmt):
             "pass": ok,
         }
     elif args.what == "b_d0":
+        from . import reference as ref  # command-local: only the layers this suite runs
         lhs = ref.b_d0_reference(args.d, args.m)
         rhs = ref.b_di_dim(args.d, 0, args.m)
         ok = lhs == rhs
@@ -208,11 +213,13 @@ def cmd_verify(args, fmt):
             "pass": ok,
         }
     elif args.what == "hopf-axioms":
+        from . import laws  # command-local: only the layers this suite runs
         alphabet = alphabet_from_spec(args.alphabet)
         report = laws.check_hopf_antipode(args.d, alphabet, args.m)
         ok = report["pass"]
         report["command"] = "verify-hopf-axioms"
     elif args.what == "gr-laws":
+        from . import laws  # command-local: only the layers this suite runs
         alphabet = alphabet_from_spec(args.alphabet)
         report = laws.check_gr_laws(args.d, alphabet, args.m)
         ok = report["pass"]
@@ -344,11 +351,14 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cache_dir:
+    if args.cache_dir and args.func not in (cmd_canonical, cmd_enumerate):
+        # canonical and enumerate build no space, so they leave the cache unloaded
+        from . import cache  # command-local: only the layers this command runs
+
         cache.set_cache_dir(args.cache_dir)
     try:
         return args.func(args, args.format)
-    except (ValueError, OSError, json.JSONDecodeError, ClosureDiverged) as exc:
+    except (ValueError, OSError) as exc:
         # invalid inputs (diagram JSON, alphabet specs, arities, diverging
         # closures); no partial report has been emitted at this point
         print("error: %s" % exc, file=sys.stderr)

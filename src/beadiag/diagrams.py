@@ -176,11 +176,12 @@ def reverse_edge(diagram: Diagram, index: int) -> Diagram:
 
 def relabel_legs(diagram: Diagram, new_label_of) -> Diagram:
     """Permute leg labels; ``new_label_of[old]`` is the new 1-based label."""
-    legs = [None] * diagram.num_legs
+    labels = list(range(1, diagram.num_legs + 1))
+    if sorted(new_label_of) != labels or sorted(new_label_of.values()) != labels:
+        raise DiagramError("new leg labels must be a bijection onto 1..%d" % len(labels))
+    legs = [None] * len(labels)
     for old0, h in enumerate(diagram.legs):
         legs[new_label_of[old0 + 1] - 1] = h
-    if None in legs:
-        raise DiagramError("new leg labels must be a bijection onto 1..%d" % len(legs))
     return Diagram._trusted(tuple(legs), diagram.tri, diagram.edges)
 
 
@@ -563,17 +564,30 @@ def _structures(num_legs: int, num_tri: int):
 
     Slots of a trivalent vertex are used in order and vertices are activated
     in order, so each isomorphism class appears at least once and without the
-    (3!)^T T! relabelling blow-up.  Pairings with a legless component are
-    dropped.  Yields Diagram presentations with bead-free edges and the slot
-    order as cyclic order.
+    (3!)^T T! relabelling blow-up.  A partial pairing is dropped as soon as
+    it closes a legless component, which no completion can reopen.  Yields
+    Diagram presentations with bead-free edges and the slot order as cyclic
+    order.
     """
     U, T = num_legs, num_tri
     H = U + 3 * T
     matched = [False] * H
+    partner = [-1] * H
     pairs = []
 
-    def vertex_of(h):
-        return h if h < U else U + (h - U) // 3
+    def closes_legless(v):
+        # the component of trivalent vertex v: every slot paired, no leg reached
+        seen, todo = {v}, [v]
+        while todo:
+            base = U + 3 * (todo.pop() - U)
+            for h in range(base, base + 3):
+                if partner[h] < U:  # unpaired (-1) or a leg
+                    return False
+                w = U + (partner[h] - U) // 3
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return True
 
     def rec():
         h = -1
@@ -582,10 +596,6 @@ def _structures(num_legs: int, num_tri: int):
                 h = i
                 break
         if h < 0:
-            comps = _components(U + T, [(vertex_of(a), vertex_of(b)) for a, b in pairs])
-            for comp in comps:
-                if all(v >= U for v in comp):
-                    return
             yield list(pairs)
             return
         matched[h] = True
@@ -603,9 +613,13 @@ def _structures(num_legs: int, num_tri: int):
                     if not any(matched[prev + s2] for s2 in range(3)):
                         continue  # activate vertices in order
             matched[h2] = True
+            partner[h], partner[h2] = h2, h
             pairs.append((h, h2))
-            yield from rec()
+            # the new edge's component is the only one this pair can close
+            if h < U or not closes_legless(U + (h - U) // 3):
+                yield from rec()
             pairs.pop()
+            partner[h] = partner[h2] = -1
             matched[h2] = False
         matched[h] = False
 

@@ -19,13 +19,14 @@ from .linalg import EchelonBasis, echelonize, vec
 MAX_CLOSURE_BEAD_LENGTH = 128
 
 
-class ClosureDiverged(RuntimeError):
+class ClosureDiverged(ValueError):
     """The relation closure keeps producing longer and longer beads.
 
     Happens for nontrivial bead alphabets once diagrams have internal edges
     (degree >= 2): rewiring recombines holonomies into unboundedly long
     products, so the closure of an alphabet-truncated seed set is infinite
-    and the truncated quotient is not computable by closure.
+    and the truncated quotient is not computable by closure.  A bad input,
+    so a ``ValueError``.
     """
 
 

@@ -137,6 +137,62 @@ def test_trusted_rewrites_pass_validation(monkeypatch):
 def test_relabel_legs_needs_a_bijection():
     with pytest.raises(dg.DiagramError, match="bijection"):
         dg.relabel_legs(strut(), {1: 1, 2: 1})
+    tripod = dg.Diagram([0, 1, 2], [(3, 4, 5)], [(0, 3, ()), (1, 4, ()), (2, 5, ())])
+    # label 0 must not stand in for leg 3, and no entry may name a fourth leg
+    for new_label_of in ({1: 0, 2: 1, 3: 2}, {1: 1, 2: 2, 3: 3, 4: 9}, {1: 2, 2: 3, 3: 4},
+                         {1: 1, 2: 2}):
+        with pytest.raises(dg.DiagramError, match="bijection"):
+            dg.relabel_legs(tripod, new_label_of)
+    assert dg.relabel_legs(tripod, {1: 3, 2: 1, 3: 2}).legs == (1, 2, 0)
+
+
+def _structures_filtered_afterwards(U, T):
+    """The pairings of ``_structures`` as they were generated before legless
+    components were pruned early: complete every pairing, then drop those
+    with a legless component."""
+    H = U + 3 * T
+    matched = [False] * H
+    pairs = []
+
+    def vertex_of(h):
+        return h if h < U else U + (h - U) // 3
+
+    def rec():
+        h = next((i for i in range(H) if not matched[i]), -1)
+        if h < 0:
+            comps = dg._components(U + T, [(vertex_of(a), vertex_of(b)) for a, b in pairs])
+            if not any(all(v >= U for v in comp) for comp in comps):
+                yield list(pairs)
+            return
+        matched[h] = True
+        for h2 in range(h + 1, H):
+            if matched[h2]:
+                continue
+            if h2 >= U:
+                t, s = divmod(h2 - U, 3)
+                base = U + 3 * t
+                if any(not matched[base + s2] for s2 in range(s)):
+                    continue
+                if s == 0 and t > 0 and not any(matched[base - 3 + s2] for s2 in range(3)):
+                    continue
+            matched[h2] = True
+            pairs.append((h, h2))
+            yield from rec()
+            pairs.pop()
+            matched[h2] = False
+        matched[h] = False
+
+    return list(rec())
+
+
+# every (U, T) of a degree d <= 5 cell: U legs, T = 2d - U trivalent vertices
+STRUCTURE_CELLS = [(U, 2 * d - U) for d in range(6) for U in range(2 * d + 1)]
+
+
+@pytest.mark.parametrize("U,T", STRUCTURE_CELLS, ids=["U%d-T%d" % c for c in STRUCTURE_CELLS])
+def test_structures_prune_legless_components_early(U, T):
+    got = [[(a, b) for a, b, _w in dia.edges] for dia in dg._structures(U, T)]
+    assert got == _structures_filtered_afterwards(U, T)
 
 
 def test_reverse_edge_inverts_bead():
