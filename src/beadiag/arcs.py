@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import cache
 from . import catlie as cl
@@ -328,6 +327,15 @@ class ASpace:
     span: tuple
     relations: EchelonBasis
 
+    def __setstate__(self, state):
+        # inter-reduced rows pivot on their smallest key with coefficient 1
+        # and meet no other pivot; raising makes a corrupt entry a cache miss
+        rows = state["relations"].rows
+        if any(min(r) != p or r[p] != 1 or len(r.keys() & rows.keys()) > 1
+               for p, r in rows.items()):
+            raise ValueError("relation rows are not in reduced echelon form")
+        self.__dict__.update(state)
+
     def reduce(self, vector):
         return self.relations.reduce(vector)
 
@@ -490,7 +498,7 @@ def _insertion_images(spec: FunctorSpec, k: int):
     target = a_space(spec.n, k, spec.d, spec.alphabet, spec.class0)
     source = a_space(spec.n, k - 1, spec.d, spec.alphabet, spec.class0)
     images = echelonize(
-        target.reduce({insert_bare_arc(key, pos): Fraction(1)})
+        target.reduce({insert_bare_arc(key, pos): 1})
         for key in source.span
         for pos in range(1, k + 1)
     )
@@ -533,4 +541,4 @@ def nonpoly_witness(n, d, k, alphabet):
     key, sign = arc_canonicalize(arcs, dashed)
     assert key is not ZERO
     target, images = _insertion_images(FunctorSpec(n=n, d=d, alphabet=alphabet, class0=False), k)
-    return key, images.reduce(target.reduce({key: Fraction(sign)}))
+    return key, images.reduce(target.reduce({key: sign}))

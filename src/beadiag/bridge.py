@@ -71,8 +71,6 @@ def glue_vector(fom: FiberOrderedMap, jvector):
 def glue(fom: FiberOrderedMap, jkey):
     """:func:`glue_vector` of one labelled key: a one-term vector (possibly
     empty)."""
-    # an int coefficient keeps the sign products off Fraction arithmetic;
-    # the result's coefficients are Fractions all the same
     return glue_vector(fom, {jkey: 1})
 
 
@@ -87,10 +85,10 @@ def _perm_trace(space, perm):
     # the unmemoised body: each (key, order) is asked once, so memoising
     # them would only crowd the memo that the bridge checks reuse
     relabel = dg.relabel_key.__wrapped__
-    tr = Fraction(0)
+    tr = 0
     for key in space.free_keys:
         image, sign = relabel(key, order)
-        tr += space.reduce({image: Fraction(sign)}).get(key, 0)
+        tr += space.reduce({image: sign}).get(key, 0)
     return tr
 
 
@@ -279,7 +277,7 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     def coequalizer_counterexample(c, key, fom, i):
         fom_after, fom_before = _mu_lifted_maps(fom, i)
         lhs = vaxpy(glue(fom_after, key), -1, glue(fom_before, key))
-        rhs = glue_vector(fom, cl.mu_action(i, {key: Fraction(1)}, c + 1))
+        rhs = glue_vector(fom, cl.mu_action(i, {key: 1}, c + 1))
         if not vanishes(vaxpy(lhs, -1, rhs)):
             return (c, key, fom.fibers, i)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import diagrams as dg
 from .jspaces import canonical_vector, closure, full_residue, j_space
@@ -114,7 +113,7 @@ def mu_transform(d: int, k: int, alphabet) -> MuTransform:
     source = j_space(d, k + 1, alphabet)
     target = j_space(d, k, alphabet)
     images = {
-        key: full_residue(mu_sum({key: Fraction(1)}, k + 1), target.relations, closure)
+        key: full_residue(mu_sum({key: 1}, k + 1), target.relations, closure)
         for key in source.free_keys
     }
     return MuTransform(

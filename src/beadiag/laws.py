@@ -7,8 +7,6 @@ order at glued vertices are certified here rather than assumed.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import arcs as ar
 from . import catlie as cl
 from .jspaces import j_space, vector_is_zero_in_full_space
@@ -29,7 +27,7 @@ def check_gr_laws(d, alphabet, m):
     space = ar.a_space(alphabet.rank, m, d, alphabet, class0=True)
     failures = []
     for key in space.span:
-        v = {key: Fraction(1)}
+        v = {key: 1}
         for j in range(1, m + 1):
             doubled = ar.gr_act("delta", j, v)
             if vaxpy(ar.gr_act("eps", j, doubled), -1, v):
@@ -70,7 +68,7 @@ def check_hopf_antipode(d, alphabet, m):
     space = ar.a_space(alphabet.rank, m, d, alphabet, class0=True)
     failures = []
     for key in space.span:
-        v = {key: Fraction(1)}
+        v = {key: 1}
         for j in range(1, m + 1):
             if not _antipode_axiom_holds(v, ar.gr_act("delta", j, v), j, d, alphabet):
                 failures.append((j, key))
@@ -100,7 +98,7 @@ def check_jacobi(d, alphabet, arity):
         )
 
     for key in space.free_keys:
-        v = {key: Fraction(1)}
+        v = {key: 1}
         # [[1,2],3] + [[2,3],1] + [[3,1],2]
         t1 = bracket(bracket(v, 1, 2), 1, 2)
         t2 = bracket(bracket(v, 2, 3), 2, 1)

@@ -1,6 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are plain dicts mapping basis keys to nonzero ``Fraction`` values.
+Vectors are plain dicts mapping basis keys to nonzero exact rationals:
+``int`` or ``Fraction``, never ``float``.  Arithmetic keeps ``int``
+coefficients ``int``; a ``Fraction`` appears only where one goes in or where
+an echelon row is normalised, so echelon rows hold ``Fraction`` values.
 Keys may be any mutually comparable hashable values; within one computation
 all keys come from a single universe (canonical diagram keys, abstract
 indices, ...).  Echelon bases are kept fully inter-reduced with pivot
@@ -19,18 +22,16 @@ class RelationOutsideSpan(Exception):
 
 def vec(items=()) -> dict:
     """Sum a dict or an iterable of (key, coefficient) pairs into a sparse
-    vector: repeated keys add up, zero sums drop out, and each surviving
-    coefficient becomes a ``Fraction`` once."""
+    vector: repeated keys add up and zero sums drop out."""
     if isinstance(items, dict):
         items = items.items()
     out = {}
     for key, coeff in items:
         out[key] = out.get(key, 0) + coeff
-    return {key: Fraction(coeff) for key, coeff in out.items() if coeff}
+    return {key: coeff for key, coeff in out.items() if coeff}
 
 
 def vscale(u: dict, c) -> dict:
-    c = Fraction(c)
     if not c:
         return {}
     return {key: coeff * c for key, coeff in u.items()}
@@ -38,7 +39,6 @@ def vscale(u: dict, c) -> dict:
 
 def vaxpy(u: dict, c, v: dict) -> dict:
     """u + c*v, as a new dict."""
-    c = Fraction(c)
     if not c:
         return dict(u)
     out = dict(u)
@@ -69,9 +69,6 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def pivots(self):
-        return sorted(self.rows)
-
     def reduce(self, v: dict) -> dict:
         """v minus its projection onto the row space; no support on pivots."""
         out = dict(v)
@@ -96,14 +93,12 @@ class EchelonBasis:
         self.rows[pivot] = r
         return True
 
-    def contains(self, v: dict) -> bool:
-        return not self.reduce(v)
-
 
 def echelonize(vectors) -> EchelonBasis:
-    """Echelonize a list of sparse vectors (row space preserved)."""
+    """Echelonize sparse vectors (row space preserved), shortest first:
+    short rows fill in least when back-substituted."""
     basis = EchelonBasis()
-    for v in vectors:
+    for v in sorted(vectors, key=len):
         basis.insert(v)
     return basis
 

@@ -13,7 +13,7 @@ from beadiag import arcs as ar
 from beadiag import cache, cli, jspaces
 from beadiag import diagrams as dg
 from beadiag.jspaces import j_space
-from beadiag.linalg import EchelonBasis
+from beadiag.linalg import EchelonBasis, vaxpy
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
 
 from json_fuzzer import mutate
@@ -350,6 +350,49 @@ def test_jspace_rows_outside_the_span_are_a_miss(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == expected
     rewritten = cache.get("jspace", params, jspaces.JSpace)
     assert rewritten.relations.rows == clean.relations.rows == {}
+
+
+def _scaled_pivot(rows):
+    p = min(rows)
+    rows[p] = {k: 2 * c for k, c in rows[p].items()}
+
+
+def _pivot_off_the_smallest_key(rows):
+    p = min(rows)
+    row = rows.pop(p)
+    rows[max(row)] = row
+
+
+def _support_on_another_pivot(rows):
+    p, q = sorted(rows)[:2]
+    rows[p] = vaxpy(rows[p], 1, rows[q])
+
+
+@pytest.mark.parametrize("tamper", [_scaled_pivot, _pivot_off_the_smallest_key,
+                                    _support_on_another_pivot])
+def test_aspace_rows_out_of_echelon_form_are_a_miss(tmp_path, monkeypatch, capsys, tamper):
+    # the rows of a built space are in reduced echelon form, so an entry
+    # whose rows are not is corrupt: it is rebuilt, not read
+    monkeypatch.setattr(cache, "_active_dir", None)
+    params = (1, 2, TRIVIAL_ALPHABET.rank, TRIVIAL_ALPHABET.elements, True)
+    argv = ["--cache-dir", str(tmp_path), "dim-a", "--n", "0", "--m", "1", "--d", "2"]
+    _forget_spaces(monkeypatch)
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    clean = cache.get("aspace", params, ar.ASpace)
+    assert len(clean.relations.rows) >= 2 and max(map(len, clean.relations.rows.values())) >= 2
+    tampered = ar.ASpace(clean.m, clean.d, clean.alphabet, clean.class0, clean.span,
+                         EchelonBasis())
+    tampered.relations.rows.update(clean.relations.rows)
+    tamper(tampered.relations.rows)
+    assert tampered.relations.rows != clean.relations.rows
+    with open(cache._entry_path("aspace", params), "wb") as fh:
+        pickle.dump(tampered, fh)
+    _forget_spaces(monkeypatch)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    rewritten = cache.get("aspace", params, ar.ASpace)
+    assert rewritten.relations.rows == clean.relations.rows
 
 
 def test_canonical_survives_mutated_json(monkeypatch, capsys):

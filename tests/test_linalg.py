@@ -7,7 +7,10 @@ from beadiag.linalg import (
     RelationOutsideSpan,
     echelonize,
     quotient_dim,
+    EchelonBasis,
+    vaxpy,
     vec,
+    vscale,
 )
 
 
@@ -18,7 +21,7 @@ def e(key, coeff=1):
 def test_vec_sums_repeated_pairs_and_drops_cancellations():
     v = vec([(1, 1), (2, Fraction(1, 2)), (1, 2), (3, 1), (3, -1)])
     assert v == {1: 3, 2: Fraction(1, 2)}
-    assert all(type(c) is Fraction for c in v.values())
+    assert type(v[1]) is int and type(v[2]) is Fraction
     assert vec((k, c) for k, c in [(1, 1), (1, -1)]) == {}
     assert vec([]) == vec() == {}
 
@@ -26,7 +29,7 @@ def test_vec_sums_repeated_pairs_and_drops_cancellations():
 def test_vec_of_a_dict_drops_zeros():
     v = vec({1: 2, 2: 0, 3: Fraction(-1, 3)})
     assert v == {1: 2, 3: Fraction(-1, 3)}
-    assert all(type(c) is Fraction for c in v.values())
+    assert type(v[1]) is int and type(v[3]) is Fraction
 
 
 def test_echelonize_examples():
@@ -99,3 +102,59 @@ def test_echelon_is_canonical_for_the_row_space():
     rng.shuffle(shuffled)
     b2 = echelonize(shuffled + [vs[0]])
     assert b1.rows == b2.rows
+
+
+
+def random_int_vec(rng, dim=6):
+    return vec({k: rng.randint(-3, 3) for k in range(dim)})
+
+
+def coeff_types(*vectors):
+    return {type(c) for v in vectors for c in v.values()}
+
+
+def test_vector_arithmetic_on_ints_stays_int():
+    rng = random.Random(17)
+    for _ in range(30):
+        u, v = random_int_vec(rng), random_int_vec(rng)
+        c = rng.randint(-3, 3)
+        summed = vec(list(u.items()) + list(v.items()))
+        assert coeff_types(summed, vscale(u, c), vaxpy(u, c, v)) <= {int}
+
+
+def test_vector_arithmetic_with_a_fraction_gives_fractions():
+    rng = random.Random(19)
+    for _ in range(30):
+        u, v = random_int_vec(rng), random_int_vec(rng)
+        f = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(2, 4))
+        fv = vscale(v, f)
+        assert coeff_types(fv) <= {Fraction}
+        assert coeff_types(vec(fv)) <= {Fraction}
+        assert coeff_types(vscale(fv, rng.randint(1, 3))) <= {Fraction}
+        w = vaxpy(u, f, v)
+        assert coeff_types({k: c for k, c in w.items() if k in v}) <= {Fraction}
+        assert coeff_types({k: c for k, c in w.items() if k not in v}) <= {int}
+        w = vaxpy(u, 1, fv)
+        assert coeff_types({k: c for k, c in w.items() if k in fv}) <= {Fraction}
+        assert coeff_types(vaxpy(fv, rng.randint(-2, 2), u)) <= {int, Fraction}
+
+
+def test_vector_arithmetic_never_makes_floats():
+    rng = random.Random(23)
+    for _ in range(30):
+        u, v = random_int_vec(rng), random_vec(rng)
+        for c in (rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))):
+            results = [vec(list(u.items()) + list(v.items())), vscale(u, c), vscale(v, c),
+                       vaxpy(u, c, v), vaxpy(v, c, u)]
+            assert coeff_types(*results) <= {int, Fraction}
+
+
+def test_echelon_rows_are_fractions_with_unit_pivots_even_from_ints():
+    rng = random.Random(29)
+    for _ in range(10):
+        basis = EchelonBasis()
+        for _ in range(4):
+            basis.insert(random_int_vec(rng))
+        for pivot, row in basis.rows.items():
+            assert type(row[pivot]) is Fraction and row[pivot] == 1
+            assert coeff_types(row) == {Fraction}
