@@ -23,13 +23,13 @@ rooted at that spot.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import cache
 from . import catlie as cl
 from . import diagrams as dg
 from .jspaces import _grow, full_residue, ihx_relations
-from .linalg import EchelonBasis, echelonize, vec
+from .linalg import echelonize, vec
 from .words import IDENTITY, Word, inv_letters, mul_letters
 
 ZERO = dg.ZERO
@@ -316,25 +316,16 @@ def enumerate_arc_diagrams(m, d, alphabet, class0=True):
     return sorted(found)
 
 
-@dataclass
 class ASpace:
     """A truncated space of degree-d arc diagrams modulo STU/IHX/AS."""
 
-    m: int
-    d: int
-    alphabet: object
-    class0: bool
-    span: tuple
-    relations: EchelonBasis
-
-    def __setstate__(self, state):
-        # inter-reduced rows pivot on their smallest key with coefficient 1
-        # and meet no other pivot; raising makes a corrupt entry a cache miss
-        rows = state["relations"].rows
-        if any(min(r) != p or r[p] != 1 or len(r.keys() & rows.keys()) > 1
-               for p, r in rows.items()):
-            raise ValueError("relation rows are not in reduced echelon form")
-        self.__dict__.update(state)
+    def __init__(self, m, d, alphabet, class0, span, relations):
+        self.m = m
+        self.d = d
+        self.alphabet = alphabet
+        self.class0 = class0
+        self.span = span
+        self.relations = relations
 
     def reduce(self, vector):
         return self.relations.reduce(vector)
@@ -349,10 +340,6 @@ class ASpace:
         keys = {k for k in self.span if arc_key_trivalents(k) >= min_trivalent}
         tails = [{k2: c for k2, c in rows[k].items() if k2 not in keys} for k in keys & rows.keys()]
         return len(keys) - len(tails) + echelonize(tails).rank
-
-    @property
-    def dimension(self) -> int:
-        return self.dim(0)
 
 
 def a_space(n, m, d, alphabet, class0=True) -> ASpace:
@@ -472,14 +459,8 @@ def epsilon_embed(vector, n):
 # cross-effects and the polynomiality witness
 
 
-@dataclass(frozen=True)
-class FunctorSpec:
-    """A computable functor family N = A_d(n,-) or its class-0 subfunctor."""
-
-    n: int
-    d: int
-    alphabet: object
-    class0: bool
+# a computable functor family N = A_d(n,-) or its class-0 subfunctor
+FunctorSpec = namedtuple("FunctorSpec", "n d alphabet class0")
 
 
 def insert_bare_arc(key, pos):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import arcs as ar
@@ -24,18 +24,17 @@ from .jspaces import j_space
 from .linalg import echelonize, vaxpy, vec
 
 
-@dataclass(frozen=True)
-class FiberOrderedMap:
-    """A set map {1..c} -> {1..l} with a total order on each fiber."""
+class FiberOrderedMap(namedtuple("FiberOrderedMap", "source target fibers")):
+    """A set map {1..c} -> {1..l} with a total order on each fiber; ``fibers``
+    holds, per target 1..l, the ordered tuple of its preimages."""
 
-    source: int
-    target: int
-    fibers: tuple  # per target 1..l, the ordered tuple of its preimages
+    __slots__ = ()
 
-    def __post_init__(self):
-        flat = sorted(x for f in self.fibers for x in f)
-        if flat != list(range(1, self.source + 1)) or len(self.fibers) != self.target:
+    def __new__(cls, source, target, fibers):
+        flat = sorted(x for f in fibers for x in f)
+        if flat != list(range(1, source + 1)) or len(fibers) != target:
             raise ValueError("fibers must partition 1..source over target slots")
+        return super().__new__(cls, source, target, fibers)
 
     def image_of(self, i):
         for t, f in enumerate(self.fibers):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import diagrams as dg
 from .jspaces import canonical_vector, closure, full_residue, j_space
@@ -86,43 +85,19 @@ def mu_sum(vector, arity: int):
     )
 
 
-@dataclass
-class MuTransform:
-    """The map J_d(k+1) -> J_d(k) induced by the sum of gluings."""
-
-    d: int
-    k: int
-    alphabet: object
-    source_keys: tuple  # quotient basis of J_d(k+1)
-    images: dict  # source key -> image vector reduced in the target universe
-
-    @property
-    def is_zero(self) -> bool:
-        return all(not v for v in self.images.values())
-
-    def rank(self) -> int:
-        return echelonize(list(self.images.values())).rank
-
-
-def mu_transform(d: int, k: int, alphabet) -> MuTransform:
-    """Matrix data of the mu map at arity k (source arity k+1).
+def mu_transform(d: int, k: int, alphabet) -> dict:
+    """The mu map at arity k (source arity k+1): {free key of J_d(k+1), in
+    ``free_keys`` order: its image}.
 
     Each image is reduced in the untruncated target quotient, so an image
     reduces to zero iff it vanishes there.
     """
     source = j_space(d, k + 1, alphabet)
     target = j_space(d, k, alphabet)
-    images = {
+    return {
         key: full_residue(mu_sum({key: 1}, k + 1), target.relations, closure)
         for key in source.free_keys
     }
-    return MuTransform(
-        d=d,
-        k=k,
-        alphabet=alphabet,
-        source_keys=tuple(source.free_keys),
-        images=images,
-    )
 
 
 def outer_check(d: int, alphabet):
@@ -134,9 +109,7 @@ def outer_check(d: int, alphabet):
     if d < 0:
         raise ValueError("d must be >= 0")
     for k in range(0, 2 * d):
-        t = mu_transform(d, k, alphabet)
-        for key in t.source_keys:
-            img = t.images[key]
+        for key, img in mu_transform(d, k, alphabet).items():
             if img:
                 return False, (k, key, img)
     return True, None
@@ -145,8 +118,7 @@ def outer_check(d: int, alphabet):
 def outer_quotient(d: int, k: int, alphabet) -> int:
     """Dimension of the cokernel of the mu transform at arity k."""
     target = j_space(d, k, alphabet)
-    t = mu_transform(d, k, alphabet)
-    return target.dimension - t.rank()
+    return target.dimension - echelonize(mu_transform(d, k, alphabet).values()).rank
 
 
 def truncate(d: int, l: int, alphabet) -> dict:
@@ -161,28 +133,16 @@ def truncate(d: int, l: int, alphabet) -> dict:
 # Morphism bases of the Lie PROP
 
 
-@dataclass(frozen=True)
-class CatLieMorphismBasis:
-    """Basis of the PROP's morphism space: surjections with a left-normed
-    Lie bracket basis on each fiber."""
-
-    source: int
-    target: int
-    elements: tuple  # (surjection images, per-fiber orders)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.elements)
-
-
 def _surjections(m, n):
     for images in itertools.product(range(1, n + 1), repeat=m):
         if len(set(images)) == n:
             yield images
 
 
-def catlie_basis(m: int, n: int) -> CatLieMorphismBasis:
-    """Basis of the (m, n) morphism space; dimension is the sum over
+def catlie_basis(m: int, n: int) -> tuple:
+    """Basis of the PROP's (m, n) morphism space: surjections with a
+    left-normed Lie bracket basis on each fiber, as (surjection images,
+    per-fiber orders) pairs.  Its length, the dimension, is the sum over
     surjections of the product of (fiber size - 1)! factors."""
     elements = []
     for images in _surjections(m, n):
@@ -194,5 +154,5 @@ def catlie_basis(m: int, n: int) -> CatLieMorphismBasis:
         ]
         for orders in itertools.product(*per_fiber):
             elements.append((images, tuple(orders)))
-    return CatLieMorphismBasis(source=m, target=n, elements=tuple(elements))
+    return tuple(elements)
 

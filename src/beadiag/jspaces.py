@@ -10,8 +10,6 @@ untruncated quotient restrict exactly to the closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import cache
 from . import diagrams as dg
 from .linalg import EchelonBasis, echelonize, vec
@@ -112,15 +110,15 @@ def full_residue(vector, relations, close):
     return echelonize(rels).reduce(residue)
 
 
-@dataclass(frozen=True)
 class JSpace:
     """A truncated space J_d(m) over a finite bead alphabet."""
 
-    d: int
-    m: int
-    alphabet: object
-    span: tuple  # closure of the enumerated canonical keys
-    relations: EchelonBasis = field(compare=False)
+    def __init__(self, d, m, alphabet, span, relations):
+        self.d = d
+        self.m = m
+        self.alphabet = alphabet
+        self.span = span  # closure of the enumerated canonical keys
+        self.relations = relations
 
     def __setstate__(self, state):
         # the closure holds every key its relations touch, so a loaded entry
@@ -144,9 +142,6 @@ class JSpace:
     def reduce(self, vector):
         """Quotient coordinates of a vector (support on free keys only)."""
         return self.relations.reduce(vector)
-
-    def is_zero(self, vector):
-        return not self.relations.reduce(vector)
 
 
 def j_space(d: int, m: int, alphabet) -> JSpace:

@@ -63,6 +63,11 @@ class EchelonBasis:
         return self.rows
 
     def __setstate__(self, rows):
+        # inter-reduced rows pivot on their smallest key with coefficient 1
+        # and meet no other pivot; raising makes a corrupt cache entry a miss
+        if any(min(r) != p or r[p] != 1 or len(r.keys() & rows.keys()) > 1
+               for p, r in rows.items()):
+            raise ValueError("rows are not in reduced echelon form")
         self.rows = rows
 
     @property

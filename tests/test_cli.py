@@ -368,30 +368,38 @@ def _support_on_another_pivot(rows):
     rows[p] = vaxpy(rows[p], 1, rows[q])
 
 
+# one cell per space kind with at least two rows, one of them of two terms or more
+_ECHELON_CELLS = {
+    "aspace": (["dim-a", "--n", "0", "--m", "1", "--d", "2"],
+               (1, 2, TRIVIAL_ALPHABET.rank, TRIVIAL_ALPHABET.elements, True), ar.ASpace),
+    "jspace": (["dim-j", "--d", "3", "--m", "3"],
+               (3, 3, TRIVIAL_ALPHABET.rank, TRIVIAL_ALPHABET.elements), jspaces.JSpace),
+}
+
+
 @pytest.mark.parametrize("tamper", [_scaled_pivot, _pivot_off_the_smallest_key,
                                     _support_on_another_pivot])
-def test_aspace_rows_out_of_echelon_form_are_a_miss(tmp_path, monkeypatch, capsys, tamper):
+@pytest.mark.parametrize("kind", sorted(_ECHELON_CELLS))
+def test_rows_out_of_echelon_form_are_a_miss(tmp_path, monkeypatch, capsys, kind, tamper):
     # the rows of a built space are in reduced echelon form, so an entry
     # whose rows are not is corrupt: it is rebuilt, not read
     monkeypatch.setattr(cache, "_active_dir", None)
-    params = (1, 2, TRIVIAL_ALPHABET.rank, TRIVIAL_ALPHABET.elements, True)
-    argv = ["--cache-dir", str(tmp_path), "dim-a", "--n", "0", "--m", "1", "--d", "2"]
+    command, params, cls = _ECHELON_CELLS[kind]
+    argv = ["--cache-dir", str(tmp_path)] + command
     _forget_spaces(monkeypatch)
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out
-    clean = cache.get("aspace", params, ar.ASpace)
+    clean = cache.get(kind, params, cls)
     assert len(clean.relations.rows) >= 2 and max(map(len, clean.relations.rows.values())) >= 2
-    tampered = ar.ASpace(clean.m, clean.d, clean.alphabet, clean.class0, clean.span,
-                         EchelonBasis())
-    tampered.relations.rows.update(clean.relations.rows)
+    tampered = pickle.loads(pickle.dumps(clean))
     tamper(tampered.relations.rows)
     assert tampered.relations.rows != clean.relations.rows
-    with open(cache._entry_path("aspace", params), "wb") as fh:
+    with open(cache._entry_path(kind, params), "wb") as fh:
         pickle.dump(tampered, fh)
     _forget_spaces(monkeypatch)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
-    rewritten = cache.get("aspace", params, ar.ASpace)
+    rewritten = cache.get(kind, params, cls)
     assert rewritten.relations.rows == clean.relations.rows
 
 

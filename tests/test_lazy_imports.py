@@ -89,6 +89,24 @@ SMOKE = {
 }
 
 
+def test_space_building_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    # the result types are plain classes and tuples; importing dataclasses
+    # would load inspect (and ast, dis, tokenize) on every such request
+    cells = [SMOKE[leaf][0] for leaf in [("dim-j",), ("dim-a",), ("cross-effect",),
+                                         ("outer-check",), ("verify", "bridge")]]
+    loaded = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from beadiag import cli\n"
+        "cache_dir, cells = sys.argv[1], json.loads(sys.argv[2])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for args in cells:\n"
+        "        assert cli.main(['--cache-dir', cache_dir] + args) == 0, args\n"
+        "print(json.dumps(sorted(sys.modules)))\n",
+        str(tmp_path), json.dumps(cells))
+    assert {"beadiag.jspaces", "beadiag.arcs", "beadiag.catlie", "beadiag.bridge"} <= set(loaded)
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+
+
 def test_every_subcommand_has_a_smoke_cell():
     assert sorted(_leaves(cli.build_parser())) == sorted(SMOKE)
 
