@@ -1,11 +1,13 @@
 """Cache of computed spaces: one in-process memo over on-disk entries.
 
 Disk entries are pickles keyed by a content hash of (cache version, kind,
-parameters); writes go through a temp file and an atomic rename.  An
-entry that fails to load for any reason, or loads as the wrong type, is a
-miss, so the space is built again.  The modules that only disk access
-needs are imported on first use, so a process that never reads or writes an
-entry does not load them (``hashlib`` alone maps OpenSSL, about 3.5 MB).
+parameters), each followed by the sha256 digest of its pickle bytes;
+writes go through a temp file and an atomic rename.  An entry without a
+matching digest, one that fails to load for any other reason, or one that
+loads as the wrong type, is a miss, so the space is built again.  The
+modules that only disk access needs are imported on first use, so a
+process that never reads or writes an entry does not load them
+(``hashlib`` alone maps OpenSSL, about 3.5 MB).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import os
 
 CACHE_VERSION = 3
+_DIGEST_SIZE = 32  # bytes of a sha256 digest
 
 _active_dir = None
 _spaces = {}  # (kind, params) -> space, for the life of the process
@@ -41,9 +44,15 @@ def _entry_path(kind, params):
     return os.path.join(_active_dir, "%s-%s.pkl" % (kind, digest[:32]))
 
 
+def _digest(payload):
+    import hashlib  # disk access only
+
+    return hashlib.sha256(payload).digest()
+
+
 def get(kind, params, cls=object):
-    """The stored object, or None on a miss: no entry, one that does not
-    load, or one that is not a ``cls``."""
+    """The stored object, or None on a miss: no entry, one without a
+    matching digest, one that does not load, or one that is not a ``cls``."""
     if _active_dir is None:
         return None
     import pickle  # disk access only
@@ -51,8 +60,12 @@ def get(kind, params, cls=object):
     path = _entry_path(kind, params)
     try:
         with open(path, "rb") as fh:
-            obj = pickle.load(fh)
-    except Exception:  # truncated, garbage, or naming a missing class
+            data = fh.read()
+        payload, digest = data[:-_DIGEST_SIZE], data[-_DIGEST_SIZE:]
+        if _digest(payload) != digest:  # edited, truncated, or without one
+            return None
+        obj = pickle.loads(payload)
+    except Exception:  # unreadable, or naming a missing class
         return None
     return obj if isinstance(obj, cls) else None
 
@@ -64,10 +77,11 @@ def put(kind, params, obj):
     import tempfile
 
     path = _entry_path(kind, params)
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     fd, tmp = tempfile.mkstemp(dir=_active_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.write(payload + _digest(payload))
         os.replace(tmp, path)
     except OSError:
         try:

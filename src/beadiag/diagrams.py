@@ -225,7 +225,8 @@ def _colour_classes(diagram: Diagram):
     Colours use only structure and leg labels (never beads or orientations),
     so gauge moves and edge reversals preserve them.  A refinement round
     pairs each colour with the sorted colours of the trivalent neighbours,
-    until the number of colours stops growing.  Colours are replaced by
+    until the number of colours stops growing or every class is a
+    singleton, which no further round can split.  Colours are replaced by
     their ranks after every round: ranks order the pairs as the colours
     they stand for would, so the classes come back in the same
     deterministic order, in which canonical numbering assigns ids blockwise.
@@ -248,7 +249,7 @@ def _colour_classes(diagram: Diagram):
                     incident[x - U].append(("tri", 0))
                     neighbours[x - U].append(y - U)
     colour = _ranks([tuple(sorted(inc)) for inc in incident])
-    while True:
+    while max(colour) < T - 1:
         refined = _ranks([
             (colour[j], tuple(sorted(colour[x] for x in neighbours[j]))) for j in range(T)
         ])
@@ -559,15 +560,18 @@ def internal_edges(diagram: Diagram):
     return out
 
 
-def _structures(num_legs: int, num_tri: int):
+def _structures(num_legs: int, num_tri: int, loops: bool = True):
     """Half-edge pairings of U legs and T trivalent vertices, pruned by symmetry.
 
     Slots of a trivalent vertex are used in order and vertices are activated
     in order, so each isomorphism class appears at least once and without the
     (3!)^T T! relabelling blow-up.  A partial pairing is dropped as soon as
-    it closes a legless component, which no completion can reopen.  Yields
-    Diagram presentations with bead-free edges and the slot order as cyclic
-    order.
+    it closes a legless component, which no completion can reopen.  With
+    ``loops`` false no pair joins two slots of one vertex, and the subtree
+    below such a pair is never searched: for a caller with no bead to put
+    on a loop, since a bead-free loop is zero.  Yields Diagram presentations
+    with bead-free edges and the slot order as cyclic order; without loops,
+    the others in the same order.
     """
     U, T = num_legs, num_tri
     H = U + 3 * T
@@ -599,7 +603,9 @@ def _structures(num_legs: int, num_tri: int):
             yield list(pairs)
             return
         matched[h] = True
-        for h2 in range(h + 1, H):
+        # the slots after h on h's own vertex would pair it into a loop
+        start = U + 3 * ((h - U) // 3 + 1) if h >= U and not loops else h + 1
+        for h2 in range(start, H):
             if matched[h2]:
                 continue
             if h2 >= U:
@@ -631,7 +637,12 @@ def _structures(num_legs: int, num_tri: int):
 
 def enumerate_diagrams(d: int, m: int, alphabet):
     """All canonical keys of degree d with m legs and canonical beads in the
-    alphabet; zero diagrams excluded; deterministic order."""
+    alphabet; zero diagrams excluded; deterministic order.
+
+    Every skeleton of :func:`_structures` gets every bead on every edge,
+    except that a loop gets only the beads other than 1: a bead-free loop
+    is zero.  Over the trivial alphabet no skeleton with a loop is made.
+    """
     if d < 0 or m < 0:
         raise ValueError("d and m must be >= 0")
     T = 2 * d - m
@@ -642,10 +653,13 @@ def enumerate_diagrams(d: int, m: int, alphabet):
     if m == 0:
         return []  # every component needs a leg, but there are none
     letters = alphabet.letter_elements()
+    loop_letters = tuple(w for w in letters if w)
     found = set()
-    for skeleton in _structures(m, T):
-        E = len(skeleton.edges)
-        for beads in itertools.product(letters, repeat=E):
+    for skeleton in _structures(m, T, loops=bool(loop_letters)):
+        vert = skeleton.vertex_of()
+        choices = [loop_letters if vert[t] == vert[h] else letters
+                   for t, h, _ in skeleton.edges]
+        for beads in itertools.product(*choices):
             dia = Diagram._trusted(
                 skeleton.legs,
                 skeleton.tri,

@@ -39,11 +39,18 @@ def canonical_vector(terms):
 
 
 def ihx_relations(key):
-    """One IHX relation vector per internal edge of the canonical diagram."""
+    """One IHX relation vector per internal edge of the canonical diagram.
+
+    The I term is the key itself with sign +1: ``rebuild(key)``
+    canonicalizes to (key, +1), and the gauge move of
+    :func:`diagrams.ihx_at_edge` changes neither.  So only H and X are
+    canonicalized.
+    """
     dia = dg.rebuild(key)
     out = []
     for index in dg.internal_edges(dia):
-        rel = canonical_vector(dg.ihx_at_edge(dia, index))
+        _i, h_term, x_term = dg.ihx_at_edge(dia, index)
+        rel = vec([(key, 1), *canonical_vector((h_term, x_term)).items()])
         if rel:
             out.append(rel)
     return out

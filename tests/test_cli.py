@@ -343,8 +343,7 @@ def test_jspace_rows_outside_the_span_are_a_miss(tmp_path, monkeypatch, capsys):
     (key,) = clean.span
     tampered = jspaces.JSpace(clean.d, clean.m, clean.alphabet, clean.span, EchelonBasis())
     tampered.relations.rows[key] = {key: Fraction(1), (2, 0, ((0, 1, ((1, 1),)),)): Fraction(1)}
-    with open(cache._entry_path("jspace", params), "wb") as fh:
-        pickle.dump(tampered, fh)
+    cache.put("jspace", params, tampered)  # a valid digest: the load check must refuse it
     _forget_spaces(monkeypatch)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
@@ -394,13 +393,37 @@ def test_rows_out_of_echelon_form_are_a_miss(tmp_path, monkeypatch, capsys, kind
     tampered = pickle.loads(pickle.dumps(clean))
     tamper(tampered.relations.rows)
     assert tampered.relations.rows != clean.relations.rows
-    with open(cache._entry_path(kind, params), "wb") as fh:
-        pickle.dump(tampered, fh)
+    cache.put(kind, params, tampered)  # a valid digest: the load check must refuse it
     _forget_spaces(monkeypatch)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
     rewritten = cache.get(kind, params, cls)
     assert rewritten.relations.rows == clean.relations.rows
+
+
+@pytest.mark.parametrize("digest", ["none", "stale"])
+def test_self_consistent_but_edited_entry_is_a_miss(tmp_path, monkeypatch, capsys, digest):
+    # dropping a row leaves the rows in reduced echelon form and inside the
+    # span, so only the digest of the stored pickle can tell it was edited
+    monkeypatch.setattr(cache, "_active_dir", None)
+    command, params, cls = _ECHELON_CELLS["jspace"]
+    argv = ["--cache-dir", str(tmp_path)] + command
+    _forget_spaces(monkeypatch)
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    assert json.loads(expected)["dim"] == 1
+    path = cache._entry_path("jspace", params)
+    with open(path, "rb") as fh:
+        stored = fh.read()
+    tampered = pickle.loads(stored)
+    tampered.relations.rows.popitem()
+    edited = pickle.dumps(tampered) + {"none": b"", "stale": stored[-32:]}[digest]
+    with open(path, "wb") as fh:
+        fh.write(edited)
+    _forget_spaces(monkeypatch)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert cache.get("jspace", params, cls).dimension == 1
 
 
 def test_canonical_survives_mutated_json(monkeypatch, capsys):

@@ -192,7 +192,14 @@ STRUCTURE_CELLS = [(U, 2 * d - U) for d in range(6) for U in range(2 * d + 1)]
 @pytest.mark.parametrize("U,T", STRUCTURE_CELLS, ids=["U%d-T%d" % c for c in STRUCTURE_CELLS])
 def test_structures_prune_legless_components_early(U, T):
     got = [[(a, b) for a, b, _w in dia.edges] for dia in dg._structures(U, T)]
-    assert got == _structures_filtered_afterwards(U, T)
+    expected = _structures_filtered_afterwards(U, T)
+    assert got == expected
+    # without loops: the same pairings in the same order, less those that
+    # pair two slots of one trivalent vertex
+    loop_free = [[(a, b) for a, b, _w in dia.edges]
+                 for dia in dg._structures(U, T, loops=False)]
+    assert loop_free == [p for p in expected
+                         if not any(a >= U and (a - U) // 3 == (b - U) // 3 for a, b in p)]
 
 
 def test_reverse_edge_inverts_bead():
