@@ -520,6 +520,7 @@ def nonpoly_witness(n, d, k, alphabet):
         else:
             arcs.append([("bead", w)])
     key, sign = arc_canonicalize(arcs, dashed)
-    assert key is not ZERO
+    if key is ZERO:
+        raise RuntimeError("the chain-of-struts witness canonicalized to zero")
     target, images = _insertion_images(FunctorSpec(n=n, d=d, alphabet=alphabet, class0=False), k)
     return key, images.reduce(target.reduce({key: sign}))

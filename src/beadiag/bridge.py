@@ -102,7 +102,8 @@ def coinvariant_dim(space, i, l) -> int:
         if tr:
             total += size * Fraction(l) ** cycles * tr
     total /= math.factorial(i)
-    assert total.denominator == 1 and total >= 0, total
+    if total.denominator != 1 or total < 0:
+        raise ArithmeticError("coinvariant dimension %s is not a nonnegative integer" % total)
     return int(total)
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 
 from .words import (
     IDENTITY,
@@ -185,15 +184,6 @@ def relabel_legs(diagram: Diagram, new_label_of) -> Diagram:
     return Diagram._trusted(tuple(legs), diagram.tri, diagram.edges)
 
 
-def _cyclic_parity(intrinsic, reference):
-    """+1 if the reference triple lies in the cyclic class of the intrinsic one."""
-    p = intrinsic.index(reference[0])
-    rotated = (intrinsic[p], intrinsic[(p + 1) % 3], intrinsic[(p + 2) % 3])
-    if rotated == tuple(reference):
-        return 1
-    return -1
-
-
 def _components(num_vertices, edge_vertex_pairs):
     parent = list(range(num_vertices))
 
@@ -213,23 +203,18 @@ def _components(num_vertices, edge_vertex_pairs):
     return list(comps.values())
 
 
-def _ranks(values):
-    """Each value's position among the distinct values in sorted order."""
-    position = {c: i for i, c in enumerate(sorted(set(values)))}
-    return [position[c] for c in values]
-
-
 def _colour_classes(diagram: Diagram):
     """Trivalent vertices grouped by an isomorphism-invariant colour.
 
     Colours use only structure and leg labels (never beads or orientations),
-    so gauge moves and edge reversals preserve them.  A refinement round
-    pairs each colour with the sorted colours of the trivalent neighbours,
-    until the number of colours stops growing or every class is a
-    singleton, which no further round can split.  Colours are replaced by
-    their ranks after every round: ranks order the pairs as the colours
-    they stand for would, so the classes come back in the same
-    deterministic order, in which canonical numbering assigns ids blockwise.
+    so gauge moves and edge reversals preserve them.  A vertex starts with
+    the sorted codes of its incidences: leg y -> y, loop -> U, trivalent
+    neighbour -> U + 1.  A refinement round splits each class of two or
+    more vertices by the sorted colours of their trivalent neighbours, the
+    parts in that order, until no class splits or every class is a
+    singleton.  A colour is its class's position, so the classes come back
+    in a deterministic order, in which canonical numbering assigns ids
+    blockwise.
     """
     U, T = diagram.num_legs, diagram.num_tri
     if T == 0:
@@ -238,40 +223,38 @@ def _colour_classes(diagram: Diagram):
     incident = [[] for _ in range(T)]
     neighbours = [[] for _ in range(T)]
     for tail, head, _ in diagram.edges:
-        a, b = vert[tail], vert[head]
-        for x, y in ((a, b), (b, a)):
-            if x >= U:
-                if y == x:
-                    incident[x - U].append(("loop",))
-                elif y < U:
-                    incident[x - U].append(("leg", y))
-                else:
-                    incident[x - U].append(("tri", 0))
-                    neighbours[x - U].append(y - U)
-    colour = _ranks([tuple(sorted(inc)) for inc in incident])
-    while max(colour) < T - 1:
-        refined = _ranks([
-            (colour[j], tuple(sorted(colour[x] for x in neighbours[j]))) for j in range(T)
-        ])
-        if max(refined) == max(colour):
+        a, b = vert[tail] - U, vert[head] - U
+        if a == b:
+            incident[a] += (U, U)
+        elif a >= 0 and b >= 0:
+            incident[a].append(U + 1)
+            incident[b].append(U + 1)
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        elif a >= 0 or b >= 0:
+            incident[max(a, b)].append(min(a, b) + U)
+    parts = {}
+    for j, inc in enumerate(incident):
+        parts.setdefault(tuple(sorted(inc)), []).append(j)
+    classes = [parts[s] for s in sorted(parts)]
+    colour = [0] * T
+    while len(classes) < T:
+        for c, cls in enumerate(classes):
+            for j in cls:
+                colour[j] = c
+        split = []
+        for cls in classes:
+            if len(cls) == 1:
+                split.append(cls)
+                continue
+            parts = {}
+            for j in cls:
+                parts.setdefault(tuple(sorted([colour[x] for x in neighbours[j]])), []).append(j)
+            split += [parts[s] for s in sorted(parts)]
+        if len(split) == len(classes):
             break
-        colour = refined
-    classes = [[] for _ in range(max(colour) + 1)]
-    for j, c in enumerate(colour):
-        classes[c].append(U + j)
-    return classes
-
-
-def _numberings(diagram: Diagram):
-    """Candidate maps presentation vertex id -> canonical id, as lists; legs
-    keep their ids and each colour class fills its block in every order."""
-    U, T = diagram.num_legs, diagram.num_tri
-    classes = _colour_classes(diagram)
-    for perms in itertools.product(*map(itertools.permutations, classes)):
-        cmap = list(range(U + T))
-        for new_id, v in enumerate(itertools.chain.from_iterable(perms), U):
-            cmap[v] = new_id
-        yield cmap
+        classes = split
+    return [[U + j for j in cls] for cls in classes]
 
 
 def _tree_steps(U, cmap, adjacency):
@@ -318,7 +301,7 @@ def _gauges(steps, base):
             ga = gamma.get(a, IDENTITY)
             tried = set()
             for ei in parallel:
-                tv, _hv, _th, _hh, w = base[ei]
+                tv, _hv, _ei, _th, _hh, w = base[ei]
                 gb = mul_letters(inv_letters(w), ga) if tv == a else mul_letters(w, ga)
                 if gb not in tried:
                     tried.add(gb)
@@ -327,47 +310,50 @@ def _gauges(steps, base):
     return gammas
 
 
-# entries sort by (u, v, bead length, bead letters); ties keep edge order
-_ENTRY_ORDER = operator.itemgetter(0, 1, 2, 3)
+def _canonical_form(diagram: Diagram):
+    """(key, sign, order): the (key, sign) of :func:`canonicalize`, and
+    ``order[i]``, the index in ``diagram.edges`` of the edge that becomes
+    key entry i (None for ZERO).
 
-
-def canonicalize(diagram: Diagram):
-    """Canonical form of a diagram: (key, sign), or (ZERO, 0) if it is zero.
-
-    The key is (num_legs, num_tri, sorted edge entries) with entries
-    (u, v, bead_letters) in canonical orientation; equivalent inputs yield
-    identical keys, an antisymmetry swap flips the sign, and a diagram with
-    a sign-reversing symmetry returns (ZERO, 0).
-
-    Candidates are numberings x loop orientations x canonical gauges; the
-    least certificate is the key.  Flipping a loop changes only that loop's
-    entry, inverting its bead: a bead-free loop reaches every certificate
-    with both signs, so the diagram is zero, and otherwise only the
-    orientation with the smaller bead can be least.  The gauges depend on
-    the numbering alone, and are all trivial when no edge carries a bead.
+    Candidates are numberings x canonical gauges; the least certificate is
+    the key.  A numbering keeps the legs' ids and fills each block of
+    :func:`_colour_classes` in every order.  Flipping a loop changes only
+    that loop's entry, inverting its bead: a bead-free loop reaches every
+    certificate with both signs, so the diagram is zero, and otherwise only
+    the orientation with the smaller bead can be least.  The gauges depend
+    on the numbering alone, and are all trivial when no edge carries a
+    bead.  Entries sort as (u, v, bead length, bead, edge index), so ties
+    keep edge order.  The sign is the product, over trivalent vertices, of
+    the parity of the order in which the sorted entries meet the vertex's
+    half-edges against its cyclic order.
     """
     U, T = diagram.num_legs, diagram.num_tri
     if not diagram.edges:
-        return ((U, T, ()), 1)
+        return ((U, T, ()), 1, ())
     vert = diagram.vertex_of()
-    base = [(vert[t], vert[h], t, h, w) for (t, h, w) in diagram.edges]
-    if any(tv == hv and not w for tv, hv, _th, _hh, w in base):
-        return (ZERO, 0)
-    beaded = any(e[4] for e in base)
+    base = [(vert[t], vert[h], ei, t, h, w) for ei, (t, h, w) in enumerate(diagram.edges)]
+    beaded = False
+    for tv, hv, _ei, _th, _hh, w in base:
+        if w:
+            beaded = True
+        elif tv == hv:
+            return (ZERO, 0, None)
     if beaded:
         adjacency = [[] for _ in range(U + T)]
-        for ei, (tv, hv, _th, _hh, _w) in enumerate(base):
+        for tv, hv, ei, _th, _hh, _w in base:
             if tv != hv:
                 adjacency[tv].append((hv, ei))
                 adjacency[hv].append((tv, ei))
 
-    best_cert = None
-    best_signs = set()
-    for cmap in _numberings(diagram):
-        gammas = _gauges(_tree_steps(U, cmap, adjacency), base) if beaded else ({},)
-        for gamma in gammas:
+    best = order = None
+    signs = set()
+    cmap = list(range(U + T))
+    for perms in itertools.product(*map(itertools.permutations, _colour_classes(diagram))):
+        for new_id, v in enumerate(itertools.chain.from_iterable(perms), U):
+            cmap[v] = new_id
+        for gamma in _gauges(_tree_steps(U, cmap, adjacency), base) if beaded else ({},):
             entries = []
-            for tv, hv, th, hh, w in base:
+            for tv, hv, ei, th, hh, w in base:
                 if gamma:
                     g = gamma.get(tv)
                     if g:
@@ -382,28 +368,38 @@ def canonicalize(diagram: Diagram):
                     wi = inv_letters(w)
                     if wi < w:
                         th, hh, w = hh, th, wi
-                entries.append((cu, cv, len(w), w, th, hh))
-            entries.sort(key=_ENTRY_ORDER)
-            cert = (U, T, tuple((cu, cv, w) for cu, cv, _n, w, _th, _hh in entries))
-            if best_cert is not None and cert > best_cert:
+                entries.append((cu, cv, len(w), w, ei, th, hh))
+            entries.sort()
+            cert = (U, T, tuple([(cu, cv, w) for cu, cv, _n, w, _ei, _th, _hh in entries]))
+            if best is not None and cert > best:
                 continue
-            ref = {}
-            for cu, cv, _n, _w, th, hh in entries:
-                if cu >= U:
-                    ref.setdefault(cu, []).append(th)
-                if cv >= U:
-                    ref.setdefault(cv, []).append(hh)
+            rank = {}  # half-edge -> where the sorted entries meet it
+            for i, (_cu, _cv, _n, _w, _ei, th, hh) in enumerate(entries):
+                rank[th], rank[hh] = 2 * i, 2 * i + 1
             sign = 1
-            for j, triple in enumerate(diagram.tri):
-                sign *= _cyclic_parity(triple, ref[cmap[U + j]])
-            if cert == best_cert:
-                best_signs.add(sign)
-            else:
-                best_cert = cert
-                best_signs = {sign}
-    if len(best_signs) == 2:
-        return (ZERO, 0)
-    return (best_cert, best_signs.pop())
+            for a, b, c in diagram.tri:
+                # the triple meets its half-edges in cyclic order iff exactly
+                # two of the three cyclic comparisons hold
+                if (rank[a] < rank[b]) + (rank[b] < rank[c]) + (rank[c] < rank[a]) != 2:
+                    sign = -sign
+            if cert != best:
+                best, order, signs = cert, tuple([e[4] for e in entries]), set()
+            signs.add(sign)
+    if len(signs) == 2:
+        return (ZERO, 0, None)
+    return (best, signs.pop(), order)
+
+
+def canonicalize(diagram: Diagram):
+    """Canonical form of a diagram: (key, sign), or (ZERO, 0) if it is zero.
+
+    The key is (num_legs, num_tri, sorted edge entries) with entries
+    (u, v, bead_letters) in canonical orientation; equivalent inputs yield
+    identical keys, an antisymmetry swap flips the sign, and a diagram with
+    a sign-reversing symmetry returns (ZERO, 0).  The first two fields of
+    :func:`_canonical_form`, the one canonical-form routine.
+    """
+    return _canonical_form(diagram)[:2]
 
 
 def rebuild(key) -> Diagram:

@@ -38,19 +38,31 @@ def canonical_vector(terms):
     return vec(pairs)
 
 
-def ihx_relations(key):
+def ihx_relations(key, done=None):
     """One IHX relation vector per internal edge of the canonical diagram.
 
     The I term is the key itself with sign +1: ``rebuild(key)``
     canonicalizes to (key, +1), and the gauge move of
     :func:`diagrams.ihx_at_edge` changes neither.  So only H and X are
-    canonicalized.
+    canonicalized, by ``diagrams._canonical_form``, which also says which
+    key entry the rewired edge becomes.  With a set ``done``, those (key,
+    entry) pairs are added to it, and the edges of ``key`` found in it are
+    skipped: such an edge carries the IHX instance of an earlier relation,
+    so its relation is the same up to sign.
     """
     dia = dg.rebuild(key)
     out = []
     for index in dg.internal_edges(dia):
-        _i, h_term, x_term = dg.ihx_at_edge(dia, index)
-        rel = vec([(key, 1), *canonical_vector((h_term, x_term)).items()])
+        if done is not None and (key, index) in done:
+            continue
+        pairs = [(key, 1)]
+        for coeff, term in dg.ihx_at_edge(dia, index)[1:]:
+            term_key, sign, order = dg._canonical_form(term)
+            if term_key is not dg.ZERO:
+                pairs.append((term_key, coeff * sign))
+                if done is not None:
+                    done.add((term_key, order.index(index)))
+        rel = vec(pairs)
         if rel:
             out.append(rel)
     return out
@@ -87,13 +99,16 @@ def _grow(seed_keys, relations, expand, beads_of):
 def closure(seed_keys, relations):
     """Smallest superset of the seeds closed under IHX neighbours.
 
-    Every IHX relation of every member is appended to the list
-    ``relations``.  Raises :class:`ClosureDiverged` on unbounded bead growth
-    (see the class docstring for when that happens).
+    The members' IHX relations are appended to the list ``relations``; one
+    ``done`` set shared by their :func:`ihx_relations` calls skips each
+    edge that carries the IHX instance of an earlier relation.  Raises
+    :class:`ClosureDiverged` on unbounded bead growth (see the class
+    docstring for when that happens).
     """
+    done = set()
 
     def expand(key):
-        rels = ihx_relations(key)
+        rels = ihx_relations(key, done)
         return rels, (nb for rel in rels for nb in rel)
 
     return _grow(seed_keys, relations, expand, dg.key_beads)

@@ -77,11 +77,17 @@ class EchelonBasis:
     def reduce(self, v: dict) -> dict:
         """v minus its projection onto the row space; no support on pivots."""
         out = dict(v)
-        # rows carry no other pivots in their support, so one pass suffices
-        for pivot in sorted(set(out) & set(self.rows)):
+        # rows carry no other pivots in their support, so one pass suffices;
+        # out is a private copy, so each elimination updates it in place
+        for pivot in sorted(out.keys() & self.rows.keys()):
             coeff = out.get(pivot)
             if coeff:
-                out = vaxpy(out, -coeff, self.rows[pivot])
+                for key, c in self.rows[pivot].items():
+                    s = out.get(key, 0) - coeff * c
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
         return out
 
     def insert(self, v: dict) -> bool:

@@ -36,7 +36,8 @@ def schur_dim(lam, m: int) -> int:
         for j in range(row):
             hook = (row - j) + (conj[j] - i) - 1
             dim *= Fraction(m + j - i, hook)
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise ArithmeticError("Schur dimension %s is not an integer" % dim)
     return int(dim)
 
 
@@ -70,7 +71,8 @@ def a11_reference_dim(alphabet, m: int) -> int:
     fixed = sum(1 for w in alphabet.letter_elements() if inv_letters(w) == w)
     tr_sigma = _trace(passi_sigma(m))  # transpose-invariant
     total = Fraction(n * size + tr_sigma * fixed, 2)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ArithmeticError("coinvariant dimension %s is not an integer" % total)
     return int(total)
 
 

@@ -50,6 +50,12 @@ def _ihx_three_terms(key):
     return out
 
 
+def _ranks(values):
+    """Each value's position among the distinct values in sorted order."""
+    position = {c: i for i, c in enumerate(sorted(set(values)))}
+    return [position[c] for c in values]
+
+
 def _colour_classes_until_stable(diagram):
     """Colour classes refined until the number of colours stops growing,
     with no stop at singletons."""
@@ -70,9 +76,9 @@ def _colour_classes_until_stable(diagram):
                 else:
                     incident[x - U].append(("tri", 0))
                     neighbours[x - U].append(y - U)
-    colour = dg._ranks([tuple(sorted(inc)) for inc in incident])
+    colour = _ranks([tuple(sorted(inc)) for inc in incident])
     while True:
-        refined = dg._ranks([
+        refined = _ranks([
             (colour[j], tuple(sorted(colour[x] for x in neighbours[j]))) for j in range(T)
         ])
         if max(refined) == max(colour):
