@@ -376,15 +376,21 @@ def _is_zero_in_full_space(vector, d, alphabet) -> bool:
 # the five Hopf generator actions
 
 
-def _act_arc_key(gen, pos, key):
-    """Action of one generator at arc position pos on a canonical key, as
-    (key, sign) terms."""
-    m, arc_beads, counts, dkey = key
+def check_position(gen, pos, m):
+    """Raise unless ``gen`` is a Hopf generator that acts at position pos on
+    m arcs: eta at 1..m+1, mu at 1..m-1, the others at 1..m."""
     top = {"eta": m + 1, "eps": m, "mu": m - 1, "antipode": m, "delta": m}.get(gen)
     if top is None:
         raise ValueError("unknown generator %r" % gen)
     if not 1 <= pos <= top:
         raise ArityMismatch("%s position out of range" % gen)
+
+
+def _act_arc_key(gen, pos, key):
+    """Action of one generator at arc position pos on a canonical key, as
+    (key, sign) terms."""
+    m, arc_beads, counts, dkey = key
+    check_position(gen, pos, m)
     if gen == "eta":
         return [(insert_bare_arc(key, pos), 1)]
     j = pos - 1

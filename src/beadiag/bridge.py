@@ -125,36 +125,33 @@ def alpha_dim(d, alphabet, l, max_arity=None) -> int:
 # the mirrored generator action on fiber-ordered maps
 
 
+def _act_fibers(gen, pos, fibers):
+    """:func:`catass_act` on bare fiber tuples: [(coeff, fibers')].  The
+    images partition the same source, so nothing is re-validated."""
+    ar.check_position(gen, pos, len(fibers))
+    j = pos - 1
+    if gen == "eta":
+        return [(1, fibers[:j] + ((),) + fibers[j:])]
+    f = fibers[j]
+    if gen == "eps":
+        return [] if f else [(1, fibers[:j] + fibers[pos:])]
+    if gen == "mu":
+        return [(1, fibers[:j] + (f + fibers[pos],) + fibers[pos + 1 :])]
+    if gen == "antipode":
+        return [((-1) ** len(f), fibers[:j] + (f[::-1],) + fibers[pos:])]
+    out = []  # delta
+    for mask in itertools.product((0, 1), repeat=len(f)):
+        one = tuple(x for x, b in zip(f, mask) if b == 0)
+        two = tuple(x for x, b in zip(f, mask) if b == 1)
+        out.append((1, fibers[:j] + (one, two) + fibers[pos:]))
+    return out
+
+
 def catass_act(gen, pos, fom: FiberOrderedMap):
     """Action of a Hopf generator on a fiber-ordered map, mirroring the arc
-    operations; returns [(coeff, fom')]."""
-    fibers = fom.fibers
-    l = fom.target
-    if gen == "eta":
-        new = fibers[: pos - 1] + ((),) + fibers[pos - 1 :]
-        return [(1, FiberOrderedMap(fom.source, l + 1, new))]
-    if gen == "eps":
-        if fibers[pos - 1]:
-            return []
-        new = fibers[: pos - 1] + fibers[pos:]
-        return [(1, FiberOrderedMap(fom.source, l - 1, new))]
-    if gen == "mu":
-        merged = fibers[pos - 1] + fibers[pos]
-        new = fibers[: pos - 1] + (merged,) + fibers[pos + 1 :]
-        return [(1, FiberOrderedMap(fom.source, l - 1, new))]
-    if gen == "antipode":
-        new = fibers[: pos - 1] + (tuple(reversed(fibers[pos - 1])),) + fibers[pos:]
-        return [((-1) ** len(fibers[pos - 1]), FiberOrderedMap(fom.source, l, new))]
-    if gen == "delta":
-        f = fibers[pos - 1]
-        out = []
-        for mask in itertools.product((0, 1), repeat=len(f)):
-            one = tuple(x for x, b in zip(f, mask) if b == 0)
-            two = tuple(x for x, b in zip(f, mask) if b == 1)
-            new = fibers[: pos - 1] + (one, two) + fibers[pos:]
-            out.append((1, FiberOrderedMap(fom.source, l + 1, new)))
-        return out
-    raise ValueError("unknown generator %r" % gen)
+    operations and their position ranges; returns [(coeff, fom')]."""
+    return [(coeff, FiberOrderedMap(fom.source, len(fibers), fibers))
+            for coeff, fibers in _act_fibers(gen, pos, fom.fibers)]
 
 
 def _mu_lifted_maps(fom: FiberOrderedMap, i):
@@ -180,6 +177,24 @@ def _mu_lifted_maps(fom: FiberOrderedMap, i):
 
 # ---------------------------------------------------------------------------
 # verification drivers
+
+
+def _per_key(compute):
+    """``compute(key, *args)``, memoised per args until the key changes, so
+    the memo never holds more than one key's work.  Callers share each
+    result and must not change it."""
+    memo, latest = {}, None
+
+    def call(key, *args):
+        nonlocal latest
+        if key is not latest:
+            memo.clear()
+            latest = key
+        if args not in memo:
+            memo[args] = compute(key, *args)
+        return memo[args]
+
+    return call
 
 
 def verify_bridge(d, alphabet, l, seed=0, sample=None):
@@ -249,22 +264,24 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     dim_alpha = alpha_dim(d, alphabet, l)
     record("dimension_equality", dim_alpha == dim_arc, (dim_alpha, dim_arc))
 
-    # (d) naturality for the five generators, modulo the arc relations
+    # (d) naturality for the five generators, modulo the arc relations.  The
+    # tuples of (d) and (e) come key by key, sampled runs aside, so gluing
+    # and the generator images are memoised for the current key only.
+    glued = _per_key(lambda key, fibers: ar.on_bare_arcs(fibers, {key: 1}))
+    acted = _per_key(lambda key, gen, pos, akey: ar.gr_act(gen, pos, {akey: 1}))
     gens = [("eta", range(1, l + 2)), ("eps", range(1, l + 1)),
             ("mu", range(1, l)), ("antipode", range(1, l + 1)),
             ("delta", range(1, l + 1))]
 
     def naturality_counterexample(key, fom):
-        glued = glue(fom, key)
+        glued_here = glued(key, fom.fibers).items()
         for gen, positions in gens:
             for pos in positions:
-                lhs = ar.gr_act(gen, pos, glued)
-                rhs = vec(
-                    (k2, coeff * c2)
-                    for coeff, fom2 in catass_act(gen, pos, fom)
-                    for k2, c2 in glue(fom2, key).items()
-                )
-                if not vanishes(vaxpy(lhs, -1, rhs)):
+                # acting after gluing minus gluing after acting, as one sum
+                terms = [(coeff, acted(key, gen, pos, akey)) for akey, coeff in glued_here]
+                terms += [(-coeff, glued(key, fibers))
+                          for coeff, fibers in _act_fibers(gen, pos, fom.fibers)]
+                if not vanishes(vec((k, coeff * c) for coeff, v in terms for k, c in v.items())):
                     return (gen, pos, fom.fibers, key)
 
     bad = first_failure(
@@ -274,10 +291,12 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     record("naturality", bad is None, bad)
 
     # (e) coequalizer identity via the STU relation
+    mu_image = _per_key(lambda key, i, arity: cl.mu_action(i, {key: 1}, arity))
+
     def coequalizer_counterexample(c, key, fom, i):
         fom_after, fom_before = _mu_lifted_maps(fom, i)
-        lhs = vaxpy(glue(fom_after, key), -1, glue(fom_before, key))
-        rhs = glue_vector(fom, cl.mu_action(i, {key: 1}, c + 1))
+        lhs = vaxpy(glued(key, fom_after.fibers), -1, glued(key, fom_before.fibers))
+        rhs = ar.on_bare_arcs(fom.fibers, mu_image(key, i, c + 1))
         if not vanishes(vaxpy(lhs, -1, rhs)):
             return (c, key, fom.fibers, i)
 

@@ -158,6 +158,38 @@ def test_catass_act_eta_eps_mu_shapes():
     assert len(catass_act("delta", 1, fom)) == 4
 
 
+# generator -> (valid positions, out-of-range positions) on two arcs; the
+# ranges of arcs._act_arc_key: eta 1..l+1, mu 1..l-1, the others 1..l
+_POSITIONS = {
+    "eta": ((1, 2, 3), (-1, 0, 4, 5)),
+    "eps": ((1, 2), (-1, 0, 3, 4)),
+    "mu": ((1,), (-1, 0, 2, 3)),
+    "antipode": ((1, 2), (-1, 0, 3, 4)),
+    "delta": ((1, 2), (-1, 0, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("gen", sorted(_POSITIONS))
+def test_catass_act_rejects_positions_the_arc_action_rejects(gen):
+    fom = FiberOrderedMap(2, 2, ((1, 2), ()))
+    key, _sign = dg.canonicalize(dg.Diagram([0, 1], [], [(0, 1, ())]))
+    glued = glue(fom, key)
+    valid, invalid = _POSITIONS[gen]
+    for pos in valid:
+        assert all(image.source == 2 for _coeff, image in catass_act(gen, pos, fom))
+        ar.gr_act(gen, pos, glued)
+    for pos in invalid:
+        with pytest.raises(ar.ArityMismatch, match="^%s position out of range$" % gen):
+            catass_act(gen, pos, fom)
+        with pytest.raises(ar.ArityMismatch, match="^%s position out of range$" % gen):
+            ar.gr_act(gen, pos, glued)
+
+
+def test_catass_act_rejects_an_unknown_generator():
+    with pytest.raises(ValueError, match="^unknown generator 'nu'$"):
+        catass_act("nu", 1, FiberOrderedMap(0, 1, ((),)))
+
+
 def test_verify_bridge_cells():
     for l in (1, 2, 3):
         assert verify_bridge(1, TRIVIAL_ALPHABET, l)["pass"]
