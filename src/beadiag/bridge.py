@@ -4,24 +4,25 @@ Gluing a degree-d diagram's legs onto arcs along a fiber-ordered set map
 realises the equivalence between the Lie-PROP module of labelled diagrams
 and the class-0 arc functor.  The dimension of the arc space at l arcs can
 be computed without diagrams on arcs, as the sum over arities i of the
-S_i-coinvariants of (set maps i -> l) tensor J_d(i); both routes are
-implemented and compared, together with the coequalizer identity (the STU
-relation) and naturality over the five Hopf generators.
+S_i-coinvariants of (set maps i -> l) tensor J_d(i), each a sum of J_d(i)
+quotients by Young subgroups; both routes are implemented and compared,
+with the coequalizer identity (the STU relation) and naturality over the
+five Hopf generators.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from collections import namedtuple
-from fractions import Fraction
 
 from . import arcs as ar
 from . import catlie as cl
 from . import diagrams as dg
 from .jspaces import j_space
-from .linalg import echelonize, vaxpy, vec
+from .linalg import EchelonBasis, echelonize, vaxpy, vec
 
 
 class FiberOrderedMap(namedtuple("FiberOrderedMap", "source target fibers")):
@@ -77,34 +78,60 @@ def glue(fom: FiberOrderedMap, jkey):
 # dimension of the glued functor, computed on the labelled-diagram side
 
 
-def _perm_trace(space, perm):
-    """Trace of a leg permutation acting on a J-space quotient."""
-    sigma = {i + 1: perm[i] for i in range(len(perm))}
-    order = tuple(sorted(sigma, key=sigma.__getitem__))  # as in catlie.perm_action
-    # the unmemoised body: each (key, order) is asked once, so memoising
-    # them would only crowd the memo that the bridge checks reuse
-    relabel = dg.relabel_key.__wrapped__
-    tr = 0
-    for key in space.free_keys:
-        image, sign = relabel(key, order)
-        tr += space.reduce({image: sign}).get(key, 0)
-    return tr
+def _orbit_count(parts, l):
+    """Number of S_i-orbits of maps i -> l whose fiber sizes sort to ``parts``."""
+    count = math.factorial(l) // math.factorial(l - len(parts))
+    return count // math.prod(math.factorial(parts.count(p)) for p in set(parts))
 
 
 def coinvariant_dim(space, i, l) -> int:
-    """dim of the S_i-coinvariants of (maps i -> l) tensor the space, via the
-    averaging idempotent: (1/i!) sum over sigma of l^cycles(sigma) tr(sigma)."""
-    if space.dimension == 0:
+    """dim of the S_i-coinvariants of (maps i -> l) tensor the space.
+
+    By Shapiro's lemma, the sum over S_i-orbits of maps of the space's
+    coinvariants under their stabilisers, Young subgroups, one partition of
+    i into at most l parts per conjugacy class: the space modulo (1 - s)k,
+    for k its free keys and s the adjacent leg swaps inside consecutive
+    blocks, largest first.  Raises ``ValueError`` if a swap leaves the span.
+    """
+    if (l == 0 and i > 0) or space.dimension == 0:
         return 0
-    total = Fraction(0)
-    for typ, size, cycles in cl._cycle_types(i):
-        tr = _perm_trace(space, cl._perm_from_type(typ))
-        if tr:
-            total += size * Fraction(l) ** cycles * tr
-    total /= math.factorial(i)
-    if total.denominator != 1 or total < 0:
-        raise ArithmeticError("coinvariant dimension %s is not a nonnegative integer" % total)
-    return int(total)
+    span = set(space.span)
+    free = space.free_keys
+    # unmemoised: each (key, swap) is asked once; the memo is for the bridge checks
+    relabel = dg.relabel_key.__wrapped__
+    quotients = {(): ()}
+
+    @functools.cache
+    def swap_relation(key, j):
+        """(1 - s)key in the space, for s swapping legs j and j + 1."""
+        image, sign = relabel(key, (*range(1, j), j + 1, j, *range(j + 2, i + 1)))
+        if image not in span:
+            raise ValueError("a leg swap leaves the span of J_%d(%d)" % (space.d, i))
+        return vaxpy({key: 1}, -sign, space.reduce({image: 1}))
+
+    def quotient(parts):
+        """Echelon bases of the swap relations, one per block of ``parts``
+        sizes, each grown from its block a leg shorter.  Swaps of different
+        blocks commute, so a block's act on the quotient by the blocks before
+        it: it moves only the keys free there, reduced by their bases."""
+        parts = tuple(p for p in parts if p > 1)  # one-leg blocks have no swaps
+        if parts not in quotients:
+            earlier = quotient(parts[:-1])
+            block = EchelonBasis()
+            if parts[-1] > 2:  # insert replaces rows, never changes them: share them
+                block.rows = dict(quotient(parts[:-1] + (parts[-1] - 1,))[-1].rows)
+            pivots = set().union(*(basis.rows for basis in earlier))
+            if len(pivots) + block.rank < len(free):
+                rels = [swap_relation(key, sum(parts) - 1) for key in free if key not in pivots]
+                for basis in earlier:
+                    rels = [basis.reduce(rel) for rel in rels]
+                for rel in sorted(rels, key=len):
+                    block.insert(rel)
+            quotients[parts] = earlier + (block,)
+        return quotients[parts]
+
+    return sum(_orbit_count(parts, l) * (len(free) - sum(b.rank for b in quotient(parts)))
+               for parts in cl._parts(i, i) if len(parts) <= l)
 
 
 def alpha_dim(d, alphabet, l, max_arity=None) -> int:
@@ -112,13 +139,8 @@ def alpha_dim(d, alphabet, l, max_arity=None) -> int:
     coinvariant dimensions; ``max_arity`` truncates the module."""
     if l < 0:
         raise ValueError("l must be >= 0")
-    if max_arity is None:
-        max_arity = 2 * d
-    total = 0
-    for i in range(0, min(2 * d, max_arity) + 1):
-        space = j_space(d, i, alphabet)
-        total += coinvariant_dim(space, i, l)
-    return total
+    top = 2 * d if max_arity is None else min(2 * d, max_arity)
+    return sum(coinvariant_dim(j_space(d, i, alphabet), i, l) for i in range(top + 1))
 
 
 # ---------------------------------------------------------------------------

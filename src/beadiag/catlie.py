@@ -10,7 +10,6 @@ at every arity.
 from __future__ import annotations
 
 import itertools
-import math
 
 from . import diagrams as dg
 from .jspaces import canonical_vector, closure, full_residue, j_space
@@ -26,28 +25,6 @@ def _parts(n, largest):
     for first in range(min(n, largest), 0, -1):
         for rest in _parts(n - first, first):
             yield (first,) + rest
-
-
-def _cycle_types(k: int):
-    """(cycle type, class size, cycle count) over the symmetric group S_k."""
-    for typ in _parts(k, k):
-        denom = 1
-        counts = {}
-        for p in typ:
-            denom *= p
-            counts[p] = counts.get(p, 0) + 1
-        for mult in counts.values():
-            denom *= math.factorial(mult)
-        yield typ, math.factorial(k) // denom, len(typ)
-
-
-def _perm_from_type(typ):
-    perm = []
-    start = 1
-    for p in typ:
-        perm.extend(list(range(start + 1, start + p)) + [start])
-        start += p
-    return tuple(perm)
 
 
 def perm_action(sigma, vector):

@@ -10,6 +10,7 @@ from beadiag.bridge import (
     alpha_dim,
     cat_ass_basis,
     catass_act,
+    coinvariant_dim,
     glue,
     glue_vector,
     verify_bridge,
@@ -142,6 +143,16 @@ def test_alpha_dim_examples():
         0, 2, 2, TRIVIAL_ALPHABET
     ).dim(0)
     assert alpha_dim(1, GEN11, 3) == ar.a_space(1, 3, 1, GEN11).dim(0)
+
+
+@pytest.mark.parametrize("spec", ["gen:1:1", "gen:2:1", "gen:1:2"])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_coinvariants_need_the_legs_to_permute_inside_the_span(spec, l):
+    # The canonical gauge is rooted at the lowest leg, so swapping legs can
+    # push a bead past the alphabet's depth: S_3 does not act on J_2(3).
+    space = j_space(2, 3, alphabet_from_spec(spec))
+    with pytest.raises(ValueError, match="leaves the span"):
+        coinvariant_dim(space, 3, l)
 
 
 def test_catass_act_eta_eps_mu_shapes():

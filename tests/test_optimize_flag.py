@@ -11,26 +11,27 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # A one-key stub space on the strut with bead x1.  Swapping its legs gives
-# the strut with bead x1^-1, another key, so the swap's trace is 0 and the
-# S_2 average (1 + 0) / 2 is not an integer.
+# the strut with bead x1^-1, a key outside the stub's span, so S_2 does not
+# act on the space and the coinvariant dimension must not come out as a number.
 STUB = """
 import types
 from beadiag import bridge
 strut_x1 = (2, 0, ((0, 1, ((1, 1),)),))
-space = types.SimpleNamespace(dimension=1, free_keys=(strut_x1,), reduce=dict)
+space = types.SimpleNamespace(d=1, dimension=1, span=(strut_x1,), free_keys=(strut_x1,),
+                              reduce=dict)
 try:
     print(bridge.coinvariant_dim(space, 2, 1))
-except ArithmeticError as exc:
+except ValueError as exc:
     print("raised:", exc)
 """
 
 
-def test_non_integer_average_raises_under_optimize():
+def test_swap_out_of_the_span_raises_under_optimize():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-O", "-c", STUB], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("raised:") and "1/2" in done.stdout, done.stdout
+    assert done.stdout.startswith("raised:") and "leaves the span" in done.stdout, done.stdout
 
 
 def test_library_has_no_assert_statements():

@@ -63,7 +63,8 @@ def test_bridge_relabellings_fit_the_memo():
 
 
 def test_coinvariant_traces_leave_the_memo_empty():
-    # each trace asks every (key, order) once, so it must not crowd the memo
+    # the coinvariant quotients ask every (key, swap) once, so they must
+    # not crowd the memo
     dg.relabel_key.cache_clear()
     assert bridge.alpha_dim(4, TRIVIAL_ALPHABET, 1) == 6
     assert dg.relabel_key.cache_info().currsize == 0
