@@ -325,12 +325,17 @@ def _canonical_form(diagram: Diagram):
     bead.  Entries sort as (u, v, bead length, bead, edge index), so ties
     keep edge order.  The sign is the product, over trivalent vertices, of
     the parity of the order in which the sorted entries meet the vertex's
-    half-edges against its cyclic order.
+    half-edges against its cyclic order.  A diagram of struts alone has one
+    candidate, its struts oriented from the lower leg and sorted, with sign
+    +1, so it skips the search.
     """
     U, T = diagram.num_legs, diagram.num_tri
-    if not diagram.edges:
-        return ((U, T, ()), 1, ())
     vert = diagram.vertex_of()
+    if not T:
+        struts = sorted((vert[t], vert[h], w, ei) if vert[t] < vert[h]
+                        else (vert[h], vert[t], inv_letters(w), ei)
+                        for ei, (t, h, w) in enumerate(diagram.edges))
+        return ((U, 0, tuple([s[:3] for s in struts])), 1, tuple([s[3] for s in struts]))
     base = [(vert[t], vert[h], ei, t, h, w) for ei, (t, h, w) in enumerate(diagram.edges)]
     beaded = False
     for tv, hv, _ei, _th, _hh, w in base:
@@ -561,15 +566,21 @@ def _structures(num_legs: int, num_tri: int, loops: bool = True):
 
     Slots of a trivalent vertex are used in order and vertices are activated
     in order, so each isomorphism class appears at least once and without the
-    (3!)^T T! relabelling blow-up.  A partial pairing is dropped as soon as
-    it closes a legless component, which no completion can reopen.  With
-    ``loops`` false no pair joins two slots of one vertex, and the subtree
-    below such a pair is never searched: for a caller with no bead to put
-    on a loop, since a bead-free loop is zero.  Yields Diagram presentations
-    with bead-free edges and the slot order as cyclic order; without loops,
-    the others in the same order.
+    (3!)^T T! relabelling blow-up.  The slots of one vertex differ only by
+    the sign of its cyclic order, so the vertices their partners sit on
+    (legs counting as vertices 0..U-1) never fall from one slot to the next:
+    each vertex-level shape, the sorted multiset of (vertex, vertex) edges,
+    comes exactly once.  A partial pairing is dropped as soon as it closes a
+    legless component, which no completion can reopen.  With ``loops`` false
+    no pair joins two slots of one vertex, and the subtree below such a pair
+    is never searched: for a caller with no bead to put on a loop, since a
+    bead-free loop is zero.  Yields Diagram presentations with bead-free
+    edges and the slot order as cyclic order; without loops, the others in
+    the same order.
     """
     U, T = num_legs, num_tri
+    if U == 0 < T:
+        return  # with no legs every component is legless
     H = U + 3 * T
     matched = [False] * H
     partner = [-1] * H
@@ -601,6 +612,11 @@ def _structures(num_legs: int, num_tri: int, loops: bool = True):
         matched[h] = True
         # the slots after h on h's own vertex would pair it into a loop
         start = U + 3 * ((h - U) // 3 + 1) if h >= U and not loops else h + 1
+        if h >= U and (h - U) % 3:
+            # slots of one vertex differ only by sign, so the partner's vertex
+            # is no lower than that of the slot before: one pairing per shape
+            p = partner[h - 1]
+            start = max(start, p if p < U else p - (p - U) % 3)
         for h2 in range(start, H):
             if matched[h2]:
                 continue
@@ -635,9 +651,12 @@ def enumerate_diagrams(d: int, m: int, alphabet):
     """All canonical keys of degree d with m legs and canonical beads in the
     alphabet; zero diagrams excluded; deterministic order.
 
-    Every skeleton of :func:`_structures` gets every bead on every edge,
-    except that a loop gets only the beads other than 1: a bead-free loop
-    is zero.  Over the trivial alphabet no skeleton with a loop is made.
+    Every skeleton of :func:`_structures`, each vertex-level shape exactly
+    once, gets every bead on every edge, except that a loop gets only the
+    beads other than 1: a bead-free loop is zero.  The other pairings of a
+    shape differ only in sign and in reversed loops, whose bead choices are
+    closed under inversion.  Over the trivial alphabet no skeleton with a
+    loop is made.
     """
     if d < 0 or m < 0:
         raise ValueError("d and m must be >= 0")
@@ -646,8 +665,6 @@ def enumerate_diagrams(d: int, m: int, alphabet):
         return []
     if d == 0:
         return [(0, 0, ())] if m == 0 else []
-    if m == 0:
-        return []  # every component needs a leg, but there are none
     letters = alphabet.letter_elements()
     loop_letters = tuple(w for w in letters if w)
     found = set()

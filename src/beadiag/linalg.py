@@ -70,6 +70,12 @@ class EchelonBasis:
             raise ValueError("rows are not in reduced echelon form")
         self.rows = rows
 
+    def __copy__(self):
+        # the pickle protocol's copy would share the rows dict with self
+        basis = EchelonBasis()
+        basis.rows = dict(self.rows)
+        return basis
+
     @property
     def rank(self) -> int:
         return len(self.rows)

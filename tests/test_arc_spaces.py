@@ -20,6 +20,8 @@ from beadiag.bridge import alpha_dim
 from beadiag.linalg import echelonize
 from beadiag.words import IDENTITY, TRIVIAL_ALPHABET, alphabet_from_spec
 
+from frozen_structures import structures
+
 GEN11 = alphabet_from_spec("gen:1:1")
 GEN22 = alphabet_from_spec("gen:2:2")
 
@@ -37,7 +39,7 @@ def brute_force_arc_keys(m, d, alphabet, class0=True):
             if d == 0:
                 basic.add((tuple([0] * m), (0, 0, ())))
             continue
-        for skeleton in dg._structures(c, 2 * d - c):
+        for skeleton in structures(c, 2 * d - c):
             for beads in itertools.product(letters, repeat=len(skeleton.edges)):
                 dashed = dg.Diagram(
                     skeleton.legs,

@@ -25,6 +25,7 @@ from beadiag.words import (
     word_key,
 )
 
+from frozen_structures import structures
 from move_fuzzer import random_move_sequence, seed_diagrams
 
 GEN11 = alphabet_from_spec("gen:1:1")
@@ -248,7 +249,7 @@ def with_beads(skeleton, beads):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_every_skeleton(d):
     skeletons = (
-        sk for m in range(1, 2 * d + 1) for sk in dg._structures(m, 2 * d - m)
+        sk for m in range(1, 2 * d + 1) for sk in structures(m, 2 * d - m)
     )
     assert assert_same_as_oracle(skeletons) == {1: 2, 2: 13, 3: 134, 4: 1861}[d]
 
@@ -259,7 +260,7 @@ def test_every_bead_assignment_up_to_degree_two():
         with_beads(sk, beads)
         for d in (1, 2)
         for m in range(1, 2 * d + 1)
-        for sk in dg._structures(m, 2 * d - m)
+        for sk in structures(m, 2 * d - m)
         for beads in itertools.product(letters, repeat=len(sk.edges))
     )
     assert assert_same_as_oracle(diagrams) == 1119
@@ -321,7 +322,7 @@ def test_colour_classes_at_degree_five():
     # compare the classes on every skeleton of J_5(2) instead of running the
     # slow oracle on them
     count = 0
-    for sk in dg._structures(2, 8):
+    for sk in structures(2, 8):
         assert dg._colour_classes(sk) == _colour_classes(sk), sk.edges
         count += 1
     assert count == 3629

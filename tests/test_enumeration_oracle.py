@@ -1,6 +1,7 @@
-"""The loop-free enumeration, the IHX relations without an I-term
-canonicalization and the colour refinement that stops at singletons, each
-checked against the route it replaced, kept here verbatim as the oracle."""
+"""The loop-free enumeration with one pairing per vertex-level shape, the
+IHX relations without an I-term canonicalization and the colour refinement
+that stops at singletons, each checked against the route it replaced, kept
+here (and in ``frozen_structures``) verbatim as the oracle."""
 
 import itertools
 
@@ -10,10 +11,13 @@ from beadiag import diagrams as dg
 from beadiag.jspaces import canonical_vector, ihx_relations
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
 
+from frozen_structures import structures
+
 
 def _enumerate_every_bead(d, m, alphabet):
-    """The enumerator before loop-free skeletons: every pairing of
-    ``_structures(m, T)`` times every bead on every edge."""
+    """The enumerator before loop-free skeletons and one pairing per shape:
+    every pairing of the frozen ``structures(m, T)`` times every bead on
+    every edge."""
     T = 2 * d - m
     if T < 0:
         return []
@@ -23,7 +27,7 @@ def _enumerate_every_bead(d, m, alphabet):
         return []
     letters = alphabet.letter_elements()
     found = set()
-    for skeleton in dg._structures(m, T):
+    for skeleton in structures(m, T):
         E = len(skeleton.edges)
         for beads in itertools.product(letters, repeat=E):
             dia = dg.Diagram._trusted(
@@ -112,10 +116,16 @@ def enumerated():
     return {cell: dg.enumerate_diagrams(cell[1], cell[2], cell[0]) for cell in CELLS}
 
 
-@pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
+# the key lists are also compared on trivial d = 5 for every m; the IHX and
+# colour-class checks below stay on CELLS, where they take seconds, not tens
+KEY_CELLS = CELLS + [(TRIVIAL_ALPHABET, 5, m) for m in range(11) if m != 2]
+
+
+@pytest.mark.parametrize("cell", KEY_CELLS, ids=_cell_id)
 def test_enumeration_equals_every_bead_on_every_pairing(enumerated, cell):
     alphabet, d, m = cell
-    assert enumerated[cell] == _enumerate_every_bead(d, m, alphabet)
+    keys = enumerated[cell] if cell in enumerated else dg.enumerate_diagrams(d, m, alphabet)
+    assert keys == _enumerate_every_bead(d, m, alphabet)
 
 
 def test_ihx_relations_equal_the_three_term_route(enumerated):
@@ -131,7 +141,7 @@ def test_ihx_relations_equal_the_three_term_route(enumerated):
 
 def test_colour_classes_equal_refinement_until_stable(enumerated):
     corpus = [dg.rebuild(key) for cell_keys in enumerated.values() for key in cell_keys]
-    corpus += [dia for _alphabet, d, m in CELLS if m for dia in dg._structures(m, 2 * d - m)]
+    corpus += [dia for _alphabet, d, m in CELLS if m for dia in structures(m, 2 * d - m)]
     singletons = 0
     for dia in corpus:
         classes = dg._colour_classes(dia)

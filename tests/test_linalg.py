@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -158,3 +159,11 @@ def test_echelon_rows_are_fractions_with_unit_pivots_even_from_ints():
         for pivot, row in basis.rows.items():
             assert type(row[pivot]) is Fraction and row[pivot] == 1
             assert coeff_types(row) == {Fraction}
+
+
+def test_a_copied_basis_grows_apart_from_the_original():
+    b = echelonize([{1: 1, 2: 1}])
+    c = copy.copy(b)
+    c.insert({3: 1})
+    assert b.rank == 1 and c.rank == 2
+    assert b.rows == {1: {1: 1, 2: 1}} and b.rows is not c.rows
