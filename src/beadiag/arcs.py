@@ -22,6 +22,7 @@ rooted at that spot.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 
@@ -113,22 +114,6 @@ def arc_canonicalize(arcs, dashed):
     return _lift(len(arcs), tuple(arc_beads), tuple(counts), dashed, order, deposits)
 
 
-def rebuild_arc(key):
-    """A raw presentation of a canonical arc key (labels already canonical)."""
-    m, arc_beads, counts, dkey = key
-    arcs = []
-    label = 1
-    for j in range(m):
-        items = []
-        if arc_beads[j]:
-            items.append(("bead", arc_beads[j]))
-        for _ in range(counts[j]):
-            items.append(("leg", label))
-            label += 1
-        arcs.append(items)
-    return arcs, dg.rebuild(dkey)
-
-
 def on_bare_arcs(fibers, jvector):
     """A vector of labelled keys glued onto bare arcs, the legs of fiber j
     attached to arc j in order; returns a vector over canonical arc keys.
@@ -172,18 +157,6 @@ def homotopy_class(key):
     return tuple(Word(b) for b in key[1])
 
 
-def homotopy_class_raw(arcs):
-    """Arc holonomies of a raw presentation, move-invariantly."""
-    out = []
-    for items in arcs:
-        prod = IDENTITY
-        for kind, value in items:
-            if kind == "bead":
-                prod = mul_letters(prod, tuple(value))
-        out.append(Word(prod))
-    return tuple(out)
-
-
 def _leg_blocks(counts):
     """The leg labels on each arc, in order."""
     blocks = []
@@ -198,72 +171,94 @@ def _leg_blocks(counts):
 # STU and IHX relations, closure
 
 
-def stu_relations(key):
+def _swap_and_glue(dkey, l):
+    """The dashed parts of the STU instance at legs l, l + 1 of a labelled
+    key: the key with the two legs swapped, as (key, sign), and the two legs
+    glued onto a tripod (a vector)."""
+    swapped = (*range(1, l), l + 1, l, *range(l + 2, dg.key_num_legs(dkey) + 1))
+    return dg.relabel_key(dkey, swapped), cl.glue_pair_key(dkey, l, l + 1)
+
+
+def _unglued(dkey):
+    """Per leg label of a labelled key, the canonical keys of that leg's
+    ungluings (``diagrams.unglue_leg``)."""
+    dashed = dg.rebuild(dkey)
+    return [[k for dia in dg.unglue_leg(dashed, label)
+             for k, _sign in [dg.canonicalize(dia)] if k is not ZERO]
+            for label in range(1, dashed.num_legs + 1)]
+
+
+def stu_relations(key, swap_and_glue=None):
     """One STU relation per adjacent leg pair on an arc: T - U - S = 0.
 
     For legs l, l + 1 adjacent on arc j: T is the key, U swaps the two
     labels, and S glues the two legs onto a tripod whose free end, leg l,
-    takes their place on the arc.
+    takes their place on the arc.  The dashed parts of U and S come from
+    ``swap_and_glue(dkey, l)``, by default :func:`_swap_and_glue`.
     """
     m, arc_beads, counts, dkey = key
-    labels = list(range(1, sum(counts) + 1))
+    swap_and_glue = swap_and_glue or _swap_and_glue
     rels = []
     for j, block in enumerate(_leg_blocks(counts)):
         counts_s = counts[:j] + (counts[j] - 1,) + counts[j + 1 :]
         for l in block[:-1]:
-            swapped = labels[: l - 1] + [l + 1, l] + labels[l + 1 :]
-            u_key, u_sign = _lift(m, arc_beads, counts, dkey, swapped, {})
+            (u_dkey, u_sign), glued = swap_and_glue(dkey, l)
             rel = vec(
-                [(key, 1), (u_key, -u_sign)]
-                + [((m, arc_beads, counts_s, k), -c)
-                   for k, c in cl.glue_pair_key(dkey, l, l + 1).items()]
+                [(key, 1), ((m, arc_beads, counts, u_dkey), -u_sign)]
+                + [((m, arc_beads, counts_s, k), -c) for k, c in glued.items()]
             )
             if rel:
                 rels.append(rel)
     return rels
 
 
-def _unglue_neighbours(key):
+def _unglue_neighbours(key, unglued=None):
     """Keys of the T and U terms of STU instances whose S term is this key.
 
     Needed so that the closure contains every STU instance touching it: each
     leg whose dashed edge ends at a trivalent vertex is unglued back onto
-    its arc in both orders (``diagrams.unglue_leg``), one more leg there.
+    its arc in both orders, one more leg there.  The dashed keys come from
+    ``unglued(dkey)``, by default :func:`_unglued`.
     """
     m, arc_beads, counts, dkey = key
-    dashed = dg.rebuild(dkey)
+    per_label = (unglued or _unglued)(dkey)
     out = []
     for j, block in enumerate(_leg_blocks(counts)):
         counts_t = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
         for label in block:
-            for dia in dg.unglue_leg(dashed, label):
-                k, _sign = dg.canonicalize(dia)
-                if k is not ZERO:
-                    out.append((m, arc_beads, counts_t, k))
+            out.extend((m, arc_beads, counts_t, k) for k in per_label[label - 1])
     return out
 
 
-def ihx_relations_arc(key):
-    """IHX relations at internal dashed edges, arc structure unchanged."""
+def ihx_relations_arc(key, ihx=None):
+    """IHX relations at internal dashed edges, arc structure unchanged; the
+    dashed relations come from ``ihx(dkey)``, by default ``ihx_relations``."""
     m, arc_beads, counts, dkey = key
     return [{(m, arc_beads, counts, k): c for k, c in rel.items()}
-            for rel in ihx_relations(dkey)]
+            for rel in (ihx or ihx_relations)(dkey)]
 
 
 def arc_closure(seed_keys, relations):
     """Close a key set under STU (both directions) and IHX neighbours.
 
     Every STU and IHX relation of every member is appended to the list
-    ``relations``.  Raises :class:`beadiag.jspaces.ClosureDiverged` on
-    unbounded bead growth, as for the labelled-diagram closure.
+    ``relations``.  The dashed-key part of that work (IHX relations, leg
+    swaps and gluings, ungluings) depends on neither arc beads nor leg
+    counts, so it is done once per dashed key (and leg) of this call and
+    rewrapped onto each arc key.  Raises
+    :class:`beadiag.jspaces.ClosureDiverged` on unbounded bead growth, as
+    for the labelled-diagram closure.
     """
+    swap_and_glue = functools.cache(_swap_and_glue)
+    unglued = functools.cache(_unglued)
+    ihx = functools.cache(ihx_relations)
 
     def expand(key):
-        rels = stu_relations(key) + ihx_relations_arc(key)
+        rels = stu_relations(key, swap_and_glue) + ihx_relations_arc(key, ihx)
         neighbours = set()
         for rel in rels:
             neighbours.update(rel)
-        neighbours.update(_unglue_neighbours(key))
+        neighbours.update(_unglue_neighbours(key, unglued))
         return rels, neighbours
 
     return _grow(seed_keys, relations, expand,

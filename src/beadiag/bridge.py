@@ -22,7 +22,7 @@ from . import arcs as ar
 from . import catlie as cl
 from . import diagrams as dg
 from .jspaces import j_space
-from .linalg import EchelonBasis, echelonize, vaxpy, vec
+from .linalg import EchelonBasis, echelonize, vaxpy
 
 
 class FiberOrderedMap(namedtuple("FiberOrderedMap", "source target fibers")):
@@ -36,12 +36,6 @@ class FiberOrderedMap(namedtuple("FiberOrderedMap", "source target fibers")):
         if flat != list(range(1, source + 1)) or len(fibers) != target:
             raise ValueError("fibers must partition 1..source over target slots")
         return super().__new__(cls, source, target, fibers)
-
-    def image_of(self, i):
-        for t, f in enumerate(self.fibers):
-            if i in f:
-                return t + 1
-        raise KeyError(i)
 
 
 def cat_ass_basis(c, l):
@@ -176,25 +170,15 @@ def catass_act(gen, pos, fom: FiberOrderedMap):
             for coeff, fibers in _act_fibers(gen, pos, fom.fibers)]
 
 
-def _mu_lifted_maps(fom: FiberOrderedMap, i):
-    """The two fiber-ordered maps {1..c+1} -> {1..l} through which the i-th
-    gluing factors: the new element c+1 lands just after, resp. just before,
-    i inside its fiber."""
-    c = fom.source
-    target_slot = fom.image_of(i)
-    out = []
-    for after in (True, False):
-        fibers = []
-        for t, f in enumerate(fom.fibers):
-            if t + 1 == target_slot:
-                p = f.index(i)
-                if after:
-                    f = f[: p + 1] + (c + 1,) + f[p + 1 :]
-                else:
-                    f = f[:p] + (c + 1,) + f[p:]
-            fibers.append(f)
-        out.append(FiberOrderedMap(c + 1, fom.target, tuple(fibers)))
-    return out  # [i < c+1 order, c+1 < i order]
+def _mu_lifted_maps(fibers, i):
+    """The fiber tuples of the two maps {1..c+1} -> {1..l} through which the
+    i-th gluing of a map with these fibers factors: the new element c+1
+    lands just after, resp. just before, i inside its fiber."""
+    c = sum(map(len, fibers))
+    t = next(t for t, f in enumerate(fibers) if i in f)
+    f, p = fibers[t], fibers[t].index(i)
+    return [fibers[:t] + (f[: p + 1] + (c + 1,) + f[p + 1 :],) + fibers[t + 1 :],
+            fibers[:t] + (f[:p] + (c + 1,) + f[p:],) + fibers[t + 1 :]]  # [i < c+1, c+1 < i]
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +186,18 @@ def _mu_lifted_maps(fom: FiberOrderedMap, i):
 
 
 def _per_key(compute):
-    """``compute(key, *args)``, memoised per args until the key changes, so
-    the memo never holds more than one key's work.  Callers share each
-    result and must not change it."""
-    memo, latest = {}, None
+    """``for_key(key)(*args)`` is ``compute(key, *args)``, memoised per args
+    until the key changes, so the memo never holds more than one key's work.
+    Callers share each result and must not change it."""
+    latest = cached = None
 
-    def call(key, *args):
-        nonlocal latest
+    def for_key(key):
+        nonlocal latest, cached
         if key is not latest:
-            memo.clear()
-            latest = key
-        if args not in memo:
-            memo[args] = compute(key, *args)
-        return memo[args]
+            latest, cached = key, functools.cache(functools.partial(compute, key))
+        return cached
 
-    return call
+    return for_key
 
 
 def verify_bridge(d, alphabet, l, seed=0, sample=None):
@@ -288,23 +269,32 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
 
     # (d) naturality for the five generators, modulo the arc relations.  The
     # tuples of (d) and (e) come key by key, sampled runs aside, so gluing
-    # and the generator images are memoised for the current key only.
-    glued = _per_key(lambda key, fibers: ar.on_bare_arcs(fibers, {key: 1}))
-    acted = _per_key(lambda key, gen, pos, akey: ar.gr_act(gen, pos, {akey: 1}))
+    # and the generator images are memoised for the current key only; a
+    # map's images under the generators depend on the map alone, so they
+    # are taken once per call.
     gens = [("eta", range(1, l + 2)), ("eps", range(1, l + 1)),
             ("mu", range(1, l)), ("antipode", range(1, l + 1)),
             ("delta", range(1, l + 1))]
+    moves = [(gen, pos) for gen, positions in gens for pos in positions]
+    glued = _per_key(lambda key, fibers: ar.on_bare_arcs(fibers, {key: 1}))
+    acted = _per_key(lambda key, akey: [ar.gr_act(gen, pos, {akey: 1}) for gen, pos in moves])
+    plan = functools.cache(lambda fibers: [_act_fibers(gen, pos, fibers) for gen, pos in moves])
 
     def naturality_counterexample(key, fom):
-        glued_here = glued(key, fom.fibers).items()
-        for gen, positions in gens:
-            for pos in positions:
-                # acting after gluing minus gluing after acting, as one sum
-                terms = [(coeff, acted(key, gen, pos, akey)) for akey, coeff in glued_here]
-                terms += [(-coeff, glued(key, fibers))
-                          for coeff, fibers in _act_fibers(gen, pos, fom.fibers)]
-                if not vanishes(vec((k, coeff * c) for coeff, v in terms for k, c in v.items())):
-                    return (gen, pos, fom.fibers, key)
+        glue_key, act = glued(key), acted(key)
+        glued_here = [(act(akey), coeff) for akey, coeff in glue_key(fom.fibers).items()]
+        for n, images in enumerate(plan(fom.fibers)):
+            # acting after gluing minus gluing after acting, in one pass and
+            # in the item order that vec gives
+            total = {}
+            for acted_images, coeff in glued_here:
+                for k, c in acted_images[n].items():
+                    total[k] = total.get(k, 0) + coeff * c
+            for coeff, fibers in images:
+                for k, c in glue_key(fibers).items():
+                    total[k] = total.get(k, 0) - coeff * c
+            if not vanishes({k: c for k, c in total.items() if c}):
+                return (*moves[n], fom.fibers, key)
 
     bad = first_failure(
         [(key, fom) for c, space in spaces.items() for key in space.span for fom in foms[c]],
@@ -316,9 +306,9 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     mu_image = _per_key(lambda key, i, arity: cl.mu_action(i, {key: 1}, arity))
 
     def coequalizer_counterexample(c, key, fom, i):
-        fom_after, fom_before = _mu_lifted_maps(fom, i)
-        lhs = vaxpy(glued(key, fom_after.fibers), -1, glued(key, fom_before.fibers))
-        rhs = ar.on_bare_arcs(fom.fibers, mu_image(key, i, c + 1))
+        after, before = _mu_lifted_maps(fom.fibers, i)
+        lhs = vaxpy(glued(key)(after), -1, glued(key)(before))
+        rhs = ar.on_bare_arcs(fom.fibers, mu_image(key)(i, c + 1))
         if not vanishes(vaxpy(lhs, -1, rhs)):
             return (c, key, fom.fibers, i)
 

@@ -77,7 +77,8 @@ def _grow(seed_keys, relations, expand, beads_of):
     relation is appended to ``relations``, so a caller echelonizes them
     instead of generating them again.  Raises :class:`ClosureDiverged` when
     a new key has a bead (``beads_of(key)``) longer than
-    ``MAX_CLOSURE_BEAD_LENGTH`` letters.
+    ``MAX_CLOSURE_BEAD_LENGTH`` letters, naming how many keys the closure
+    had reached and how many of them were still waiting to be expanded.
     """
     seen = set(seed_keys)
     frontier = list(seen)
@@ -88,8 +89,9 @@ def _grow(seed_keys, relations, expand, beads_of):
             if nb not in seen:
                 if any(len(w) > MAX_CLOSURE_BEAD_LENGTH for w in beads_of(nb)):
                     raise ClosureDiverged(
-                        "relation closure produced a bead longer than %d letters"
-                        % MAX_CLOSURE_BEAD_LENGTH
+                        "relation closure produced a bead longer than %d letters after"
+                        " reaching %d keys, with %d still waiting to be expanded"
+                        % (MAX_CLOSURE_BEAD_LENGTH, len(seen), len(frontier))
                     )
                 seen.add(nb)
                 frontier.append(nb)

@@ -16,10 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class RelationOutsideSpan(Exception):
-    """A relation has support on a key absent from the spanning universe."""
-
-
 def vec(items=()) -> dict:
     """Sum a dict or an iterable of (key, coefficient) pairs into a sparse
     vector: repeated keys add up and zero sums drop out."""
@@ -118,25 +114,3 @@ def echelonize(vectors) -> EchelonBasis:
     for v in sorted(vectors, key=len):
         basis.insert(v)
     return basis
-
-
-def quotient_dim(span, relations) -> int:
-    """dim span(span) minus dim (span(relations) within span(span)).
-
-    Every relation must be supported on keys occurring in ``span``;
-    otherwise the relation-generating closure was incomplete and
-    :class:`RelationOutsideSpan` is raised.
-    """
-    universe = set()
-    for v in span:
-        universe.update(v)
-    for r in relations:
-        for key in r:
-            if key not in universe:
-                raise RelationOutsideSpan(key)
-    basis = echelonize(relations)
-    dim = 0
-    for v in span:
-        if basis.insert(v):
-            dim += 1
-    return dim

@@ -95,7 +95,9 @@ def test_glue_order_difference_is_the_glued_tree_mod_stu():
     key, sign = dg.canonicalize(dg.Diagram([0, 1], [], [(0, 1, (Word.parse("x1"),))]))
     v = {key: Fraction(sign)}
     fom = FiberOrderedMap(1, 1, ((1,),))
-    after, before = _mu_lifted_maps(fom, 1)
+    lifted = _mu_lifted_maps(fom.fibers, 1)
+    assert lifted == [((1, 2),), ((2, 1),)]
+    after, before = (FiberOrderedMap(2, 1, fibers) for fibers in lifted)
     lhs = glue(after, key)
     for k, c in glue(before, key).items():
         lhs[k] = lhs.get(k, 0) - c

@@ -14,10 +14,10 @@ import random
 import pytest
 
 from beadiag import arcs as ar
+from beadiag import bridge
 from beadiag import catlie as cl
 from beadiag.bridge import (
     FiberOrderedMap,
-    _mu_lifted_maps,
     alpha_dim,
     cat_ass_basis,
     glue,
@@ -59,6 +59,26 @@ def catass_act_per_call(gen, pos, fom: FiberOrderedMap):
             out.append((1, FiberOrderedMap(fom.source, l + 1, new)))
         return out
     raise ValueError("unknown generator %r" % gen)
+
+
+def mu_lifted_maps_per_call(fom: FiberOrderedMap, i):
+    """``_mu_lifted_maps`` as it was: two validated maps, found through the
+    fiber of i."""
+    c = fom.source
+    target_slot = next(t + 1 for t, f in enumerate(fom.fibers) if i in f)
+    out = []
+    for after in (True, False):
+        fibers = []
+        for t, f in enumerate(fom.fibers):
+            if t + 1 == target_slot:
+                p = f.index(i)
+                if after:
+                    f = f[: p + 1] + (c + 1,) + f[p + 1 :]
+                else:
+                    f = f[:p] + (c + 1,) + f[p:]
+            fibers.append(f)
+        out.append(FiberOrderedMap(c + 1, fom.target, tuple(fibers)))
+    return out  # [i < c+1 order, c+1 < i order]
 
 
 def verify_bridge_per_call(d, alphabet, l, seed=0, sample=None):
@@ -154,7 +174,7 @@ def verify_bridge_per_call(d, alphabet, l, seed=0, sample=None):
 
     # (e) coequalizer identity via the STU relation
     def coequalizer_counterexample(c, key, fom, i):
-        fom_after, fom_before = _mu_lifted_maps(fom, i)
+        fom_after, fom_before = mu_lifted_maps_per_call(fom, i)
         lhs = vaxpy(glue(fom_after, key), -1, glue(fom_before, key))
         rhs = glue_vector(fom, cl.mu_action(i, {key: 1}, c + 1))
         if not vanishes(vaxpy(lhs, -1, rhs)):
@@ -236,16 +256,22 @@ def test_forced_failures_reach_naturality_and_coequalizer(monkeypatch):
 
 
 def test_work_per_labelled_key_is_done_once(monkeypatch):
-    counts = dict.fromkeys(("gr_act", "on_bare_arcs", "_is_zero_in_full_space"), 0)
+    counts = dict.fromkeys(("gr_act", "on_bare_arcs", "_is_zero_in_full_space",
+                            "_act_fibers"), 0)
     for name in counts:
-        def counting(*args, _name=name, _fn=getattr(ar, name)):
+        module = bridge if name == "_act_fibers" else ar
+
+        def counting(*args, _name=name, _fn=getattr(module, name)):
             counts[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(ar, name, counting)
+        monkeypatch.setattr(module, name, counting)
     assert verify_bridge(2, alphabet_from_spec("trivial"), 3)["pass"]
     # the same zero tests as the per-call driver, which also made 17,280
     # gr_act and 27,766 on_bare_arcs calls
     assert counts["_is_zero_in_full_space"] == 17_847
     assert counts["gr_act"] <= 2_265
     assert counts["on_bare_arcs"] <= 6_210
+    # taken per key, the images made 17,280 _act_fibers calls for 6,480 distinct
+    # (generator, position, map) triples; each map's images are taken once
+    assert counts["_act_fibers"] <= 6_480

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,8 +13,9 @@ from beadiag.jspaces import (
     j_space,
     vector_is_zero_in_full_space,
 )
-from beadiag.linalg import quotient_dim
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
+
+from reference_helpers import quotient_dim
 
 GEN11 = alphabet_from_spec("gen:1:1")
 
@@ -97,6 +101,18 @@ def test_quotient_reduce_kills_relations():
 
 def test_beaded_closure_divergence_is_reported():
     # with nontrivial beads and internal edges, rewiring recombines
-    # holonomies into ever longer products; this must fail loudly
-    with pytest.raises(ClosureDiverged):
+    # holonomies into ever longer products; this must fail loudly, saying
+    # how far the closure got
+    message = ("relation closure produced a bead longer than 128 letters after reaching"
+               " 265 keys, with 137 still waiting to be expanded")
+    with pytest.raises(ClosureDiverged) as caught:
         j_space(2, 2, GEN11)
+    assert str(caught.value) == message
+    # one line from the CLI, exit 2, the same text under two hash seeds
+    for seed in ("0", "4242"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "beadiag.cli", "dim-j", "--d", "2", "--m", "2",
+             "--alphabet", "gen:1:1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: %s\n" % message)

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 from beadiag.linalg import (
-    RelationOutsideSpan,
     echelonize,
-    quotient_dim,
     EchelonBasis,
     vaxpy,
     vec,
     vscale,
 )
+
+from reference_helpers import RelationOutsideSpan, quotient_dim
 
 
 def e(key, coeff=1):
