@@ -29,7 +29,7 @@ from collections import namedtuple
 from . import cache
 from . import catlie as cl
 from . import diagrams as dg
-from .jspaces import _grow, full_residue, ihx_relations
+from .jspaces import ClosureDiverged, _grow, full_residue, ihx_relations
 from .linalg import echelonize, vec
 from .words import IDENTITY, Word, inv_letters, mul_letters
 
@@ -350,7 +350,11 @@ def a_space(n, m, d, alphabet, class0=True) -> ASpace:
     def build():
         span = tuple(enumerate_arc_diagrams(m, d, alphabet, class0))
         rels = []
-        arc_closure(span, rels)
+        try:
+            arc_closure(span, rels)
+        except ClosureDiverged as exc:
+            raise ClosureDiverged("%sA_%d(%d, %d) over %s: %s" % (
+                "class-0 " if class0 else "", d, n, m, alphabet.label, exc)) from None
         return ASpace(m=m, d=d, alphabet=alphabet, class0=class0, span=span,
                       relations=echelonize(rels))
 
@@ -421,13 +425,10 @@ def _act_arc_key(gen, pos, key):
     return terms
 
 
-def gr_act(gen, pos, vector):
-    """Linear action of a Hopf generator at an arc position on a vector."""
-    return vec(
-        (k2, coeff * c)
-        for key, coeff in vector.items()
-        for k2, c in _act_arc_key(gen, pos, key)
-    )
+def gr_act(gen, pos, vector, act=_act_arc_key):
+    """Linear action of a Hopf generator at an arc position on a vector;
+    ``act`` is :func:`_act_arc_key` or a caller's memo of it."""
+    return vec((k2, coeff * c) for key, coeff in vector.items() for k2, c in act(gen, pos, key))
 
 
 def perm_arcs(sigma, vector):

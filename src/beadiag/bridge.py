@@ -22,7 +22,7 @@ from . import arcs as ar
 from . import catlie as cl
 from . import diagrams as dg
 from .jspaces import j_space
-from .linalg import EchelonBasis, echelonize, vaxpy
+from .linalg import EchelonBasis, echelonize, vaxpy, vec
 
 
 class FiberOrderedMap(namedtuple("FiberOrderedMap", "source target fibers")):
@@ -85,7 +85,10 @@ def coinvariant_dim(space, i, l) -> int:
     coinvariants under their stabilisers, Young subgroups, one partition of
     i into at most l parts per conjugacy class: the space modulo (1 - s)k,
     for k its free keys and s the adjacent leg swaps inside consecutive
-    blocks, largest first.  Raises ``ValueError`` if a swap leaves the span.
+    blocks.  Most of them say k = +-k' for free keys k, k': a signed
+    union-find merges those into classes, a class equal to its own negative
+    is zero, and only the others are projected onto the surviving classes
+    and eliminated.  Raises ``ValueError`` if a swap leaves the span.
     """
     if (l == 0 and i > 0) or space.dimension == 0:
         return 0
@@ -93,38 +96,46 @@ def coinvariant_dim(space, i, l) -> int:
     free = space.free_keys
     # unmemoised: each (key, swap) is asked once; the memo is for the bridge checks
     relabel = dg.relabel_key.__wrapped__
-    quotients = {(): ()}
 
     @functools.cache
-    def swap_relation(key, j):
-        """(1 - s)key in the space, for s swapping legs j and j + 1."""
+    def swapped(key, j):
+        """s key reduced to the free keys, for s swapping legs j and j + 1."""
         image, sign = relabel(key, (*range(1, j), j + 1, j, *range(j + 2, i + 1)))
         if image not in span:
             raise ValueError("a leg swap leaves the span of J_%d(%d)" % (space.d, i))
-        return vaxpy({key: 1}, -sign, space.reduce({image: 1}))
+        return space.reduce({image: sign})
 
-    def quotient(parts):
-        """Echelon bases of the swap relations, one per block of ``parts``
-        sizes, each grown from its block a leg shorter.  Swaps of different
-        blocks commute, so a block's act on the quotient by the blocks before
-        it: it moves only the keys free there, reduced by their bases."""
-        parts = tuple(p for p in parts if p > 1)  # one-leg blocks have no swaps
-        if parts not in quotients:
-            earlier = quotient(parts[:-1])
-            block = EchelonBasis()
-            if parts[-1] > 2:  # insert replaces rows, never changes them: share them
-                block.rows = dict(quotient(parts[:-1] + (parts[-1] - 1,))[-1].rows)
-            pivots = set().union(*(basis.rows for basis in earlier))
-            if len(pivots) + block.rank < len(free):
-                rels = [swap_relation(key, sum(parts) - 1) for key in free if key not in pivots]
-                for basis in earlier:
-                    rels = [basis.reduce(rel) for rel in rels]
-                for rel in sorted(rels, key=len):
-                    block.insert(rel)
-            quotients[parts] = earlier + (block,)
-        return quotients[parts]
+    def quotient_dim(parts):
+        # parent: key -> (k, s) with key = s * k, roots absent; zero: zero roots
+        parent, zero, longer = {}, set(), []
 
-    return sum(_orbit_count(parts, l) * (len(free) - sum(b.rank for b in quotient(parts)))
+        def find(key):
+            root, sign = key, 1
+            while root in parent:
+                root, s = parent[root]
+                sign *= s
+            if root != key:
+                parent[key] = (root, sign)
+            return root, sign
+
+        for p, end in zip(parts, itertools.accumulate(parts)):
+            for j, key in itertools.product(range(end - p + 1, end), free):
+                image = swapped(key, j)
+                [(other, c)] = image.items() if len(image) == 1 else [(None, 0)]
+                if c not in (1, -1):  # else key = c * other
+                    longer.append(vaxpy({key: 1}, -1, image))
+                    continue
+                (root, s), (root2, s2) = find(key), find(other)
+                if root != root2:
+                    parent[root] = (root2, s * c * s2)
+                if root in zero or (root == root2 and s != c * s2):
+                    zero.add(root2)
+        basis = EchelonBasis()
+        for rel in sorted(longer, key=len):
+            basis.insert(vec((r, s * c) for k, c in rel.items() for r, s in [find(k)] if r not in zero))
+        return len({find(k)[0] for k in free} - zero) - basis.rank
+
+    return sum(_orbit_count(parts, l) * quotient_dim(parts)
                for parts in cl._parts(i, i) if len(parts) <= l)
 
 

@@ -86,16 +86,16 @@ class Diagram:
         self._validate()
 
     @classmethod
-    def _trusted(cls, legs, tri, edges):
+    def _trusted(cls, legs, tri, edges, vert=None):
         """A diagram from parts already in normal form, without bead merging
         or validation: ``legs`` and ``tri`` as tuples of half-edge ids and of
-        triples, ``edges`` as a tuple of (tail, head, reduced letters).  Only
-        for rewrites that map valid diagrams to valid diagrams."""
+        triples, ``edges`` as a tuple of (tail, head, reduced letters), and
+        optionally ``vertex_of``'s map.  Only for valid-to-valid rewrites."""
         dia = object.__new__(cls)
         object.__setattr__(dia, "legs", legs)
         object.__setattr__(dia, "tri", tri)
         object.__setattr__(dia, "edges", edges)
-        object.__setattr__(dia, "_vert", None)
+        object.__setattr__(dia, "_vert", vert)
         return dia
 
     def __setattr__(self, name, value):
@@ -162,7 +162,7 @@ def gauge_at_vertex(diagram: Diagram, v: int, g) -> Diagram:
         if vert[head] == v:
             w = mul_letters(w, g)
         new_edges.append((tail, head, w))
-    return Diagram._trusted(diagram.legs, diagram.tri, tuple(new_edges))
+    return Diagram._trusted(diagram.legs, diagram.tri, tuple(new_edges), vert)
 
 
 def reverse_edge(diagram: Diagram, index: int) -> Diagram:
@@ -209,52 +209,47 @@ def _colour_classes(diagram: Diagram):
     Colours use only structure and leg labels (never beads or orientations),
     so gauge moves and edge reversals preserve them.  A vertex starts with
     the sorted codes of its incidences: leg y -> y, loop -> U, trivalent
-    neighbour -> U + 1.  A refinement round splits each class of two or
-    more vertices by the sorted colours of their trivalent neighbours, the
-    parts in that order, until no class splits or every class is a
-    singleton.  A colour is its class's position, so the classes come back
-    in a deterministic order, in which canonical numbering assigns ids
-    blockwise.
+    neighbour -> U + 1.  While some class has two or more vertices, a round
+    splits each such class by the sorted colours of their trivalent
+    neighbours, the parts in that order, keeping an unsplit class as it is,
+    until no class splits.  A colour is its class's position, so the
+    classes come back in a deterministic order, in which canonical
+    numbering assigns ids blockwise.
     """
     U, T = diagram.num_legs, diagram.num_tri
-    if T == 0:
-        return []
     vert = diagram.vertex_of()
-    incident = [[] for _ in range(T)]
-    neighbours = [[] for _ in range(T)]
+    incident = {v: [] for v in range(U, U + T)}
+    neighbours = {v: [] for v in range(U, U + T)}
     for tail, head, _ in diagram.edges:
-        a, b = vert[tail] - U, vert[head] - U
+        a, b = vert[tail], vert[head]
         if a == b:
             incident[a] += (U, U)
-        elif a >= 0 and b >= 0:
+        elif a >= U and b >= U:
             incident[a].append(U + 1)
             incident[b].append(U + 1)
             neighbours[a].append(b)
             neighbours[b].append(a)
-        elif a >= 0 or b >= 0:
-            incident[max(a, b)].append(min(a, b) + U)
+        elif a >= U or b >= U:
+            incident[max(a, b)].append(min(a, b))
     parts = {}
-    for j, inc in enumerate(incident):
-        parts.setdefault(tuple(sorted(inc)), []).append(j)
+    for v, inc in incident.items():
+        parts.setdefault(tuple(sorted(inc)), []).append(v)
     classes = [parts[s] for s in sorted(parts)]
-    colour = [0] * T
+    colour = {}
     while len(classes) < T:
         for c, cls in enumerate(classes):
-            for j in cls:
-                colour[j] = c
+            for v in cls:
+                colour[v] = c
         split = []
         for cls in classes:
-            if len(cls) == 1:
-                split.append(cls)
-                continue
             parts = {}
-            for j in cls:
-                parts.setdefault(tuple(sorted([colour[x] for x in neighbours[j]])), []).append(j)
-            split += [parts[s] for s in sorted(parts)]
+            for v in cls if len(cls) > 1 else ():
+                parts.setdefault(tuple(sorted([colour[x] for x in neighbours[v]])), []).append(v)
+            split += [parts[s] for s in sorted(parts)] if len(parts) > 1 else [cls]
         if len(split) == len(classes):
             break
         classes = split
-    return [[U + j for j in cls] for cls in classes]
+    return classes
 
 
 def _tree_steps(U, cmap, adjacency):
@@ -353,8 +348,12 @@ def _canonical_form(diagram: Diagram):
     best = order = None
     signs = set()
     cmap = list(range(U + T))
-    for perms in itertools.product(*map(itertools.permutations, _colour_classes(diagram))):
-        for new_id, v in enumerate(itertools.chain.from_iterable(perms), U):
+    classes = _colour_classes(diagram)
+    numberings = ([[v for v, in classes]] if len(classes) == T  # all singletons: one numbering
+                  else map(itertools.chain.from_iterable,
+                           itertools.product(*map(itertools.permutations, classes))))
+    for numbering in numberings:
+        for new_id, v in enumerate(numbering, U):
             cmap[v] = new_id
         for gamma in _gauges(_tree_steps(U, cmap, adjacency), base) if beaded else ({},):
             entries = []
@@ -368,12 +367,12 @@ def _canonical_form(diagram: Diagram):
                         w = mul_letters(w, g)
                 cu, cv = cmap[tv], cmap[hv]
                 if cu > cv:
-                    cu, cv, th, hh, w = cv, cu, hh, th, inv_letters(w)
+                    cu, cv, th, hh, w = cv, cu, hh, th, w and inv_letters(w)
                 elif cu == cv:
                     wi = inv_letters(w)
                     if wi < w:
                         th, hh, w = hh, th, wi
-                entries.append((cu, cv, len(w), w, ei, th, hh))
+                entries.append((cu, cv, len(w) if w else 0, w, ei, th, hh))
             entries.sort()
             cert = (U, T, tuple([(cu, cv, w) for cu, cv, _n, w, _ei, _th, _hh in entries]))
             if best is not None and cert > best:
@@ -413,16 +412,17 @@ def rebuild(key) -> Diagram:
     legs = [None] * U
     triples = {U + j: [] for j in range(T)}
     edges = []
+    vert = {}
     for i, (u, v, w) in enumerate(entries):
-        th, hh = 2 * i, 2 * i + 1
-        edges.append((th, hh, w))
-        for vertex, h in ((u, th), (v, hh)):
-            if vertex < U:
-                legs[vertex] = h
-            else:
-                triples[vertex].append(h)
+        edges.append((2 * i, 2 * i + 1, w))
+        vert[2 * i], vert[2 * i + 1] = u, v
+    for h, vertex in vert.items():
+        if vertex < U:
+            legs[vertex] = h
+        else:
+            triples[vertex].append(h)
     return Diagram._trusted(
-        tuple(legs), tuple(tuple(triples[U + j]) for j in range(T)), tuple(edges))
+        tuple(legs), tuple(tuple(triples[U + j]) for j in range(T)), tuple(edges), vert)
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -438,7 +438,8 @@ def relabel_key(key, order):
     if sorted(order) != list(range(1, dia.num_legs + 1)):
         raise DiagramError("leg order must be a permutation of 1..%d" % dia.num_legs)
     legs = tuple(dia.legs[old - 1] for old in order)
-    return canonicalize(Diagram._trusted(legs, dia.tri, dia.edges))
+    vert = {**dia.vertex_of(), **{h: i for i, h in enumerate(legs)}}
+    return canonicalize(Diagram._trusted(legs, dia.tri, dia.edges, vert))
 
 
 def key_num_legs(key):
@@ -540,7 +541,8 @@ def ihx_at_edge(diagram: Diagram, index: int):
         t2 = list(triples)
         t2[u - U] = (tail, u_pair[0], u_pair[1])
         t2[v - U] = (head, v_pair[0], v_pair[1])
-        return Diagram._trusted(diagram.legs, tuple(t2), diagram.edges)
+        moved = {u_pair[0]: u, u_pair[1]: u, v_pair[0]: v, v_pair[1]: v}
+        return Diagram._trusted(diagram.legs, tuple(t2), diagram.edges, {**vert, **moved})
 
     return [
         (1, diagram),
@@ -673,11 +675,8 @@ def enumerate_diagrams(d: int, m: int, alphabet):
         choices = [loop_letters if vert[t] == vert[h] else letters
                    for t, h, _ in skeleton.edges]
         for beads in itertools.product(*choices):
-            dia = Diagram._trusted(
-                skeleton.legs,
-                skeleton.tri,
-                tuple((t, h, w) for (t, h, _), w in zip(skeleton.edges, beads)),
-            )
+            dia = Diagram._trusted(skeleton.legs, skeleton.tri, tuple(
+                (t, h, w) for (t, h, _), w in zip(skeleton.edges, beads)), vert)
             key, _sign = canonicalize(dia)
             if key is ZERO:
                 continue

@@ -48,12 +48,17 @@ def ihx_relations(key, done=None):
     key entry the rewired edge becomes.  With a set ``done``, those (key,
     entry) pairs are added to it, and the edges of ``key`` found in it are
     skipped: such an edge carries the IHX instance of an earlier relation,
-    so its relation is the same up to sign.
+    so its relation is the same up to sign.  An edge whose ends a second
+    edge also joins, both bead-free, is skipped: H or X has a bead-free
+    loop, zero by AS, and the other is -I, so the relation is 0.
     """
     dia = dg.rebuild(key)
+    entries = key[2]
     out = []
     for index in dg.internal_edges(dia):
         if done is not None and (key, index) in done:
+            continue
+        if not entries[index][2] and entries.count(entries[index]) > 1:
             continue
         pairs = [(key, 1)]
         for coeff, term in dg.ihx_at_edge(dia, index)[1:]:
@@ -174,7 +179,10 @@ def j_space(d: int, m: int, alphabet) -> JSpace:
 
     def build():
         rels = []
-        span = closure(dg.enumerate_diagrams(d, m, alphabet), rels)
+        try:
+            span = closure(dg.enumerate_diagrams(d, m, alphabet), rels)
+        except ClosureDiverged as exc:
+            raise ClosureDiverged("J_%d(%d) over %s: %s" % (d, m, alphabet.label, exc)) from None
         return JSpace(d=d, m=m, alphabet=alphabet, span=span, relations=echelonize(rels))
 
     return cache.space("jspace", (d, m, alphabet.rank, alphabet.elements), JSpace, build)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from beadiag import arcs as ar
 from beadiag import diagrams as dg
+from beadiag import laws
 from beadiag.laws import check_gr_laws, check_hopf_antipode
 from beadiag.words import IDENTITY, TRIVIAL_ALPHABET, Word, alphabet_from_spec
 
@@ -174,6 +176,34 @@ def test_gr_laws_suites():
     assert check_gr_laws(2, TRIVIAL_ALPHABET, 2)["pass"]
     assert check_gr_laws(1, GEN11, 2)["pass"]
     assert check_hopf_antipode(2, TRIVIAL_ALPHABET, 3)["pass"]
+
+
+def _gr_laws_reports(monkeypatch, memo):
+    """check_gr_laws(2, trivial, m) for m <= 3, with the number of
+    ``_act_arc_key`` computations; ``memo`` stands in for functools.cache."""
+    calls = 0
+    act = ar._act_arc_key
+
+    def counted(gen, pos, key):
+        nonlocal calls
+        calls += 1
+        return act(gen, pos, key)
+
+    monkeypatch.setattr(ar, "_act_arc_key", counted)
+    monkeypatch.setattr(laws.functools, "cache", memo)
+    reports = [check_gr_laws(2, TRIVIAL_ALPHABET, m) for m in range(4)]
+    monkeypatch.undo()
+    return reports, calls
+
+
+def test_gr_laws_take_each_generator_image_once_per_call(monkeypatch):
+    # the same reports as acting afresh at every gr_act call, with one
+    # computation per distinct (generator, position, key) of each call
+    reports, calls = _gr_laws_reports(monkeypatch, functools.cache)
+    fresh_reports, fresh_calls = _gr_laws_reports(monkeypatch, lambda f: f)
+    assert reports == fresh_reports
+    assert all(report["pass"] for report in reports)
+    assert calls <= 4987 < fresh_calls == 11873
 
 
 def multilinear_sym2_dim(k):

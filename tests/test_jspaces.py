@@ -102,9 +102,9 @@ def test_quotient_reduce_kills_relations():
 def test_beaded_closure_divergence_is_reported():
     # with nontrivial beads and internal edges, rewiring recombines
     # holonomies into ever longer products; this must fail loudly, saying
-    # how far the closure got
-    message = ("relation closure produced a bead longer than 128 letters after reaching"
-               " 265 keys, with 137 still waiting to be expanded")
+    # which space diverged and how far the closure got
+    message = ("J_2(2) over gen:1:1: relation closure produced a bead longer than 128 letters"
+               " after reaching 265 keys, with 137 still waiting to be expanded")
     with pytest.raises(ClosureDiverged) as caught:
         j_space(2, 2, GEN11)
     assert str(caught.value) == message
