@@ -31,7 +31,7 @@ from . import catlie as cl
 from . import diagrams as dg
 from .jspaces import ClosureDiverged, _grow, full_residue, ihx_relations
 from .linalg import echelonize, vec
-from .words import IDENTITY, Word, inv_letters, mul_letters
+from .words import IDENTITY, inv_letters, mul_letters
 
 ZERO = dg.ZERO
 
@@ -136,25 +136,8 @@ def arc_key_m(key):
     return key[0]
 
 
-def arc_key_counts(key):
-    return key[2]
-
-
 def arc_key_trivalents(key):
     return key[3][1]
-
-
-def arc_key_degree(key):
-    return (key[3][0] + key[3][1]) // 2
-
-
-def arc_key_is_class0(key):
-    return all(not b for b in key[1])
-
-
-def homotopy_class(key):
-    """The tuple of arc holonomies (one Word per arc)."""
-    return tuple(Word(b) for b in key[1])
 
 
 def _leg_blocks(counts):
@@ -445,16 +428,6 @@ def perm_arcs(sigma, vector):
             [l for o in olds for l in blocks[o]], {})
         pairs.append((k2, coeff * sign))
     return vec(pairs)
-
-
-def epsilon_embed(vector, n):
-    """Reinterpret beads of F_n inside F_{n+1}; injective on canonical keys."""
-    for key in vector:
-        for w in dg.key_beads(key[3]) + list(key[1]):
-            for idx, _sign in w:
-                if idx > n:
-                    raise ValueError("bead uses generator x%d beyond rank %d" % (idx, n))
-    return dict(vector)
 
 
 # ---------------------------------------------------------------------------

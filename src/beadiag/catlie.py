@@ -44,22 +44,28 @@ def glue_pair_key(key, a, b):
     return canonical_vector([(1, dg.glue_pair(dg.rebuild(key), a, b))])
 
 
+def _check_arity(vector, arity):
+    if any(dg.key_num_legs(key) != arity for key in vector):
+        raise ValueError("vector not supported in arity %d" % arity)
+
+
 def mu_action(i: int, vector, arity: int):
     """The gluing generator mu_i from arity ``arity`` down to ``arity - 1``."""
     if not (1 <= i <= arity - 1):
         raise ValueError("mu_%d undefined at arity %d" % (i, arity))
-    if any(dg.key_num_legs(key) != arity for key in vector):
-        raise ValueError("vector not supported in arity %d" % arity)
+    _check_arity(vector, arity)
     return canonical_vector(
         (coeff, dg.glue_pair(dg.rebuild(key), i, arity)) for key, coeff in vector.items()
     )
 
 
 def mu_sum(vector, arity: int):
-    """Sum of mu_i over i = 1..arity-1 (the outer-property transformation)."""
-    return vec(
-        pair for i in range(1, arity) for pair in mu_action(i, vector, arity).items()
-    )
+    """Sum of mu_i over i = 1..arity-1 (the outer-property transformation),
+    rebuilding each key once."""
+    _check_arity(vector, arity)
+    rebuilt = [(coeff, dg.rebuild(key)) for key, coeff in vector.items()]
+    return canonical_vector((coeff, dg.glue_pair(dia, i, arity))
+                            for i in range(1, arity) for coeff, dia in rebuilt)
 
 
 def mu_transform(d: int, k: int, alphabet) -> dict:
@@ -96,14 +102,6 @@ def outer_quotient(d: int, k: int, alphabet) -> int:
     """Dimension of the cokernel of the mu transform at arity k."""
     target = j_space(d, k, alphabet)
     return target.dimension - echelonize(mu_transform(d, k, alphabet).values()).rank
-
-
-def truncate(d: int, l: int, alphabet) -> dict:
-    """Dimensions of the truncation at level l: J_d(k) for k <= l, else 0."""
-    return {
-        k: (j_space(d, k, alphabet).dimension if k <= l else 0)
-        for k in range(0, 2 * d + 1)
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -173,17 +173,6 @@ def reverse_edge(diagram: Diagram, index: int) -> Diagram:
     return Diagram._trusted(diagram.legs, diagram.tri, tuple(edges))
 
 
-def relabel_legs(diagram: Diagram, new_label_of) -> Diagram:
-    """Permute leg labels; ``new_label_of[old]`` is the new 1-based label."""
-    labels = list(range(1, diagram.num_legs + 1))
-    if sorted(new_label_of) != labels or sorted(new_label_of.values()) != labels:
-        raise DiagramError("new leg labels must be a bijection onto 1..%d" % len(labels))
-    legs = [None] * len(labels)
-    for old0, h in enumerate(diagram.legs):
-        legs[new_label_of[old0 + 1] - 1] = h
-    return Diagram._trusted(tuple(legs), diagram.tri, diagram.edges)
-
-
 def _components(num_vertices, edge_vertex_pairs):
     parent = list(range(num_vertices))
 
@@ -427,9 +416,9 @@ def rebuild(key) -> Diagram:
 
 @functools.lru_cache(maxsize=1 << 16)
 def relabel_key(key, order):
-    """(key, sign) of a canonical key whose leg ``order[i]`` becomes leg i + 1:
-    ``canonicalize(relabel_legs(rebuild(key), sigma))`` with
-    ``sigma[order[i]] = i + 1``, for a tuple ``order``.
+    """(key, sign) of a canonical key whose leg ``order[i]`` becomes leg i + 1,
+    for a tuple ``order``: the canonical form of ``rebuild(key)`` with its
+    legs relabelled.
 
     Pure, so memoised for the life of the process; the bound holds the
     12,246 distinct relabellings of ``verify_bridge(3, trivial, 1)``.
@@ -444,14 +433,6 @@ def relabel_key(key, order):
 
 def key_num_legs(key):
     return key[0]
-
-
-def key_num_tri(key):
-    return key[1]
-
-
-def key_degree(key):
-    return (key[0] + key[1]) // 2
 
 
 def key_beads(key):

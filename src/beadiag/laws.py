@@ -1,8 +1,7 @@
-"""Functor-law verification suites for the arc operations and the gluing
-module structure.
+"""Functor-law verification suites for the arc operations.
 
-These pin the sign conventions: the antipode's (-1)^#legs and the cyclic
-order at glued vertices are certified here rather than assumed.
+These pin the sign conventions: the antipode's (-1)^#legs is certified here
+rather than assumed.
 """
 
 from __future__ import annotations
@@ -10,9 +9,7 @@ from __future__ import annotations
 import functools
 
 from . import arcs as ar
-from . import catlie as cl
-from .jspaces import j_space, vector_is_zero_in_full_space
-from .linalg import vaxpy, vec
+from .linalg import vaxpy
 
 
 def _antipode_axiom_holds(v, doubled, j, d, alphabet, act=ar._act_arc_key):
@@ -82,60 +79,6 @@ def check_hopf_antipode(d, alphabet, m):
         "alphabet": alphabet.label,
         "m": m,
         "span": len(space.span),
-        "failures": failures,
-        "pass": not failures,
-    }
-
-
-def check_jacobi(d, alphabet, arity):
-    """The bracket identity for the gluing action: the three iterated
-    gluings of legs (1,2,3) sum to zero in the quotient, for every basis
-    diagram at the given arity (needs arity >= 3)."""
-    if arity < 3:
-        raise ValueError("need arity >= 3")
-    space = j_space(d, arity, alphabet)
-    failures = []
-    def bracket(v, a, b):
-        return vec(
-            (k2, coeff * c)
-            for kk, coeff in v.items()
-            for k2, c in cl.glue_pair_key(kk, a, b).items()
-        )
-
-    for key in space.free_keys:
-        v = {key: 1}
-        # [[1,2],3] + [[2,3],1] + [[3,1],2]
-        t1 = bracket(bracket(v, 1, 2), 1, 2)
-        t2 = bracket(bracket(v, 2, 3), 2, 1)
-        t3 = bracket(bracket(v, 3, 1), 1, 2)
-        total = vec(pair for t in (t1, t2, t3) for pair in t.items())
-        if not vector_is_zero_in_full_space(total):
-            failures.append(key)
-    return {
-        "d": d,
-        "alphabet": alphabet.label,
-        "arity": arity,
-        "basis": len(space.free_keys),
-        "failures": failures,
-        "pass": not failures,
-    }
-
-
-def check_mu_well_defined(d, alphabet, arity):
-    """The gluing action kills IHX relation vectors (well-definedness on the
-    quotient)."""
-    space = j_space(d, arity, alphabet)
-    failures = []
-    # the echelon rows span the IHX relations, and gluing is linear
-    for key, rel in space.relations.rows.items():
-        for i in range(1, arity):
-            img = cl.mu_action(i, rel, arity)
-            if not vector_is_zero_in_full_space(img):
-                failures.append((key, i))
-    return {
-        "d": d,
-        "alphabet": alphabet.label,
-        "arity": arity,
         "failures": failures,
         "pass": not failures,
     }

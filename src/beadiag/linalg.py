@@ -3,7 +3,8 @@
 Vectors are plain dicts mapping basis keys to nonzero exact rationals:
 ``int`` or ``Fraction``, never ``float``.  Arithmetic keeps ``int``
 coefficients ``int``; a ``Fraction`` appears only where one goes in or where
-an echelon row is normalised, so echelon rows hold ``Fraction`` values.
+normalising an echelon row divides inexactly, so rows built from ``int``
+vectors whose pivots are +-1 stay ``int``.
 Keys may be any mutually comparable hashable values; within one computation
 all keys come from a single universe (canonical diagram keys, abstract
 indices, ...).  Echelon bases are kept fully inter-reduced with pivot
@@ -98,7 +99,10 @@ class EchelonBasis:
         if not r:
             return False
         pivot = min(r)
-        r = vscale(r, Fraction(1) / r[pivot])
+        p = r[pivot]
+        # exact quotients stay int (most pivots are +-1), the others Fraction
+        r = {key: c // p if type(c) is int and type(p) is int and not c % p else Fraction(c) / p
+             for key, c in r.items()}
         for key, row in list(self.rows.items()):
             c = row.get(pivot)
             if c:

@@ -11,7 +11,15 @@ from beadiag.laws import check_gr_laws, check_hopf_antipode
 from beadiag.words import IDENTITY, TRIVIAL_ALPHABET, Word, alphabet_from_spec
 
 from move_fuzzer import random_arc_moves
-from reference_helpers import homotopy_class_raw, rebuild_arc
+from reference_helpers import (
+    arc_key_counts,
+    arc_key_degree,
+    arc_key_is_class0,
+    epsilon_embed,
+    homotopy_class,
+    homotopy_class_raw,
+    rebuild_arc,
+)
 
 GEN11 = alphabet_from_spec("gen:1:1")
 
@@ -35,7 +43,7 @@ def test_arc_canonicalize_pushes_beads_to_start():
     assert m == 1 and counts == (2,)
     assert beads == (IDENTITY,)  # w * x = 1: class 0
     # same class as sliding the beads off by hand
-    assert ar.homotopy_class(key) == (Word(),)
+    assert homotopy_class(key) == (Word(),)
 
 
 def test_bead_one_removed_and_bare_arc():
@@ -52,11 +60,11 @@ def test_homotopy_class_examples():
     arcs = [[("bead", w.letters), ("leg", 1), ("bead", x.letters), ("leg", 2)]]
     assert homotopy_class_raw(arcs) == (Word.parse("x1^2"),)
     key, _ = ar.arc_canonicalize(arcs, dashed)
-    assert ar.homotopy_class(key) == (Word.parse("x1^2"),)
+    assert homotopy_class(key) == (Word.parse("x1^2"),)
     # class-0 canonical forms carry no arc beads
     arcs0 = [[("bead", w.letters), ("leg", 1), ("bead", w.inverse().letters), ("leg", 2)]]
     key0, _ = ar.arc_canonicalize(arcs0, dashed)
-    assert ar.arc_key_is_class0(key0)
+    assert arc_key_is_class0(key0)
 
 
 def test_arc_move_fuzzer_canonical_and_class_invariance():
@@ -66,7 +74,7 @@ def test_arc_move_fuzzer_canonical_and_class_invariance():
     for _ in range(250):
         key = rng.choice(seeds)
         arcs, dashed = rebuild_arc(key)
-        expected_class = ar.homotopy_class(key)
+        expected_class = homotopy_class(key)
         arcs2, dashed2, sign = random_arc_moves(rng, arcs, dashed, GEN11, moves=8)
         key2, s2 = ar.arc_canonicalize(arcs2, dashed2)
         assert key2 == key
@@ -84,7 +92,7 @@ def test_stu_relation_shape():
     (rel,) = rels
     tri_counts = sorted(ar.arc_key_trivalents(k) for k in rel)
     assert tri_counts == [0, 0, 1]  # T, U and the glued tripod term
-    classes = {ar.homotopy_class(k) for k in rel}
+    classes = {homotopy_class(k) for k in rel}
     assert len(classes) == 1  # STU preserves the homotopy class
 
 
@@ -144,7 +152,7 @@ def test_gr_act_examples():
     assert len(up) == 1 and next(iter(up))[0] == m + 1
     assert ar.gr_act("eps", 1, up) == v
     # delta on an arc with k legs: 2^k terms (counted with multiplicity)
-    both_on_one = next(k for k in space.span if ar.arc_key_counts(k) == (2, 0))
+    both_on_one = next(k for k in space.span if arc_key_counts(k) == (2, 0))
     doubled = ar.gr_act("delta", 1, unit(both_on_one))
     assert sum(abs(c) for c in doubled.values()) == 4
     # eps kills arcs carrying a leg
@@ -157,7 +165,7 @@ def test_gr_act_degree_and_trivalent_monotone():
         for gen, pos in (("delta", 1), ("mu", 1), ("antipode", 2), ("eta", 2)):
             out = ar.gr_act(gen, pos, unit(key))
             for k2 in out:
-                assert ar.arc_key_degree(k2) == ar.arc_key_degree(key)
+                assert arc_key_degree(k2) == arc_key_degree(key)
                 assert ar.arc_key_trivalents(k2) >= ar.arc_key_trivalents(key)
 
 
@@ -166,7 +174,7 @@ def test_gr_act_preserves_class_zero():
     for key in space.span:
         for gen, pos in (("delta", 1), ("antipode", 1), ("mu", 1), ("eta", 1)):
             for k2 in ar.gr_act(gen, pos, unit(key)):
-                assert ar.arc_key_is_class0(k2)
+                assert arc_key_is_class0(k2)
 
 
 def test_gr_laws_suites():
@@ -232,10 +240,10 @@ def test_epsilon_embed():
     space1 = ar.a_space(1, 2, 1, GEN11)
     space2 = ar.a_space(2, 2, 1, gen21)
     for key in space1.span:
-        assert ar.epsilon_embed(unit(key), 1) == unit(key)
+        assert epsilon_embed(unit(key), 1) == unit(key)
     assert space1.dim(0) <= space2.dim(0)
     with pytest.raises(ValueError):
-        ar.epsilon_embed(unit(space1.span[-1]), 0)
+        epsilon_embed(unit(space1.span[-1]), 0)
 
 
 def test_nonpoly_witness():
@@ -267,15 +275,15 @@ def test_cross_effect_vanishes_above_twice_degree():
 def test_gr_act_composes_homotopy_classes():
     space = ar.a_space(1, 2, 1, GEN11, class0=False)
     for key in list(space.span)[:12]:
-        w1, w2 = ar.homotopy_class(key)
+        w1, w2 = homotopy_class(key)
         for k2 in ar.gr_act("mu", 1, unit(key)):
-            assert ar.homotopy_class(k2) == (w1 * w2,)
+            assert homotopy_class(k2) == (w1 * w2,)
         for k2 in ar.gr_act("antipode", 1, unit(key)):
-            assert ar.homotopy_class(k2) == (w1.inverse(), w2)
+            assert homotopy_class(k2) == (w1.inverse(), w2)
         for k2 in ar.gr_act("delta", 2, unit(key)):
-            assert ar.homotopy_class(k2) == (w1, w2, w2)
+            assert homotopy_class(k2) == (w1, w2, w2)
         for k2 in ar.gr_act("eta", 2, unit(key)):
-            assert ar.homotopy_class(k2) == (w1, Word(), w2)
+            assert homotopy_class(k2) == (w1, Word(), w2)
 
 
 def test_epsilon_embed_commutes_with_gr_act():
@@ -283,6 +291,6 @@ def test_epsilon_embed_commutes_with_gr_act():
     for key in space.span:
         v = unit(key)
         for gen, pos in (("delta", 1), ("mu", 1), ("antipode", 2)):
-            lhs = ar.epsilon_embed(ar.gr_act(gen, pos, v), 1)
-            rhs = ar.gr_act(gen, pos, ar.epsilon_embed(v, 1))
+            lhs = epsilon_embed(ar.gr_act(gen, pos, v), 1)
+            rhs = ar.gr_act(gen, pos, epsilon_embed(v, 1))
             assert lhs == rhs

@@ -13,11 +13,12 @@ from beadiag.catlie import (
     outer_check,
     outer_quotient,
     perm_action,
-    truncate,
 )
 from beadiag.jspaces import j_space, vector_is_zero_in_full_space
-from beadiag.laws import check_jacobi, check_mu_well_defined
+from beadiag.linalg import vec
 from beadiag.words import TRIVIAL_ALPHABET, Word, alphabet_from_spec
+
+from reference_helpers import check_jacobi, check_mu_well_defined, key_num_tri, truncate
 
 GEN11 = alphabet_from_spec("gen:1:1")
 
@@ -58,7 +59,7 @@ def test_mu_on_beaded_strut_is_beaded_tadpole():
     img = mu_action(1, {key: Fraction(sign)}, 2)
     assert len(img) == 1
     ((tkey, coeff),) = img.items()
-    assert dg.key_num_legs(tkey) == 1 and dg.key_num_tri(tkey) == 1
+    assert dg.key_num_legs(tkey) == 1 and key_num_tri(tkey) == 1
     # the class with bead w equals minus the class with bead w^-1
     dinv = dg.Diagram(
         [0], [(1, 2, 3)], [(0, 1, ()), (2, 3, (Word.parse("x1^-1"),))]
@@ -97,6 +98,21 @@ def test_outer_check_d2_beaded_witness():
     key, sign = dg.canonicalize(dia)
     img = mu_sum({key: Fraction(sign)}, 4)
     assert not vector_is_zero_in_full_space(img)
+
+
+def test_mu_sum_rebuilds_each_key_once(monkeypatch):
+    # the source keys of outer_check(3) and outer_check(4); summing mu_action
+    # over the gluing positions made 2,075 rebuild calls for these 370 keys
+    keys = [(key, k + 1) for d in (3, 4) for k in range(2 * d)
+            for key in j_space(d, k + 1, TRIVIAL_ALPHABET).free_keys]
+    expected = [vec(p for i in range(1, arity) for p in mu_action(i, unit(key), arity).items())
+                for key, arity in keys]
+    rebuilt = []
+    rebuild = dg.rebuild
+    monkeypatch.setattr(dg, "rebuild", lambda key: rebuilt.append(key) or rebuild(key))
+    assert [mu_sum(unit(key), arity) for key, arity in keys] == expected
+    assert rebuilt == [key for key, _arity in keys]
+    assert len(keys) == 370
 
 
 def test_outer_quotient_examples():

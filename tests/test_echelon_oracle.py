@@ -3,11 +3,11 @@
 ``oracle_vscale`` to ``oracle_quotient_dim`` below are the earlier
 ``linalg`` functions, kept verbatim as the oracle: every coefficient becomes
 a ``Fraction`` on the way in, and ``echelonize`` inserts the vectors in the
-order given.  The library keeps ``int`` coefficients until a pivot is
-normalised and inserts the shortest vectors first.  The reduced echelon form
-with smallest-key pivots is unique, so the rows must be equal as dicts, with
-``Fraction`` coefficients, on every space the tests build and on random
-systems in any input order.
+order given.  The library keeps ``int`` coefficients wherever a pivot
+divides them exactly and inserts the shortest vectors first.  The reduced
+echelon form with smallest-key pivots is unique, so the rows must be equal as
+dicts, with ``int`` or ``Fraction`` coefficients, on every space the tests
+build and on random systems in any input order.
 """
 
 import random
@@ -109,7 +109,7 @@ def assert_same_elimination(keys, rels):
     expected = oracle_echelonize(rels).rows
     assert rows == expected
     assert set(rows) == set(expected)
-    assert all(type(c) is Fraction for row in rows.values() for c in row.values())
+    assert all(type(c) in (int, Fraction) for row in rows.values() for c in row.values())
     units = [{key: 1} for key in keys]
     assert quotient_dim(units, rels) == oracle_quotient_dim(units, rels) == len(keys) - len(rows)
     return rows

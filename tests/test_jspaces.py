@@ -15,7 +15,7 @@ from beadiag.jspaces import (
 )
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
 
-from reference_helpers import quotient_dim
+from reference_helpers import key_degree, quotient_dim
 
 GEN11 = alphabet_from_spec("gen:1:1")
 
@@ -38,7 +38,7 @@ def test_ihx_of_h_shape():
     (rel,) = rels
     # three terms: the H/I/X wirings of the four strands
     assert len(rel) == 3
-    assert all(dg.key_degree(k) == 3 and dg.key_num_legs(k) == 4 for k in rel)
+    assert all(key_degree(k) == 3 and dg.key_num_legs(k) == 4 for k in rel)
     assert sorted(abs(c) for c in rel.values()) == [1, 1, 1]
     # the relation itself is zero in the quotient
     assert vector_is_zero_in_full_space(rel)

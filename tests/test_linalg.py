@@ -150,15 +150,22 @@ def test_vector_arithmetic_never_makes_floats():
             assert coeff_types(*results) <= {int, Fraction}
 
 
-def test_echelon_rows_are_fractions_with_unit_pivots_even_from_ints():
+def test_echelon_rows_are_exact_with_unit_pivots_and_int_over_unit_pivots():
     rng = random.Random(29)
     for _ in range(10):
         basis = EchelonBasis()
         for _ in range(4):
             basis.insert(random_int_vec(rng))
         for pivot, row in basis.rows.items():
-            assert type(row[pivot]) is Fraction and row[pivot] == 1
-            assert coeff_types(row) == {Fraction}
+            assert row[pivot] == 1
+            assert coeff_types(row) <= {int, Fraction}
+    # int vectors whose pivots come out +-1 give all-int rows, equal to the
+    # rows of the same vectors with Fraction coefficients
+    vectors = [{1: 1, 2: 2, 3: 3}, {2: -1, 3: 4}, {3: 1, 4: 7}]
+    rows = echelonize(vectors).rows
+    assert rows == {1: {1: 1, 4: -77}, 2: {2: 1, 4: 28}, 3: {3: 1, 4: 7}}
+    assert coeff_types(*rows.values()) == {int}
+    assert rows == echelonize([{k: Fraction(c) for k, c in v.items()} for v in vectors]).rows
 
 
 def test_a_copied_basis_grows_apart_from_the_original():
