@@ -23,7 +23,7 @@ from . import arcs as ar
 from . import catlie as cl
 from . import diagrams as dg
 from .jspaces import j_space
-from .linalg import EchelonBasis, echelonize, vaxpy, vec, vscale
+from .linalg import echelonize, vaxpy, vscale
 
 
 class FiberOrderedMap(namedtuple("FiberOrderedMap", "source target fibers")):
@@ -86,10 +86,9 @@ def coinvariant_dim(space, i, l) -> int:
     coinvariants under their stabilisers, Young subgroups, one partition of
     i into at most l parts per conjugacy class: the space modulo (1 - s)k,
     for k its free keys and s the adjacent leg swaps inside consecutive
-    blocks.  Most of them say k = +-k' for free keys k, k': a signed
-    union-find merges those into classes, a class equal to its own negative
-    is zero, and only the others are projected onto the surviving classes
-    and eliminated.  Raises ``ValueError`` if a swap leaves the span.
+    blocks, of dimension ``len(free) - echelonize(relations).rank``.  Most of
+    these relations have one or two terms, which ``echelonize`` merges
+    without elimination.  Raises ``ValueError`` if a swap leaves the span.
     """
     if (l == 0 and i > 0) or space.dimension == 0:
         return 0
@@ -107,34 +106,10 @@ def coinvariant_dim(space, i, l) -> int:
         return space.reduce({image: sign})
 
     def quotient_dim(parts):
-        # parent: key -> (k, s) with key = s * k, roots absent; zero: zero roots
-        parent, zero, longer = {}, set(), []
-
-        def find(key):
-            root, sign = key, 1
-            while root in parent:
-                root, s = parent[root]
-                sign *= s
-            if root != key:
-                parent[key] = (root, sign)
-            return root, sign
-
-        for p, end in zip(parts, itertools.accumulate(parts)):
-            for j, key in itertools.product(range(end - p + 1, end), free):
-                image = swapped(key, j)
-                [(other, c)] = image.items() if len(image) == 1 else [(None, 0)]
-                if c not in (1, -1):  # else key = c * other
-                    longer.append(vaxpy({key: 1}, -1, image))
-                    continue
-                (root, s), (root2, s2) = find(key), find(other)
-                if root != root2:
-                    parent[root] = (root2, s * c * s2)
-                if root in zero or (root == root2 and s != c * s2):
-                    zero.add(root2)
-        basis = EchelonBasis()
-        for rel in sorted(longer, key=len):
-            basis.insert(vec((r, s * c) for k, c in rel.items() for r, s in [find(k)] if r not in zero))
-        return len({find(k)[0] for k in free} - zero) - basis.rank
+        relations = (vaxpy({key: 1}, -1, swapped(key, j))
+                     for p, end in zip(parts, itertools.accumulate(parts))
+                     for j, key in itertools.product(range(end - p + 1, end), free))
+        return len(free) - echelonize(relations).rank
 
     return sum(_orbit_count(parts, l) * quotient_dim(parts)
                for parts in cl._parts(i, i) if len(parts) <= l)
@@ -234,16 +209,16 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     spaces = {c: j_space(d, c, alphabet) for c in range(0, 2 * d + 1)}
     foms = {c: cat_ass_basis(c, l) for c in spaces}
 
-    # (a) IHX relations die after gluing; the echelon rows span them all.
-    # One sample per arity, and none after the first failure.
+    # (a) IHX relations die after gluing; the echelon rows span them all, in
+    # key order.  One sample per arity, and none after the first failure.
     def ihx_counterexample(c, r, fom):
         if not vanishes(glue_vector(fom, r)):
             # reported with Fraction coefficients, whichever exact type a row holds
             return (c, fom.fibers, {k: Fraction(v) for k, v in r.items()})
 
     for c, space in spaces.items():
-        bad = first_failure([(c, r, f) for r in space.relations.rows.values() for f in foms[c]],
-                            ihx_counterexample)
+        rows = [dict(sorted(r.items())) for _, r in sorted(space.relations.rows.items())]
+        bad = first_failure([(c, r, f) for r in rows for f in foms[c]], ihx_counterexample)
         if bad:
             break
     record("ihx_image_vanishes", bad is None, bad)

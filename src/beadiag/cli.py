@@ -5,6 +5,7 @@ optional on-disk cache of computed spaces."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -127,11 +128,11 @@ def cmd_enumerate(args, fmt):
 
 
 def cmd_canonical(args, fmt):
-    if args.file:
-        with open(args.file) as fh:
+    try:
+        with open(args.file) if args.file else contextlib.nullcontext(sys.stdin) as fh:
             obj = json.load(fh)
-    else:
-        obj = json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("diagram JSON is nested too deeply") from None
     dia = dg.diagram_from_json(obj)
     key, sign = dg.canonicalize(dia)
     report = {"command": "canonical"}

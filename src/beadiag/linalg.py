@@ -48,6 +48,11 @@ def vaxpy(u: dict, c, v: dict) -> dict:
     return out
 
 
+def _ratio(a, b):
+    """a / b, an int where the quotient is exact (most are +-1), else a Fraction."""
+    return a // b if type(a) is int and type(b) is int and not a % b else Fraction(a) / b
+
+
 class EchelonBasis:
     """Inter-reduced echelon rows of sparse vectors, pivoted on smallest keys."""
 
@@ -100,9 +105,7 @@ class EchelonBasis:
             return False
         pivot = min(r)
         p = r[pivot]
-        # exact quotients stay int (most pivots are +-1), the others Fraction
-        r = {key: c // p if type(c) is int and type(p) is int and not c % p else Fraction(c) / p
-             for key, c in r.items()}
+        r = {key: _ratio(c, p) for key, c in r.items()}
         for key, row in list(self.rows.items()):
             c = row.get(pivot)
             if c:
@@ -112,9 +115,43 @@ class EchelonBasis:
 
 
 def echelonize(vectors) -> EchelonBasis:
-    """Echelonize sparse vectors (row space preserved), shortest first:
-    short rows fill in least when back-substituted."""
+    """Echelonize sparse vectors (row space preserved).  One- and two-term
+    vectors merge keys: k = w * root(k), the root the largest key of its
+    class, and a one-term vector or a cycle of weight product != 1 zeroes a
+    class.  The rest, projected onto live roots, go in shortest first.  A
+    merged key k gets the row k - w * (root(k) in free keys)."""
+    parent, zero, longer = {}, {}, []  # key -> (root, w); zero roots, ordered
+
+    def find(key):
+        path, w = [], 1
+        while key in parent:
+            path.append(key)
+            key = parent[key][0]
+        for k in reversed(path):  # compress the path onto the root
+            w *= parent[k][1]
+            parent[k] = (key, w)
+        return key, w
+
+    for v in filter(None, vectors):
+        if len(v) > 2:
+            longer.append(v)
+            continue
+        # ca * ra + cb * rb = 0; a one-term c * k = 0 is read as c * k + c * k = 0
+        (ra, ca), (rb, cb) = [(r, c * w) for k, c in v.items() for r, w in [find(k)]] * (3 - len(v))
+        if ra != rb:
+            if ra > rb:
+                ra, rb, ca, cb = rb, ra, cb, ca
+            parent[ra] = (rb, _ratio(-cb, ca))
+        if ra in zero or (ra == rb and ca + cb):  # a merged ra keeps its entry
+            zero[rb] = None
+
     basis = EchelonBasis()
-    for v in sorted(vectors, key=len):
+    projected = (vec((r, c * w) for k, c in v.items() for r, w in [find(k)] if r not in zero)
+                 for v in longer)
+    for v in sorted(projected, key=len):
         basis.insert(v)
+    rows = basis.rows
+    for key in [*parent, *zero]:
+        root, w = find(key)
+        rows[key] = {key: 1} if root in zero else vaxpy({key: 1, root: -w}, w, rows.get(root, {}))
     return basis

@@ -50,6 +50,7 @@ def word_key(a: Letters):
 
 
 _TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
+_MAX_WORD_LETTERS = 100_000  # parse_letters rejects longer words before expanding them
 
 
 def parse_letters(text: str) -> Letters:
@@ -66,8 +67,9 @@ def parse_letters(text: str) -> Letters:
         if idx < 1:
             raise ValueError("generator index must be >= 1 in %r" % text)
         power = int(m.group(2)) if m.group(2) is not None else 1
-        sign = 1 if power > 0 else -1
-        letters.extend([(idx, sign)] * abs(power))
+        if len(letters) + abs(power) > _MAX_WORD_LETTERS:
+            raise ValueError("word %r has more than %d letters" % (text, _MAX_WORD_LETTERS))
+        letters.extend([(idx, 1 if power > 0 else -1)] * abs(power))
     return reduce_letters(letters)
 
 

@@ -6,7 +6,8 @@
   every unit vector and echelonizes the residues.
 * On one arc with STU and no 1T relation, dim A(up)_d = 1, 1, 2, 3, 6 for
   d = 0..4 (Bar-Natan, "On the Vassiliev knot invariants", Topology 34,
-  1995), through the arc route and through the bridge route.
+  1995), through the arc route and through the bridge route, and 10 for
+  d = 5 through the bridge route.
 """
 
 import itertools
@@ -132,3 +133,9 @@ def test_dim_matches_reducing_every_unit_vector(n, m, d, alphabet, class0):
 def test_published_dims_on_one_arc(d):
     assert ar.a_space(0, 1, d, TRIVIAL_ALPHABET).dim(0) == PUBLISHED_ON_ONE_ARC[d]
     assert alpha_dim(d, TRIVIAL_ALPHABET, 1) == PUBLISHED_ON_ONE_ARC[d]
+
+
+def test_published_d5_dim_on_one_arc_through_the_bridge():
+    # every J_5(i) and its coinvariants; the arc route at d = 5 is too slow
+    # for tier-1
+    assert alpha_dim(5, TRIVIAL_ALPHABET, 1) == 10

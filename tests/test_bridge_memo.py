@@ -127,8 +127,8 @@ def verify_bridge_per_call(d, alphabet, l, seed=0, sample=None):
             return (c, fom.fibers, dict(r))
 
     for c, space in spaces.items():
-        bad = first_failure([(c, r, f) for r in space.relations.rows.values() for f in foms[c]],
-                            ihx_counterexample)
+        rows = [dict(sorted(r.items())) for _, r in sorted(space.relations.rows.items())]
+        bad = first_failure([(c, r, f) for r in rows for f in foms[c]], ihx_counterexample)
         if bad:
             break
     record("ihx_image_vanishes", bad is None, bad)

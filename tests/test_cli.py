@@ -155,6 +155,10 @@ _RANGE_ERRORS = [
         (("canonical",), json.dumps({"vertices": [], "edges": [
             {"from": 0, "to": 1, "beads": [3]}]})),
         (("canonical",), json.dumps(_BOOL_LABEL)),
+        # a decoder past its recursion limit, a bead too long to expand
+        (("canonical",), "[" * 200000 + "]" * 200000),
+        (("canonical",), json.dumps({"vertices": [], "edges": [
+            {"from": 0, "to": 1, "beads": ["x1^99999999999"]}]})),
         # negative degrees and empty samples are out of range
         (("verify", "bridge", "--d", "-1", "--l", "1"), None),
         (("verify", "bridge", "--d", "1", "--l", "2", "--sample", "0"), None),
@@ -166,6 +170,7 @@ _RANGE_ERRORS = [
     ],
     ids=["dim-j-diverges", "outer-check-diverges", "dim-a-diverges", "list-halfedge",
          "vertex-not-object", "vertices-not-list", "bead-not-word", "bool-label",
+         "json-too-deep", "bead-too-long",
          "bridge-negative-degree", "bridge-sample-zero", "bridge-sample-negative",
          "dim-a-negative-degree", "hopf-axioms-negative-degree", "outer-check-negative-degree",
          "reference-b_d0-negative-degree", "reference-a11-negative-rank",

@@ -159,3 +159,23 @@ def test_random_systems_match_the_oracle_in_any_order():
         shuffled = list(rels)
         rng.shuffle(shuffled)
         assert assert_same_elimination(keys, shuffled) == rows
+
+
+def short_system(rng):
+    """Mostly one- and two-term vectors over few keys, so that chains and
+    cycles of merged keys, with weights other than +-1, are common."""
+    dim = rng.randint(2, 7)
+    coeffs = (1, -1, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2))
+    return [{k: rng.choice(coeffs) for k in rng.sample(range(dim), min(size, dim))}
+            for size in rng.choices((1, 2, 3), weights=(1, 8, 2), k=rng.randint(1, dim + 1))]
+
+
+def test_short_systems_match_the_oracle_in_any_order():
+    rng = random.Random(43)
+    for _ in range(300):
+        rels = short_system(rng)
+        keys = sorted({k for v in rels for k in v})
+        rows = assert_same_elimination(keys, rels)
+        shuffled = list(rels)
+        rng.shuffle(shuffled)
+        assert assert_same_elimination(keys, shuffled) == rows

@@ -174,3 +174,56 @@ def test_a_copied_basis_grows_apart_from_the_original():
     c.insert({3: 1})
     assert b.rank == 1 and c.rank == 2
     assert b.rows == {1: {1: 1, 2: 1}} and b.rows is not c.rows
+
+
+# --- one- and two-term vectors: echelonize merges their keys -----------------
+
+
+def inserted(vectors):
+    """The rows of inserting each vector in turn, with no merging."""
+    basis = EchelonBasis()
+    for v in vectors:
+        basis.insert(v)
+    return basis.rows
+
+
+def assert_merged_rows(vectors, expected):
+    rows = echelonize(vectors).rows
+    assert rows == expected == inserted(vectors)
+    assert echelonize(vectors[::-1]).rows == expected
+    return rows
+
+
+def test_a_cycle_whose_weights_multiply_to_two_zeroes_its_class():
+    # 1 = 2 = 3 = 2 * 1
+    vectors = [{1: 1, 2: -1}, {2: 1, 3: -1}, {3: 1, 1: -2}, {4: 1, 5: 1}]
+    assert_merged_rows(vectors, {1: {1: 1}, 2: {2: 1}, 3: {3: 1}, 4: {4: 1, 5: 1}})
+
+
+def test_a_cycle_whose_weights_multiply_to_one_adds_no_rank():
+    # 1 = 2 * 2, 2 = 3 * 3 and 1 = 6 * 3 agree
+    vectors = [{1: 1, 2: -2}, {2: 1, 3: -3}, {1: 1, 3: -6}]
+    assert_merged_rows(vectors, {1: {1: 1, 3: -6}, 2: {2: 1, 3: -3}})
+    assert echelonize(vectors).rank == echelonize(vectors[:2]).rank == 2
+
+
+def test_a_one_term_vector_after_the_merges_zeroes_the_whole_class():
+    vectors = [{1: 1, 2: -1}, {2: 1, 3: 2}, {4: 1, 5: -1}, {6: 3, 3: 1, 5: 1}, {3: 5}]
+    assert_merged_rows(vectors, {1: {1: 1}, 2: {2: 1}, 3: {3: 1},
+                                 4: {4: 1, 6: 3}, 5: {5: 1, 6: 3}})
+
+
+def test_chains_with_weights_two_and_three_halves_give_fraction_rows():
+    # 1 = 2 * 2 and 2 = 3/2 * 3, so 1 = 3 * 3
+    vectors = [{1: 1, 2: -2}, {2: 2, 3: -3}]
+    rows = assert_merged_rows(vectors, {1: {1: 1, 3: -3}, 2: {2: 1, 3: Fraction(-3, 2)}})
+    assert type(rows[2][3]) is Fraction
+
+
+def test_unit_weights_keep_int_rows():
+    vectors = [{1: 1, 2: -1}, {2: 1, 3: 1}, {3: -1, 4: 1}, {1: 1, 5: 1, 6: -1},
+               {7: 1, 8: 1}, {8: 1, 7: 1}, {9: -1}, {9: 1, 10: 1}]
+    rows = assert_merged_rows(vectors, {
+        1: {1: 1, 5: 1, 6: -1}, 2: {2: 1, 5: 1, 6: -1}, 3: {3: 1, 5: -1, 6: 1},
+        4: {4: 1, 5: -1, 6: 1}, 7: {7: 1, 8: 1}, 9: {9: 1}, 10: {10: 1}})
+    assert coeff_types(*rows.values()) == {int}

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from beadiag.words import (
+    _MAX_WORD_LETTERS,
     BeadAlphabet,
     Word,
     alphabet_closure,
@@ -69,6 +70,15 @@ def test_parse_rejects_garbage():
         Word.parse("x0")
     with pytest.raises(ValueError):
         Word.parse("x1**x2")
+
+
+def test_parse_rejects_words_longer_than_the_bound():
+    assert len(Word.parse("x1^%d" % _MAX_WORD_LETTERS)) == _MAX_WORD_LETTERS
+    # the bound counts letters before free reduction
+    for text in ("x1^%d" % (_MAX_WORD_LETTERS + 1), "x1^-99999999999",
+                 "x1^%d*x1^-1" % _MAX_WORD_LETTERS):
+        with pytest.raises(ValueError):
+            Word.parse(text)
 
 
 def test_alphabet_closure_examples():
