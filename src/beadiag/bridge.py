@@ -129,8 +129,10 @@ def alpha_dim(d, alphabet, l, max_arity=None) -> int:
 
 
 def _act_fibers(gen, pos, fibers):
-    """:func:`catass_act` on bare fiber tuples: [(coeff, fibers')].  The
-    images partition the same source, so nothing is re-validated."""
+    """Action of a Hopf generator on the fibers of a fiber-ordered map,
+    mirroring the arc operations and their position ranges: [(coeff,
+    fibers')].  The images partition the same source, so nothing is
+    re-validated."""
     ar.check_position(gen, pos, len(fibers))
     j = pos - 1
     if gen == "eta":
@@ -148,13 +150,6 @@ def _act_fibers(gen, pos, fibers):
         two = tuple(x for x, b in zip(f, mask) if b == 1)
         out.append((1, fibers[:j] + (one, two) + fibers[pos:]))
     return out
-
-
-def catass_act(gen, pos, fom: FiberOrderedMap):
-    """Action of a Hopf generator on a fiber-ordered map, mirroring the arc
-    operations and their position ranges; returns [(coeff, fom')]."""
-    return [(coeff, FiberOrderedMap(fom.source, len(fibers), fibers))
-            for coeff, fibers in _act_fibers(gen, pos, fom.fibers)]
 
 
 def _mu_lifted_maps(fibers, i):

@@ -71,6 +71,8 @@ def get(kind, params, cls=object):
 
 
 def put(kind, params, obj):
+    """Store ``obj``.  A put that cannot create, write or rename its temp
+    file stores nothing, so the entry stays a miss."""
     if _active_dir is None:
         return
     import pickle  # disk access only
@@ -78,7 +80,10 @@ def put(kind, params, obj):
 
     path = _entry_path(kind, params)
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    fd, tmp = tempfile.mkstemp(dir=_active_dir, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=_active_dir, suffix=".tmp")
+    except OSError:
+        return
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload + _digest(payload))

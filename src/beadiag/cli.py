@@ -1,6 +1,7 @@
 """Command-line driver: dimension queries, verification suites, enumeration,
 canonical forms, and reference values, with JSON/CSV reporting and an
-optional on-disk cache of computed spaces."""
+optional on-disk cache of computed spaces.  Each subcommand runs one
+function that returns its report's own fields; ``main`` prints the report."""
 
 from __future__ import annotations
 
@@ -19,15 +20,6 @@ from .words import alphabet_from_spec
 REPORT_SCHEMA = 1
 
 
-def _emit(report, fmt, csv_fields=None):
-    if fmt == "csv" and csv_fields:
-        print(",".join(csv_fields))
-        print(",".join(str(report[f]) for f in csv_fields))
-    else:
-        report.setdefault("schema", REPORT_SCHEMA)
-        print(json.dumps(report, sort_keys=True, indent=2, default=str))
-
-
 def _witness_json(witness):
     if witness is None:
         return None
@@ -42,197 +34,119 @@ def _witness_json(witness):
     }
 
 
-def cmd_dim_j(args, fmt):
+def _dim_j(args):
     from .jspaces import j_space  # command-local: only the layers this command runs
-    alphabet = alphabet_from_spec(args.alphabet)
-    space = j_space(args.d, args.m, alphabet)
-    report = {
-        "command": "dim-j",
-        "d": args.d,
-        "m": args.m,
-        "alphabet": alphabet.label,
-        "dim": space.dimension,
-        "span_size": len(space.span),
-        "relation_rank": space.relations.rank,
-    }
-    _emit(report, fmt, ["d", "m", "alphabet", "dim", "span_size", "relation_rank"])
-    return 0
+    space = j_space(args.d, args.m, args.alphabet)
+    return {"d": args.d, "m": args.m, "alphabet": args.alphabet.label,
+            "dim": space.dimension, "span_size": len(space.span),
+            "relation_rank": space.relations.rank}
 
 
-def cmd_dim_a(args, fmt):
+def _dim_a(args):
     from . import arcs as ar  # command-local: only the layers this command runs
-    alphabet = alphabet_from_spec(args.alphabet)
-    space = ar.a_space(args.n, args.m, args.d, alphabet, class0=args.class0)
-    report = {
-        "command": "dim-a",
-        "n": args.n,
-        "m": args.m,
-        "d": args.d,
-        "alphabet": alphabet.label,
-        "class0": args.class0,
-        "min_trivalent": args.min_trivalent,
-        "dim": space.dim(args.min_trivalent),
-        "span_size": len(space.span),
-    }
-    _emit(report, fmt, ["n", "m", "d", "alphabet", "class0", "min_trivalent", "dim", "span_size"])
-    return 0
+    space = ar.a_space(args.n, args.m, args.d, args.alphabet, class0=args.class0)
+    return {"n": args.n, "m": args.m, "d": args.d, "alphabet": args.alphabet.label,
+            "class0": args.class0, "min_trivalent": args.min_trivalent,
+            "dim": space.dim(args.min_trivalent), "span_size": len(space.span)}
 
 
-def cmd_outer_check(args, fmt):
+def _outer_check(args):
     from . import catlie as cl  # command-local: only the layers this command runs
-    alphabet = alphabet_from_spec(args.alphabet)
-    verdict, witness = cl.outer_check(args.d, alphabet)
-    report = {
-        "command": "outer-check",
-        "d": args.d,
-        "alphabet": alphabet.label,
-        "outer": verdict,
-        "witness": _witness_json(witness),
-    }
-    _emit(report, fmt)
-    return 0
+    verdict, witness = cl.outer_check(args.d, args.alphabet)
+    return {"d": args.d, "alphabet": args.alphabet.label, "outer": verdict,
+            "witness": _witness_json(witness)}
 
 
-def cmd_cross_effect(args, fmt):
+def _cross_effect(args):
     from . import arcs as ar  # command-local: only the layers this command runs
-    alphabet = alphabet_from_spec(args.alphabet)
-    spec = ar.FunctorSpec(n=args.n, d=args.d, alphabet=alphabet, class0=args.class0)
-    dim = ar.cross_effect_dim(spec, args.k)
-    report = {
-        "command": "cross-effect",
-        "functor": args.functor,
-        "n": args.n,
-        "d": args.d,
-        "k": args.k,
-        "alphabet": alphabet.label,
-        "class0": args.class0,
-        "dim": dim,
-    }
-    _emit(report, fmt, ["functor", "n", "d", "k", "alphabet", "class0", "dim"])
-    return 0
+    spec = ar.FunctorSpec(n=args.n, d=args.d, alphabet=args.alphabet, class0=args.class0)
+    return {"functor": args.functor, "n": args.n, "d": args.d, "k": args.k,
+            "alphabet": args.alphabet.label, "class0": args.class0,
+            "dim": ar.cross_effect_dim(spec, args.k)}
 
 
-def cmd_enumerate(args, fmt):
-    alphabet = alphabet_from_spec(args.alphabet)
-    keys = dg.enumerate_diagrams(args.d, args.m, alphabet)
-    report = {
-        "command": "enumerate",
-        "d": args.d,
-        "m": args.m,
-        "alphabet": alphabet.label,
-        "count": len(keys),
-        "diagrams": [dg.diagram_to_json(dg.rebuild(k)) for k in keys],
-    }
-    _emit(report, fmt)
-    return 0
+def _enumerate(args):
+    keys = dg.enumerate_diagrams(args.d, args.m, args.alphabet)
+    return {"d": args.d, "m": args.m, "alphabet": args.alphabet.label, "count": len(keys),
+            "diagrams": [dg.diagram_to_json(dg.rebuild(k)) for k in keys]}
 
 
-def cmd_canonical(args, fmt):
+def _canonical(args):
     try:
         with open(args.file) if args.file else contextlib.nullcontext(sys.stdin) as fh:
             obj = json.load(fh)
     except RecursionError:
         raise ValueError("diagram JSON is nested too deeply") from None
-    dia = dg.diagram_from_json(obj)
-    key, sign = dg.canonicalize(dia)
-    report = {"command": "canonical"}
+    key, sign = dg.canonicalize(dg.diagram_from_json(obj))
     if key is dg.ZERO:
-        report["zero"] = True
-    else:
-        report["zero"] = False
-        report["sign"] = sign
-        report["canonical"] = dg.diagram_to_json(dg.rebuild(key))
-    _emit(report, fmt)
-    return 0
+        return {"zero": True}
+    return {"zero": False, "sign": sign, "canonical": dg.diagram_to_json(dg.rebuild(key))}
 
 
-def cmd_reference(args, fmt):
+def _reference_b_d0(args):
     from . import reference as ref  # command-local: only the layers this command runs
-    if args.kind == "b_d0":
-        value = ref.b_d0_reference(args.d, args.m)
-        report = {"command": "reference", "kind": "b_d0", "d": args.d, "m": args.m, "dim": value}
-    else:
-        alphabet = alphabet_from_spec(args.alphabet)
-        value = ref.a11_reference_dim(alphabet, args.m)
-        report = {
-            "command": "reference",
-            "kind": "a11",
-            "alphabet": alphabet.label,
-            "m": args.m,
-            "dim": value,
-        }
-    _emit(report, fmt)
-    return 0
+    return {"kind": "b_d0", "d": args.d, "m": args.m,
+            "dim": ref.b_d0_reference(args.d, args.m)}
 
 
-def cmd_verify(args, fmt):
-    ok = True
-    if args.what == "bridge":
-        from . import bridge as br  # command-local: only the layers this suite runs
-        alphabet = alphabet_from_spec(args.alphabet)
-        report = br.verify_bridge(args.d, alphabet, args.l, seed=args.seed, sample=args.sample)
-        ok = report["pass"]
-        report["command"] = "verify-bridge"
-    elif args.what == "filtration":
-        from . import bridge as br  # command-local: only the layers this suite runs
-        alphabet = alphabet_from_spec(args.alphabet)
-        ok = br.verify_filtration(args.d, alphabet, args.l, args.t)
-        report = {
-            "command": "verify-filtration",
-            "d": args.d,
-            "alphabet": alphabet.label,
-            "l": args.l,
-            "t": args.t,
-            "pass": ok,
-        }
-    elif args.what == "a11":
-        from . import arcs as ar  # command-local: only the layers this suite runs
-        from . import reference as ref  # command-local: only the layers this suite runs
-        alphabet = alphabet_from_spec(args.alphabet)
-        lhs = ref.a11_reference_dim(alphabet, args.m)
-        rhs = ar.a_space(alphabet.rank, args.m, 1, alphabet, class0=True).dim(0)
-        ok = lhs == rhs
-        report = {
-            "command": "verify-a11",
-            "alphabet": alphabet.label,
-            "m": args.m,
-            "reference_dim": lhs,
-            "diagram_dim": rhs,
-            "pass": ok,
-        }
-    elif args.what == "b_d0":
-        from . import reference as ref  # command-local: only the layers this suite runs
-        lhs = ref.b_d0_reference(args.d, args.m)
-        rhs = ref.b_di_dim(args.d, 0, args.m)
-        ok = lhs == rhs
-        report = {
-            "command": "verify-b_d0",
-            "d": args.d,
-            "m": args.m,
-            "schur_dim": lhs,
-            "diagram_dim": rhs,
-            "pass": ok,
-        }
-    elif args.what == "hopf-axioms":
-        from . import laws  # command-local: only the layers this suite runs
-        alphabet = alphabet_from_spec(args.alphabet)
-        report = laws.check_hopf_antipode(args.d, alphabet, args.m)
-        ok = report["pass"]
-        report["command"] = "verify-hopf-axioms"
-    elif args.what == "gr-laws":
-        from . import laws  # command-local: only the layers this suite runs
-        alphabet = alphabet_from_spec(args.alphabet)
-        report = laws.check_gr_laws(args.d, alphabet, args.m)
-        ok = report["pass"]
-        report["command"] = "verify-gr-laws"
-    else:
-        raise SystemExit(2)
-    _emit(report, fmt)
-    return 0 if ok else 1
+def _reference_a11(args):
+    from . import reference as ref  # command-local: only the layers this command runs
+    return {"kind": "a11", "alphabet": args.alphabet.label, "m": args.m,
+            "dim": ref.a11_reference_dim(args.alphabet, args.m)}
 
 
-def _add_alphabet(p):
-    p.add_argument("--alphabet", default="trivial", help="'trivial' or 'gen:n:depth'")
+def _verify_bridge(args):
+    from . import bridge as br  # command-local: only the layers this suite runs
+    return br.verify_bridge(args.d, args.alphabet, args.l, seed=args.seed, sample=args.sample)
+
+
+def _verify_filtration(args):
+    from . import bridge as br  # command-local: only the layers this suite runs
+    return {"d": args.d, "alphabet": args.alphabet.label, "l": args.l, "t": args.t,
+            "pass": br.verify_filtration(args.d, args.alphabet, args.l, args.t)}
+
+
+def _verify_a11(args):
+    from . import arcs as ar  # command-local: only the layers this suite runs
+    from . import reference as ref  # command-local: only the layers this suite runs
+    lhs = ref.a11_reference_dim(args.alphabet, args.m)
+    rhs = ar.a_space(args.alphabet.rank, args.m, 1, args.alphabet, class0=True).dim(0)
+    return {"alphabet": args.alphabet.label, "m": args.m, "reference_dim": lhs,
+            "diagram_dim": rhs, "pass": lhs == rhs}
+
+
+def _verify_b_d0(args):
+    from . import reference as ref  # command-local: only the layers this suite runs
+    lhs = ref.b_d0_reference(args.d, args.m)
+    rhs = ref.b_di_dim(args.d, 0, args.m)
+    return {"d": args.d, "m": args.m, "schur_dim": lhs, "diagram_dim": rhs, "pass": lhs == rhs}
+
+
+def _verify_hopf_axioms(args):
+    from . import laws  # command-local: only the layers this suite runs
+    return laws.check_hopf_antipode(args.d, args.alphabet, args.m)
+
+
+def _verify_gr_laws(args):
+    from . import laws  # command-local: only the layers this suite runs
+    return laws.check_gr_laws(args.d, args.alphabet, args.m)
+
+
+def _add_options(p, names):
+    """Add the options named in ``names``, in order: ``alphabet``, or a
+    required integer such as ``d``."""
+    for name in names.split():
+        if name == "alphabet":
+            p.add_argument("--alphabet", default="trivial", help="'trivial' or 'gen:n:depth'")
+        else:
+            p.add_argument("--" + name, type=int, required=True)
+
+
+def _add_class0(p, class0_help=None, full_help=None):
+    grp = p.add_mutually_exclusive_group()
+    grp.add_argument("--class0", dest="class0", action="store_true", help=class0_help)
+    grp.add_argument("--full", dest="class0", action="store_false", help=full_help)
+    p.set_defaults(class0=True)
 
 
 def _common_options():
@@ -254,116 +168,75 @@ def build_parser():
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--seed", type=int, default=0)
     common = _common_options()
+
+    def leaf(subparsers, name, func, options, command=None, csv=False, **kwargs):
+        # csv: the report also prints as CSV, its field names over its values
+        p = subparsers.add_parser(name, parents=[common], **kwargs)
+        _add_options(p, options)
+        p.set_defaults(func=func, command=command or name, csv=csv)
+        return p
+
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("dim-j", parents=[common], help="dimension of a labelled-diagram space")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_alphabet(p)
-    p.set_defaults(func=cmd_dim_j)
-
-    p = sub.add_parser("dim-a", parents=[common], help="dimension of an arc-diagram space")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_alphabet(p)
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--class0", dest="class0", action="store_true",
-                     help="homotopy class 0 (the default)")
-    grp.add_argument("--full", dest="class0", action="store_false",
-                     help="full functor (arc beads allowed)")
+    leaf(sub, "dim-j", _dim_j, "d m alphabet", csv=True,
+         help="dimension of a labelled-diagram space")
+    p = leaf(sub, "dim-a", _dim_a, "n m d alphabet", csv=True,
+             help="dimension of an arc-diagram space")
+    _add_class0(p, "homotopy class 0 (the default)", "full functor (arc beads allowed)")
     p.add_argument("--min-trivalent", type=int, default=0)
-    p.set_defaults(func=cmd_dim_a, class0=True)
-
-    p = sub.add_parser("outer-check", parents=[common], help="does the summed gluing vanish at all arities")
-    p.add_argument("--d", type=int, required=True)
-    _add_alphabet(p)
-    p.set_defaults(func=cmd_outer_check)
-
-    p = sub.add_parser("cross-effect", parents=[common], help="cross-effect dimension of an arc functor")
+    leaf(sub, "outer-check", _outer_check, "d alphabet",
+         help="does the summed gluing vanish at all arities")
+    p = leaf(sub, "cross-effect", _cross_effect, "", csv=True,
+             help="cross-effect dimension of an arc functor")
     p.add_argument("--functor", choices=["a_d"], default="a_d")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_alphabet(p)
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--class0", dest="class0", action="store_true")
-    grp.add_argument("--full", dest="class0", action="store_false")
-    p.set_defaults(func=cmd_cross_effect, class0=True)
-
-    p = sub.add_parser("enumerate", parents=[common], help="list canonical labelled diagrams")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_alphabet(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("canonical", parents=[common], help="canonical form of a JSON diagram")
+    _add_options(p, "n d k alphabet")
+    _add_class0(p)
+    leaf(sub, "enumerate", _enumerate, "d m alphabet", help="list canonical labelled diagrams")
+    p = leaf(sub, "canonical", _canonical, "", help="canonical form of a JSON diagram")
     p.add_argument("--file", help="path to the diagram JSON (default: stdin)")
-    p.set_defaults(func=cmd_canonical)
 
     p = sub.add_parser("reference", help="closed-form reference dimensions")
     refsub = p.add_subparsers(dest="kind", required=True)
-    q = refsub.add_parser("b_d0", parents=[common])
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.set_defaults(func=cmd_reference)
-    q = refsub.add_parser("a11", parents=[common])
-    _add_alphabet(q)
-    q.add_argument("--m", type=int, required=True)
-    q.set_defaults(func=cmd_reference)
+    leaf(refsub, "b_d0", _reference_b_d0, "d m", command="reference")
+    leaf(refsub, "a11", _reference_a11, "alphabet m", command="reference")
 
     p = sub.add_parser("verify", help="verification suites; exit code 0 iff pass")
     vsub = p.add_subparsers(dest="what", required=True)
-    q = vsub.add_parser("bridge", parents=[common])
-    q.add_argument("--d", type=int, required=True)
-    _add_alphabet(q)
-    q.add_argument("--l", type=int, required=True)
-    q.add_argument("--sample", type=int, default=None,
+    p = leaf(vsub, "bridge", _verify_bridge, "d alphabet l", command="verify-bridge")
+    p.add_argument("--sample", type=int, default=None,
                    help="cap per-check tuples (seeded); default exhaustive")
-    q.set_defaults(func=cmd_verify)
-    q = vsub.add_parser("filtration", parents=[common])
-    q.add_argument("--d", type=int, required=True)
-    _add_alphabet(q)
-    q.add_argument("--l", type=int, required=True)
-    q.add_argument("--t", type=int, required=True)
-    q.set_defaults(func=cmd_verify)
-    q = vsub.add_parser("a11", parents=[common])
-    _add_alphabet(q)
-    q.add_argument("--m", type=int, required=True)
-    q.set_defaults(func=cmd_verify)
-    q = vsub.add_parser("b_d0", parents=[common])
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.set_defaults(func=cmd_verify)
-    q = vsub.add_parser("hopf-axioms", parents=[common])
-    q.add_argument("--d", type=int, required=True)
-    _add_alphabet(q)
-    q.add_argument("--m", type=int, required=True)
-    q.set_defaults(func=cmd_verify)
-    q = vsub.add_parser("gr-laws", parents=[common])
-    q.add_argument("--d", type=int, required=True)
-    _add_alphabet(q)
-    q.add_argument("--m", type=int, required=True)
-    q.set_defaults(func=cmd_verify)
-
+    leaf(vsub, "filtration", _verify_filtration, "d alphabet l t", command="verify-filtration")
+    leaf(vsub, "a11", _verify_a11, "alphabet m", command="verify-a11")
+    leaf(vsub, "b_d0", _verify_b_d0, "d m", command="verify-b_d0")
+    leaf(vsub, "hopf-axioms", _verify_hopf_axioms, "d alphabet m", command="verify-hopf-axioms")
+    leaf(vsub, "gr-laws", _verify_gr_laws, "d alphabet m", command="verify-gr-laws")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.cache_dir and args.func not in (cmd_canonical, cmd_enumerate):
-        # canonical and enumerate build no space, so they leave the cache unloaded
-        from . import cache  # command-local: only the layers this command runs
-
-        cache.set_cache_dir(args.cache_dir)
+    """Run one command; exit code 0, 1 for a report with ``"pass": False``,
+    2 for invalid input (printed as one ``error:`` line on stderr)."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, args.format)
+        if args.cache_dir and args.func not in (_canonical, _enumerate):
+            # canonical and enumerate build no space, so they leave the cache unloaded
+            from . import cache  # command-local: only the layers this command runs
+
+            cache.set_cache_dir(args.cache_dir)
+        if "alphabet" in args:
+            args.alphabet = alphabet_from_spec(args.alphabet)
+        report = args.func(args)
+        if args.format == "csv" and args.csv:
+            print(",".join(report))
+            print(",".join(str(value) for value in report.values()))
+        else:
+            report.update(command=args.command, schema=REPORT_SCHEMA)
+            print(json.dumps(report, sort_keys=True, indent=2, default=str))
     except (ValueError, OSError) as exc:
         # invalid inputs (diagram JSON, alphabet specs, arities, diverging
-        # closures); no partial report has been emitted at this point
+        # closures, an unusable cache directory) raise before any output
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return 1 if report.get("pass") is False else 0
 
 
 if __name__ == "__main__":

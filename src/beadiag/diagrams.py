@@ -165,14 +165,6 @@ def gauge_at_vertex(diagram: Diagram, v: int, g) -> Diagram:
     return Diagram._trusted(diagram.legs, diagram.tri, tuple(new_edges), vert)
 
 
-def reverse_edge(diagram: Diagram, index: int) -> Diagram:
-    """Reverse the orientation of one edge, inverting its bead."""
-    edges = list(diagram.edges)
-    tail, head, w = edges[index]
-    edges[index] = (head, tail, inv_letters(w))
-    return Diagram._trusted(diagram.legs, diagram.tri, tuple(edges))
-
-
 def _components(num_vertices, edge_vertex_pairs):
     parent = list(range(num_vertices))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import cache
 from . import diagrams as dg
-from .linalg import EchelonBasis, echelonize, vec
+from .linalg import echelonize, vec
 
 MAX_CLOSURE_BEAD_LENGTH = 128
 
@@ -186,8 +186,3 @@ def j_space(d: int, m: int, alphabet) -> JSpace:
         return JSpace(d=d, m=m, alphabet=alphabet, span=span, relations=echelonize(rels))
 
     return cache.space("jspace", (d, m, alphabet.rank, alphabet.elements), JSpace, build)
-
-
-def vector_is_zero_in_full_space(vector) -> bool:
-    """Whether a diagram vector vanishes in the untruncated AS/IHX quotient."""
-    return not full_residue(vector, EchelonBasis(), closure)

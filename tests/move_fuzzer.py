@@ -3,7 +3,15 @@
 import random
 
 from beadiag import diagrams as dg
-from beadiag.words import Word
+from beadiag.words import Word, inv_letters, mul_letters
+
+
+def reverse_edge(diagram, index):
+    """Reverse the orientation of one edge, inverting its bead."""
+    edges = list(diagram.edges)
+    tail, head, w = edges[index]
+    edges[index] = (head, tail, inv_letters(w))
+    return dg.Diagram._trusted(diagram.legs, diagram.tri, tuple(edges))
 
 
 def shuffle_presentation(rng, dia):
@@ -48,7 +56,7 @@ def random_move_sequence(rng, dia, alphabet, moves=6):
             g = Word(rng.choice(words)) * Word(rng.choice(words))
             dia = dg.gauge_at_vertex(dia, v, g)
         elif kind == "reverse" and dia.edges:
-            dia = dg.reverse_edge(dia, rng.randrange(len(dia.edges)))
+            dia = reverse_edge(dia, rng.randrange(len(dia.edges)))
         elif kind == "shuffle":
             dia = shuffle_presentation(rng, dia)
         elif kind == "swap":
@@ -76,8 +84,6 @@ def seed_diagrams(alphabet, cells=((1, 1), (1, 2), (2, 2), (2, 3), (2, 4), (3, 3
 
 # ---------------------------------------------------------------------------
 # raw arc-diagram moves
-
-from beadiag.words import inv_letters, mul_letters  # noqa: E402
 
 
 def _leg_edge_index(dashed, label):
@@ -157,7 +163,7 @@ def random_arc_moves(rng, arcs, dashed, alphabet, moves=8):
             v = dashed.num_legs + rng.randrange(dashed.num_tri)
             dashed = dg.gauge_at_vertex(dashed, v, Word(rng.choice(words)))
         elif kind == "dash_reverse" and dashed.edges:
-            dashed = dg.reverse_edge(dashed, rng.randrange(len(dashed.edges)))
+            dashed = reverse_edge(dashed, rng.randrange(len(dashed.edges)))
         elif kind == "dash_swap":
             dashed, s = swap_cyclic(rng, dashed)
             sign *= s

@@ -1,8 +1,11 @@
 """Reference helpers that only the tests use.
 
 ``quotient_dim`` is the tests' reference dimension of a span modulo
-relations; ``rebuild_arc`` and ``homotopy_class_raw`` are the raw-arc routes
-that the arc-canonicalization oracles compare with the canonical keys.
+relations, and ``vector_is_zero_in_full_space`` its zero test in the
+untruncated quotient; ``rebuild_arc`` and ``homotopy_class_raw`` are the
+raw-arc routes that the arc-canonicalization oracles compare with the
+canonical keys, and ``catass_act`` the generator action on a whole
+fiber-ordered map.
 Below them: accessors of canonical labelled and arc keys, the leg
 relabelling of a raw diagram (the oracle of ``diagrams.relabel_key``), the
 rank embedding of arc vectors, the truncation dimensions, and the property
@@ -11,8 +14,9 @@ suites of the gluing action (Jacobi identity, well-definedness).
 
 from beadiag import catlie as cl
 from beadiag import diagrams as dg
-from beadiag.jspaces import j_space, vector_is_zero_in_full_space
-from beadiag.linalg import echelonize, vec
+from beadiag.bridge import FiberOrderedMap, _act_fibers
+from beadiag.jspaces import closure, full_residue, j_space
+from beadiag.linalg import EchelonBasis, echelonize, vec
 from beadiag.words import IDENTITY, Word, mul_letters
 
 
@@ -40,6 +44,18 @@ def quotient_dim(span, relations) -> int:
         if basis.insert(v):
             dim += 1
     return dim
+
+
+def vector_is_zero_in_full_space(vector) -> bool:
+    """Whether a diagram vector vanishes in the untruncated AS/IHX quotient."""
+    return not full_residue(vector, EchelonBasis(), closure)
+
+
+def catass_act(gen, pos, fom: FiberOrderedMap):
+    """Action of a Hopf generator on a fiber-ordered map, mirroring the arc
+    operations and their position ranges; returns [(coeff, fom')]."""
+    return [(coeff, FiberOrderedMap(fom.source, len(fibers), fibers))
+            for coeff, fibers in _act_fibers(gen, pos, fom.fibers)]
 
 
 def rebuild_arc(key):

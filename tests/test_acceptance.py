@@ -12,13 +12,19 @@ from beadiag import arcs as ar
 from beadiag import diagrams as dg
 from beadiag.bridge import verify_bridge, verify_filtration
 from beadiag.catlie import mu_sum, outer_check
-from beadiag.jspaces import j_space, vector_is_zero_in_full_space
+from beadiag.jspaces import j_space
 from beadiag.laws import check_gr_laws
 from beadiag.reference import a11_reference_dim, b_d0_reference, b_di_dim
 from beadiag.words import TRIVIAL_ALPHABET, Word, alphabet_from_spec
 
 from move_fuzzer import random_arc_moves, random_move_sequence, seed_diagrams
-from reference_helpers import check_jacobi, homotopy_class, homotopy_class_raw, rebuild_arc
+from reference_helpers import (
+    check_jacobi,
+    homotopy_class,
+    homotopy_class_raw,
+    rebuild_arc,
+    vector_is_zero_in_full_space,
+)
 
 GEN11 = alphabet_from_spec("gen:1:1")
 

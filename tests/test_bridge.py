@@ -9,7 +9,6 @@ from beadiag.bridge import (
     FiberOrderedMap,
     alpha_dim,
     cat_ass_basis,
-    catass_act,
     coinvariant_dim,
     glue,
     glue_vector,
@@ -19,7 +18,7 @@ from beadiag.bridge import (
 from beadiag.jspaces import j_space
 from beadiag.words import TRIVIAL_ALPHABET, Word, alphabet_from_spec
 
-from reference_helpers import arc_key_counts
+from reference_helpers import arc_key_counts, catass_act
 
 GEN11 = alphabet_from_spec("gen:1:1")
 

@@ -14,11 +14,17 @@ from beadiag.catlie import (
     outer_quotient,
     perm_action,
 )
-from beadiag.jspaces import j_space, vector_is_zero_in_full_space
+from beadiag.jspaces import j_space
 from beadiag.linalg import vec
 from beadiag.words import TRIVIAL_ALPHABET, Word, alphabet_from_spec
 
-from reference_helpers import check_jacobi, check_mu_well_defined, key_num_tri, truncate
+from reference_helpers import (
+    check_jacobi,
+    check_mu_well_defined,
+    key_num_tri,
+    truncate,
+    vector_is_zero_in_full_space,
+)
 
 GEN11 = alphabet_from_spec("gen:1:1")
 

@@ -5,12 +5,13 @@ import pickle
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
 
 from beadiag import arcs as ar
-from beadiag import cache, cli, jspaces
+from beadiag import cache, cli, jspaces, reference
 from beadiag import diagrams as dg
 from beadiag.jspaces import j_space
 from beadiag.linalg import EchelonBasis, vaxpy
@@ -19,12 +20,13 @@ from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
 from json_fuzzer import mutate
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "beadiag.cli", *args],
         capture_output=True,
         text=True,
         input=stdin,
+        env=env,
     )
     return proc
 
@@ -56,6 +58,12 @@ def test_verify_exit_codes():
     proc = run_cli("verify", "filtration", "--d", "1", "--l", "2", "--t", "1",
                    "--alphabet", "trivial")
     assert proc.returncode == 0
+
+
+def test_failing_verify_report_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(reference, "b_di_dim", lambda d, i, m: -1)
+    assert cli.main(["verify", "b_d0", "--d", "2", "--m", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
 def test_csv_format():
@@ -248,6 +256,23 @@ def test_cache_used_by_cli(tmp_path):
     assert b.stdout == a.stdout
 
 
+@pytest.mark.parametrize("via", ["option", "environment"])
+@pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+def test_unusable_cache_dir_exits_2_without_traceback(tmp_path, where, via):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    path = str(blocker if where == "a-file" else blocker / "cache")
+    command = ("dim-j", "--d", "1", "--m", "2")
+    if via == "option":
+        proc = run_cli("--cache-dir", path, *command)
+    else:
+        proc = run_cli(*command, env={**os.environ, "BEADIAG_CACHE_DIR": path})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 # a pickle naming a class in a module that does not exist
 _MISSING_MODULE = b"cbeadiag_no_such_module\nThing\n."
 
@@ -261,6 +286,25 @@ _CACHED_COMMANDS = {
 
 def _forget_spaces(monkeypatch):
     monkeypatch.setattr(cache, "_spaces", {})
+
+
+def test_cache_that_cannot_store_still_answers(tmp_path, monkeypatch, capsys):
+    # a temp file that cannot be created skips the put, as a failed write
+    # does; the computed space is still reported
+    monkeypatch.setattr(cache, "_active_dir", None)
+    command = ["dim-j", "--d", "1", "--m", "2"]
+    _forget_spaces(monkeypatch)
+    assert cli.main(command) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    _forget_spaces(monkeypatch)
+    assert cli.main(["--cache-dir", str(tmp_path)] + command) == 0
+    assert capsys.readouterr().out == expected
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("entry", ["truncated", "garbage", "wrong-type", "missing-module"])

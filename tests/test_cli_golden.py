@@ -88,6 +88,10 @@ COMMANDS = [
     (["verify", "b_d0", "--d", "2", "--m", "2"], None),
     (["outer-check", "--d", "3"], None),
     (["outer-check", "--d", "1", "--alphabet", "gen:2:1"], None),
+    (["reference", "b_d0", "--d", "2", "--m", "3"], None),
+    (["reference", "a11", "--alphabet", "gen:1:1", "--m", "2"], None),
+    (["dim-j", "--d", "2", "--m", "2", "--format", "csv"], None),
+    (["cross-effect", "--n", "0", "--d", "1", "--k", "3", "--format", "csv"], None),
 ]
 
 

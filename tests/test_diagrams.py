@@ -12,6 +12,7 @@ from beadiag.words import TRIVIAL_ALPHABET, Word, alphabet_from_spec
 from move_fuzzer import (
     random_arc_moves,
     random_move_sequence,
+    reverse_edge,
     seed_diagrams,
     shuffle_presentation,
 )
@@ -109,7 +110,7 @@ def test_trusted_rewrites_pass_validation(monkeypatch):
                         made.append(dg.glue_pair(dia, a, b))
             made.append(relabel_legs(dia, {i: m + 1 - i for i in range(1, m + 1)}))
             dg.relabel_key(key, tuple(range(m, 0, -1)))
-            made.append(dg.reverse_edge(dia, rng.randrange(len(dia.edges))))
+            made.append(reverse_edge(dia, rng.randrange(len(dia.edges))))
             if dia.num_tri:
                 made.append(dg.gauge_at_vertex(dia, m, Word.parse("x1*x2^-1")))
             arcs = [[("bead", ((1, 1),))] + [("leg", lab) for lab in range(1, m + 1)]]
@@ -220,7 +221,7 @@ def test_structures_prune_legless_components_early(U, T):
 
 def test_reverse_edge_inverts_bead():
     d = strut("x1")
-    r = dg.reverse_edge(d, 0)
+    r = reverse_edge(d, 0)
     assert r.edges[0][:2] == (1, 0)
     assert r.edges[0][2] == Word.parse("x1^-1").letters
     assert dg.canonicalize(r) == dg.canonicalize(d)

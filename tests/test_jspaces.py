@@ -11,11 +11,10 @@ from beadiag.jspaces import (
     closure,
     ihx_relations,
     j_space,
-    vector_is_zero_in_full_space,
 )
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
 
-from reference_helpers import key_degree, quotient_dim
+from reference_helpers import key_degree, quotient_dim, vector_is_zero_in_full_space
 
 GEN11 = alphabet_from_spec("gen:1:1")
 

@@ -12,6 +12,8 @@ import pytest
 from beadiag import diagrams as dg
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec, inv_letters, mul_letters
 
+from move_fuzzer import reverse_edge
+
 
 def general_form(diagram):
     """(key, sign, order) by the numbering x gauge search, which strut
@@ -109,6 +111,6 @@ def test_strut_forms_equal_the_general_search(spec, d):
             relabelled = dg.Diagram._trusted(tuple(dia.legs[i] for i in order), (), dia.edges)
             reversed_ = relabelled
             for index in range(d):
-                reversed_ = dg.reverse_edge(reversed_, index)
+                reversed_ = reverse_edge(reversed_, index)
             for moved in (relabelled, reversed_):
                 assert dg._canonical_form(moved) == general_form(moved)
