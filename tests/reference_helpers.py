@@ -4,8 +4,9 @@
 relations, and ``vector_is_zero_in_full_space`` its zero test in the
 untruncated quotient; ``rebuild_arc`` and ``homotopy_class_raw`` are the
 raw-arc routes that the arc-canonicalization oracles compare with the
-canonical keys, and ``catass_act`` the generator action on a whole
-fiber-ordered map.
+canonical keys, ``catass_act`` the generator action on a whole
+fiber-ordered map, and ``numbered_zero_test`` the arc zero test with
+failures injected by vector.
 Below them: accessors of canonical labelled and arc keys, the leg
 relabelling of a raw diagram (the oracle of ``diagrams.relabel_key``), the
 rank embedding of arc vectors, the truncation dimensions, and the property
@@ -14,6 +15,7 @@ suites of the gluing action (Jacobi identity, well-definedness).
 
 from beadiag import catlie as cl
 from beadiag import diagrams as dg
+from beadiag.arcs import check_position
 from beadiag.bridge import FiberOrderedMap, _act_fibers
 from beadiag.jspaces import closure, full_residue, j_space
 from beadiag.linalg import EchelonBasis, echelonize, vec
@@ -54,8 +56,31 @@ def vector_is_zero_in_full_space(vector) -> bool:
 def catass_act(gen, pos, fom: FiberOrderedMap):
     """Action of a Hopf generator on a fiber-ordered map, mirroring the arc
     operations and their position ranges; returns [(coeff, fom')]."""
+    check_position(gen, pos, fom.target)
     return [(coeff, FiberOrderedMap(fom.source, len(fibers), fibers))
             for coeff, fibers in _act_fibers(gen, pos, fom.fibers)]
+
+
+def numbered_zero_test(zero_test, fails=()):
+    """A zero test that numbers the distinct vectors it is asked about, up
+    to sign, from 1 in the order first asked, and answers "nonzero" on
+    every ask of a vector, or of its negative, whose number is in
+    ``fails``; the others get ``zero_test``'s answer.  Returns the test and
+    the list of numbered vectors, each as the set of its two signed item
+    sets, so that neither the item order nor the sign a caller asks with
+    matters."""
+    numbers, asked = {}, []
+
+    def test(vector, degree, alphabet):
+        items = frozenset(vector.items())
+        if items not in numbers:
+            asked.append(frozenset((items, frozenset((k, -c) for k, c in items))))
+            numbers.update(dict.fromkeys(asked[-1], len(asked)))
+        if numbers[items] in fails:
+            return False
+        return zero_test(vector, degree, alphabet)
+
+    return test, asked
 
 
 def rebuild_arc(key):

@@ -1,15 +1,17 @@
-"""``verify_bridge`` reports when the arc zero test fails on one call.
+"""``verify_bridge`` reports when the arc zero test fails on chosen vectors.
 
 The zero test ``arcs._is_zero_in_full_space`` decides checks (a), (d) and
-(e).  Each run below lets it answer truthfully except on the listed calls,
-where it answers "nonzero"; the report then names the counterexamples
-those calls were made for.  A failure stops its check, so in a sampled run
+(e).  Each run below numbers the distinct vectors it is asked about, up to
+sign, in the order first asked, and lets it answer truthfully except on
+the listed numbers, where it answers "nonzero" on every ask of that vector
+or its negative, as a linear test would; the report then names the first
+counterexample whose vector is listed.  How often the driver asks about a
+vector does not matter.  A failure stops its check, so in a sampled run
 the later checks draw their samples from whatever the earlier checks left
-of the seeded generator; runs with two failing calls show that state.
-``bridge_failures.json`` holds the reports recorded before the bridge
-refactors; a change to the failure search, its sampling or its order of
-checks fails here.  To re-record after a deliberate change (and say so in
-CHANGES.md):
+of the seeded generator; runs with two failing numbers show that state.
+``bridge_failures.json`` holds the recorded reports; a change to the
+failure search, its sampling or its order of checks fails here.  To
+re-record after a deliberate change (and say so in CHANGES.md):
 
     PYTHONPATH=src python tests/test_bridge_failures.py
 """
@@ -24,34 +26,30 @@ from beadiag import arcs as ar
 from beadiag.bridge import verify_bridge
 from beadiag.words import alphabet_from_spec
 
+from reference_helpers import numbered_zero_test
+
 FIXTURE = os.path.join(os.path.dirname(__file__), "bridge_failures.json")
 
-# (d, alphabet, l, sample, seed, runs of failing calls); the calls of a
-# passing cell go to (a) first, then (d), then (e).  J_d has IHX relations
-# only from d = 3 on, so only the d = 3 cells reach check (a).
+# (d, alphabet, l, sample, seed, runs of failing numbers); a passing cell
+# asks about its vectors in (a) first, then (d), then (e).  Every (d) vector
+# vanishes before the quotient, so the number of the empty vector fails (d)
+# together with the first (e) tuple whose vector is empty.  J_d has IHX
+# relations only from d = 3 on, so only the d = 3 cells reach check (a).
 CELLS = [
-    (1, "trivial", 2, None, 0, [(1,), (30,), (60,), (61,), (62,), (1, 2)]),
-    (1, "gen:1:1", 2, None, 0, [(1,), (150,), (200,), (201,), (206,)]),
-    (1, "gen:1:1", 2, 7, 2, [(5,), (70,), (71,), (76,), (3, 4)]),
-    (2, "trivial", 2, None, 0, [(2000,), (4130,)]),
-    (2, "trivial", 2, 20, 3, [(1,), (123,), (201,), (220,), (2, 3)]),
-    (3, "trivial", 1, 4, 5, [(1,), (6,), (10,), (13,), (36,), (1, 2), (6, 7)]),
-    (3, "trivial", 1, 30, 5, [(1,), (20,), (46,), (197,), (20, 21)]),
+    (1, "trivial", 2, None, 0, [(1,)]),
+    (1, "gen:1:1", 2, None, 0, [(1,), (2,), (3,)]),
+    (1, "gen:1:1", 2, 7, 2, [(1,), (2,), (3,)]),
+    (2, "trivial", 2, None, 0, [(1,), (2,), (6,), (15,)]),
+    (2, "trivial", 2, 20, 3, [(1,), (2,), (8,), (10,)]),
+    (3, "trivial", 1, 4, 5, [(1,), (6,), (7,), (9,), (1, 2), (6, 7)]),
+    (3, "trivial", 1, 30, 5, [(1,), (6,), (7,), (20,), (25,), (3, 4)]),
 ]
 RUNS = [(d, spec, l, sample, seed, list(fails))
         for d, spec, l, sample, seed, runs in CELLS for fails in runs]
 
 
 def _report(monkeypatch, d, spec, l, sample, seed, fails):
-    calls = []
-    zero_test = ar._is_zero_in_full_space
-
-    def failing(vector, degree, alphabet):
-        calls.append(None)
-        if len(calls) in fails:
-            return False
-        return zero_test(vector, degree, alphabet)
-
+    failing, _asked = numbered_zero_test(ar._is_zero_in_full_space, fails)
     monkeypatch.setattr(ar, "_is_zero_in_full_space", failing)
     report = verify_bridge(d, alphabet_from_spec(spec), l, seed=seed, sample=sample)
     monkeypatch.undo()
