@@ -370,9 +370,8 @@ def check_position(gen, pos, m):
 
 def _act_arc_key(gen, pos, key):
     """Action of one generator at arc position pos on a canonical key, as
-    (key, sign) terms."""
+    (key, sign) terms; :func:`gr_act` has checked the position."""
     m, arc_beads, counts, dkey = key
-    check_position(gen, pos, m)
     if gen == "eta":
         return [(insert_bare_arc(key, pos), 1)]
     j = pos - 1
@@ -410,7 +409,10 @@ def _act_arc_key(gen, pos, key):
 
 def gr_act(gen, pos, vector, act=_act_arc_key):
     """Linear action of a Hopf generator at an arc position on a vector;
-    ``act`` is :func:`_act_arc_key` or a caller's memo of it."""
+    ``act`` is :func:`_act_arc_key` or a caller's memo of it.  The position
+    is checked once per arc count of the vector, before any action."""
+    for m in {arc_key_m(key) for key in vector}:
+        check_position(gen, pos, m)
     return vec((k2, coeff * c) for key, coeff in vector.items() for k2, c in act(gen, pos, key))
 
 

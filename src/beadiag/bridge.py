@@ -23,7 +23,7 @@ from . import arcs as ar
 from . import catlie as cl
 from . import diagrams as dg
 from .jspaces import j_space
-from .linalg import echelonize, vaxpy, vscale
+from .linalg import echelonize, vaxpy, vec
 
 
 class FiberOrderedMap(namedtuple("FiberOrderedMap", "source target fibers")):
@@ -130,10 +130,9 @@ def alpha_dim(d, alphabet, l, max_arity=None) -> int:
 
 def _act_fibers(gen, pos, fibers):
     """Action of a Hopf generator on the fibers of a fiber-ordered map,
-    mirroring the arc operations and their position ranges: [(coeff,
-    fibers')].  The images partition the same source, so nothing is
-    re-validated."""
-    ar.check_position(gen, pos, len(fibers))
+    mirroring the arc operations: [(coeff, fibers')].  The caller passes a
+    position in the generator's arc range, and the images partition the
+    same source, so nothing is validated."""
     j = pos - 1
     if gen == "eta":
         return [(1, fibers[:j] + ((),) + fibers[j:])]
@@ -238,37 +237,30 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     # (d) naturality for the five generators, modulo the arc relations.  On
     # bare arcs gluing only relabels legs, and each generator moves the
     # flattened leg order of a map by a permutation of the fiber sizes alone,
-    # so the difference vector of a (key, map, move) is s/s0 times that of
-    # the first pair glued to the same arc key, s and s0 the gluing signs
-    # (both +-1).  The vectors are made once per arc key of this call.
+    # so the difference vector of a (key, map, move) is +-1 times that of
+    # the first pair glued to the same arc key.  The zero test is linear, so
+    # each arc key of this call is decided once.
     gens = [("eta", range(1, l + 2)), ("eps", range(1, l + 1)),
             ("mu", range(1, l)), ("antipode", range(1, l + 1)),
             ("delta", range(1, l + 1))]
     moves = [(gen, pos) for gen, positions in gens for pos in positions]
-    natural = {}  # arc key -> (gluing sign, difference vector per move)
+    natural = {}  # arc key -> index of its first move that fails, or None
 
-    def naturality_vectors(key, fibers, akey, sign):
-        out = []
-        for gen, pos in moves:
-            # acting after gluing minus gluing after acting, in one pass and
-            # in the item order that vec gives
-            total = {}
-            for k, c in ar.gr_act(gen, pos, {akey: 1}).items():
-                total[k] = total.get(k, 0) + sign * c
-            for coeff, fibers2 in _act_fibers(gen, pos, fibers):
-                for k, c in ar.on_bare_arcs(fibers2, {key: 1}).items():
-                    total[k] = total.get(k, 0) - coeff * c
-            out.append({k: c for k, c in total.items() if c})
-        return out
+    def naturality_vector(key, fibers, akey, sign, gen, pos):
+        """Acting after gluing minus gluing after acting."""
+        return vaxpy(ar.gr_act(gen, pos, {akey: sign}), -1, vec(
+            (k, coeff * c) for coeff, fibers2 in _act_fibers(gen, pos, fibers)
+            for k, c in ar.on_bare_arcs(fibers2, {key: 1}).items()))
 
     def naturality_counterexample(key, fom):
         [(akey, sign)] = ar.on_bare_arcs(fom.fibers, {key: 1}).items()
         if akey not in natural:
-            natural[akey] = (sign, naturality_vectors(key, fom.fibers, akey, sign))
-        sign0, vectors = natural[akey]
-        for n, vector in enumerate(vectors):
-            if not vanishes(vscale(vector, sign * sign0)):
-                return (*moves[n], fom.fibers, key)
+            natural[akey] = next(
+                (n for n, move in enumerate(moves)
+                 if not vanishes(naturality_vector(key, fom.fibers, akey, sign, *move))),
+                None)
+        if natural[akey] is not None:
+            return (*moves[natural[akey]], fom.fibers, key)
 
     bad = first_failure(
         [(key, fom) for c, space in spaces.items() for key in space.span for fom in foms[c]],
@@ -279,8 +271,9 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     # (e) coequalizer identity via the STU relation.  Glued along ``after``,
     # i and c + 1 are the adjacent legs q + 1 and q + 2 of the arc key, q
     # the place of i in the flattened fibers; ``before`` swaps them and the
-    # gluing glues them, so the vector depends on (arc key, q) up to sign.
-    coequal = {}  # (arc key, q) -> (gluing sign, difference vector)
+    # gluing glues them, so the vector depends on (arc key, q) up to sign,
+    # and so does whether it vanishes.
+    coequal = {}  # (arc key, q) -> whether its difference vector vanishes
 
     def coequalizer_counterexample(c, key, fom, i):
         after, before = _mu_lifted_maps(fom.fibers, i)
@@ -289,9 +282,8 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
         if cls not in coequal:
             lhs = vaxpy({akey: sign}, -1, ar.on_bare_arcs(before, {key: 1}))
             rhs = ar.on_bare_arcs(fom.fibers, cl.mu_action(i, {key: 1}, c + 1))
-            coequal[cls] = (sign, vaxpy(lhs, -1, rhs))
-        sign0, vector = coequal[cls]
-        if not vanishes(vscale(vector, sign * sign0)):
+            coequal[cls] = vanishes(vaxpy(lhs, -1, rhs))
+        if not coequal[cls]:
             return (c, key, fom.fibers, i)
 
     bad = first_failure(

@@ -214,7 +214,8 @@ def build_parser():
 
 def main(argv=None) -> int:
     """Run one command; exit code 0, 1 for a report with ``"pass": False``,
-    2 for invalid input (printed as one ``error:`` line on stderr)."""
+    2 for invalid input (printed as one ``error:`` line on stderr), 141 when
+    stdout is closed before the report is written."""
     args = build_parser().parse_args(argv)
     try:
         if args.cache_dir and args.func not in (_canonical, _enumerate):
@@ -225,17 +226,23 @@ def main(argv=None) -> int:
         if "alphabet" in args:
             args.alphabet = alphabet_from_spec(args.alphabet)
         report = args.func(args)
-        if args.format == "csv" and args.csv:
-            print(",".join(report))
-            print(",".join(str(value) for value in report.values()))
-        else:
-            report.update(command=args.command, schema=REPORT_SCHEMA)
-            print(json.dumps(report, sort_keys=True, indent=2, default=str))
     except (ValueError, OSError) as exc:
         # invalid inputs (diagram JSON, alphabet specs, arities, diverging
         # closures, an unusable cache directory) raise before any output
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    if args.format == "csv" and args.csv:
+        text = "%s\n%s" % (",".join(report), ",".join(str(value) for value in report.values()))
+    else:
+        report.update(command=args.command, schema=REPORT_SCHEMA)
+        text = json.dumps(report, sort_keys=True, indent=2, default=str)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone; what is left unflushed goes to devnull at exit
+        # (the note on SIGPIPE in the docs of the signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 1 if report.get("pass") is False else 0
 
 

@@ -112,10 +112,6 @@ class Diagram:
     def num_tri(self):
         return len(self.tri)
 
-    @property
-    def degree(self):
-        return (len(self.legs) + len(self.tri)) // 2
-
     def vertex_of(self):
         """Map half-edge -> vertex id (legs 0..U-1, trivalent U..U+T-1)."""
         if self._vert is None:

@@ -66,6 +66,24 @@ def test_failing_verify_report_exits_1(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_silently(unbuffered):
+    # a reader that has gone is not invalid input: no exit 2, no error line
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "beadiag.cli", "enumerate", "--d", "1", "--m", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_csv_format():
     proc = run_cli("--format", "csv", "dim-a", "--n", "0", "--m", "2", "--d", "1")
     lines = proc.stdout.strip().splitlines()
