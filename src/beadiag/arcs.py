@@ -114,22 +114,23 @@ def arc_canonicalize(arcs, dashed):
     return _lift(len(arcs), tuple(arc_beads), tuple(counts), dashed, order, deposits)
 
 
-def on_bare_arcs(fibers, jvector):
-    """A vector of labelled keys glued onto bare arcs, the legs of fiber j
-    attached to arc j in order; returns a vector over canonical arc keys.
+def _glue_key(fibers, key):
+    """One labelled key glued onto bare arcs, the legs of fiber j attached
+    to arc j in order: (canonical arc key, sign).
 
     On bare arcs no bead slides onto a leg, so the canonical form is the
     labelled key with its legs relabelled in (arc, position) order.
     """
-    order = tuple(label for fiber in fibers for label in fiber)
     m = len(fibers)
-    bare = tuple([IDENTITY] * m)
-    counts = tuple(len(fiber) for fiber in fibers)
-    return vec(
-        ((m, bare, counts, dkey), coeff * sign)
-        for key, coeff in jvector.items()
-        for dkey, sign in [dg.relabel_key(key, order)]
-    )
+    dkey, sign = dg.relabel_key(key, tuple(itertools.chain(*fibers)))
+    return (m, (IDENTITY,) * m, tuple(map(len, fibers)), dkey), sign
+
+
+def on_bare_arcs(fibers, jvector):
+    """A vector of labelled keys glued onto bare arcs (:func:`_glue_key`);
+    returns a vector over canonical arc keys."""
+    return vec((akey, coeff * sign) for key, coeff in jvector.items()
+               for akey, sign in [_glue_key(fibers, key)])
 
 
 def arc_key_m(key):

@@ -201,18 +201,18 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
         return ar._is_zero_in_full_space(vector, d, alphabet)
 
     spaces = {c: j_space(d, c, alphabet) for c in range(0, 2 * d + 1)}
-    foms = {c: cat_ass_basis(c, l) for c in spaces}
+    maps = {c: sorted(ar.leg_placements(c, l)) for c in spaces}  # cat_ass_basis's fibers
 
     # (a) IHX relations die after gluing; the echelon rows span them all, in
     # key order.  One sample per arity, and none after the first failure.
-    def ihx_counterexample(c, r, fom):
-        if not vanishes(glue_vector(fom, r)):
+    def ihx_counterexample(c, r, fibers):
+        if not vanishes(ar.on_bare_arcs(fibers, r)):
             # reported with Fraction coefficients, whichever exact type a row holds
-            return (c, fom.fibers, {k: Fraction(v) for k, v in r.items()})
+            return (c, fibers, {k: Fraction(v) for k, v in r.items()})
 
     for c, space in spaces.items():
         rows = [dict(sorted(r.items())) for _, r in sorted(space.relations.rows.items())]
-        bad = first_failure([(c, r, f) for r in rows for f in foms[c]], ihx_counterexample)
+        bad = first_failure([(c, r, f) for r in rows for f in maps[c]], ihx_counterexample)
         if bad:
             break
     record("ihx_image_vanishes", bad is None, bad)
@@ -221,11 +221,10 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     # the dimension, so the images stop once it is reached
     dim_arc = aspace.dim(0)
     basis = echelonize([])
-    images = (glue(fom, key) for c, space in spaces.items() for fom in foms[c]
+    images = (ar._glue_key(fibers, key) for c, space in spaces.items() for fibers in maps[c]
               for key in space.span)
-    for img in images:
-        if img:
-            basis.insert(aspace.reduce(img))
+    for akey, sign in images:
+        basis.insert(aspace.reduce({akey: sign}))
         if basis.rank == dim_arc:
             break
     record("glue_surjective", basis.rank == dim_arc, (basis.rank, dim_arc))
@@ -236,34 +235,38 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
 
     # (d) naturality for the five generators, modulo the arc relations.  On
     # bare arcs gluing only relabels legs, and each generator moves the
-    # flattened leg order of a map by a permutation of the fiber sizes alone,
-    # so the difference vector of a (key, map, move) is +-1 times that of
-    # the first pair glued to the same arc key.  The zero test is linear, so
-    # each arc key of this call is decided once.
+    # flattened leg order of a map by a permutation of the fiber sizes alone.
+    # So every (key, map) pair glued to one arc key has, for each move, the
+    # difference vector of the arc key's own labelled key glued in block
+    # order, times the gluing sign; the zero test is linear, so the verdict
+    # depends on the arc key alone.
     gens = [("eta", range(1, l + 2)), ("eps", range(1, l + 1)),
             ("mu", range(1, l)), ("antipode", range(1, l + 1)),
             ("delta", range(1, l + 1))]
     moves = [(gen, pos) for gen, positions in gens for pos in positions]
-    natural = {}  # arc key -> index of its first move that fails, or None
 
-    def naturality_vector(key, fibers, akey, sign, gen, pos):
-        """Acting after gluing minus gluing after acting."""
-        return vaxpy(ar.gr_act(gen, pos, {akey: sign}), -1, vec(
-            (k, coeff * c) for coeff, fibers2 in _act_fibers(gen, pos, fibers)
-            for k, c in ar.on_bare_arcs(fibers2, {key: 1}).items()))
+    @functools.cache
+    def failing_move(akey):
+        """The first move whose naturality vector at the arc key does not
+        vanish, or None."""
+        _m, _beads, counts, dkey = akey
+        blocks = tuple(map(tuple, ar._leg_blocks(counts)))
 
-    def naturality_counterexample(key, fom):
-        [(akey, sign)] = ar.on_bare_arcs(fom.fibers, {key: 1}).items()
-        if akey not in natural:
-            natural[akey] = next(
-                (n for n, move in enumerate(moves)
-                 if not vanishes(naturality_vector(key, fom.fibers, akey, sign, *move))),
-                None)
-        if natural[akey] is not None:
-            return (*moves[natural[akey]], fom.fibers, key)
+        def vector(gen, pos):
+            """Acting after gluing minus gluing after acting."""
+            return vaxpy(ar.gr_act(gen, pos, {akey: 1}), -1, vec(
+                (k, coeff * sign) for coeff, fibers in _act_fibers(gen, pos, blocks)
+                for k, sign in [ar._glue_key(fibers, dkey)]))
+
+        return next((move for move in moves if not vanishes(vector(*move))), None)
+
+    def naturality_counterexample(key, fibers):
+        move = failing_move(ar._glue_key(fibers, key)[0])
+        if move is not None:
+            return (*move, fibers, key)
 
     bad = first_failure(
-        [(key, fom) for c, space in spaces.items() for key in space.span for fom in foms[c]],
+        [(key, f) for c, space in spaces.items() for key in space.span for f in maps[c]],
         naturality_counterexample,
     )
     record("naturality", bad is None, bad)
@@ -275,20 +278,21 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     # and so does whether it vanishes.
     coequal = {}  # (arc key, q) -> whether its difference vector vanishes
 
-    def coequalizer_counterexample(c, key, fom, i):
-        after, before = _mu_lifted_maps(fom.fibers, i)
-        [(akey, sign)] = ar.on_bare_arcs(after, {key: 1}).items()
+    def coequalizer_counterexample(c, key, fibers, i):
+        after, before = _mu_lifted_maps(fibers, i)
+        akey, sign = ar._glue_key(after, key)
         cls = (akey, list(itertools.chain(*after)).index(i))
         if cls not in coequal:
-            lhs = vaxpy({akey: sign}, -1, ar.on_bare_arcs(before, {key: 1}))
-            rhs = ar.on_bare_arcs(fom.fibers, cl.mu_action(i, {key: 1}, c + 1))
+            bkey, bsign = ar._glue_key(before, key)
+            lhs = vec([(akey, sign), (bkey, -bsign)])
+            rhs = ar.on_bare_arcs(fibers, cl.mu_action(i, {key: 1}, c + 1))
             coequal[cls] = vanishes(vaxpy(lhs, -1, rhs))
         if not coequal[cls]:
-            return (c, key, fom.fibers, i)
+            return (c, key, fibers, i)
 
     bad = first_failure(
-        [(c, key, fom, i) for c in range(1, 2 * d) for key in spaces[c + 1].span
-         for fom in foms[c] for i in range(1, c + 1)],
+        [(c, key, f, i) for c in range(1, 2 * d) for key in spaces[c + 1].span
+         for f in maps[c] for i in range(1, c + 1)],
         coequalizer_counterexample,
     )
     record("coequalizer", bad is None, bad)

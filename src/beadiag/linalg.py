@@ -28,12 +28,6 @@ def vec(items=()) -> dict:
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def vscale(u: dict, c) -> dict:
-    if not c:
-        return {}
-    return {key: coeff * c for key, coeff in u.items()}
-
-
 def vaxpy(u: dict, c, v: dict) -> dict:
     """u + c*v, as a new dict."""
     if not c:

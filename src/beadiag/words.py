@@ -19,17 +19,11 @@ IDENTITY: Letters = ()
 
 def reduce_letters(letters) -> Letters:
     """Freely reduce a letter sequence (cancel adjacent inverse pairs)."""
-    out = []
-    for idx, sign in letters:
-        if out and out[-1][0] == idx and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((idx, sign))
-    return tuple(out)
+    return mul_letters(IDENTITY, letters)
 
 
 def mul_letters(a: Letters, b: Letters) -> Letters:
-    """Product of two reduced words; result is reduced."""
+    """Product of a reduced word and any letter sequence; result is reduced."""
     out = list(a)
     for idx, sign in b:
         if out and out[-1][0] == idx and out[-1][1] == -sign:

@@ -66,6 +66,10 @@ def test_glue_examples():
     # arity mismatch
     with pytest.raises(ar.ArityMismatch):
         glue(FiberOrderedMap(3, 1, ((1, 2, 3),)), key)
+    # fibers that do not partition the source over the target slots
+    for source, target, fibers in [(2, 2, ((1,), (1,))), (2, 1, ((1,), (2,))), (1, 1, ((2,),))]:
+        with pytest.raises(ValueError, match="^fibers must partition 1..source over target slots$"):
+            FiberOrderedMap(source, target, fibers)
 
 
 def test_glue_is_the_raw_route_on_bare_arcs():

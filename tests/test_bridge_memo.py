@@ -20,6 +20,7 @@ import pytest
 from beadiag import arcs as ar
 from beadiag import bridge
 from beadiag import catlie as cl
+from beadiag import diagrams as dg
 from beadiag.bridge import (
     FiberOrderedMap,
     alpha_dim,
@@ -258,9 +259,10 @@ def test_forced_failures_reach_naturality_and_coequalizer(monkeypatch):
     assert failed == {"naturality", "coequalizer"}
 
 
-def test_work_per_labelled_key_is_done_once(monkeypatch):
-    counts = dict.fromkeys(("gr_act", "on_bare_arcs", "_is_zero_in_full_space",
-                            "_act_fibers"), 0)
+def _count_calls(monkeypatch, names):
+    """Counters of calls to the named functions of ``arcs`` (of ``bridge``
+    for ``_act_fibers``)."""
+    counts = dict.fromkeys(names, 0)
     for name in counts:
         module = bridge if name == "_act_fibers" else ar
 
@@ -269,6 +271,12 @@ def test_work_per_labelled_key_is_done_once(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def test_work_per_labelled_key_is_done_once(monkeypatch):
+    counts = _count_calls(monkeypatch, ("gr_act", "on_bare_arcs", "_is_zero_in_full_space",
+                                        "_act_fibers"))
     assert verify_bridge(2, alphabet_from_spec("trivial"), 3)["pass"]
     # the per-call driver made 17,847 zero tests, one per (key, map, move) of
     # (d) and per tuple of (e), and 17,280 gr_act, 27,766 on_bare_arcs and
@@ -279,3 +287,23 @@ def test_work_per_labelled_key_is_done_once(monkeypatch):
     assert counts["gr_act"] <= 915
     assert counts["on_bare_arcs"] <= 3_697
     assert counts["_act_fibers"] <= 915
+
+
+def test_tuples_are_glued_as_keys_not_vectors(monkeypatch):
+    """Each tuple of (d) and (e) finds its class by one memoised relabelling
+    (``arcs._glue_key``), and (d) decides a class from its arc key alone, so
+    the only vectors glued are the right-hand sides of (e), one per class."""
+    trivial = alphabet_from_spec("trivial")
+    for c in range(5):
+        j_space(2, c, trivial)
+    for m in (2, 3, 4):
+        ar.a_space(trivial.rank, m, 2, trivial, class0=True)
+    counts = _count_calls(monkeypatch, ("gr_act", "on_bare_arcs", "_is_zero_in_full_space"))
+    dg.relabel_key.cache_clear()
+    assert verify_bridge(2, trivial, 3)["pass"]
+    asked = dg.relabel_key.cache_info()
+    # 3,697 on_bare_arcs calls when each tuple was glued as a one-term vector
+    assert counts["on_bare_arcs"] <= 105
+    assert counts["_is_zero_in_full_space"] == 1_020
+    assert counts["gr_act"] == 915
+    assert (asked.hits + asked.misses, asked.misses) == (4_593, 80)
