@@ -50,7 +50,7 @@ def _lift(m, arc_beads, counts, dashed, order, deposits):
     ``dashed`` is a canonical labelled key, or at the raw boundary a
     Diagram.  Its leg ``order[i]`` becomes leg i + 1, after the edge at each
     leg l in ``deposits`` takes the holonomy ``deposits[l]`` slid onto it
-    (gauge at the attachment point).  A key with nothing to deposit is only
+    (``diagrams.regauge``).  A key with nothing to deposit is only
     renumbered (``diagrams.relabel_key``).  Neither step changes which
     automorphisms fix the legs, so from a key the result is never ZERO.
     """
@@ -59,18 +59,8 @@ def _lift(m, arc_beads, counts, dashed, order, deposits):
             dkey, sign = dg.relabel_key(dashed, tuple(order))
             return ((m, arc_beads, counts, dkey), sign)
         dashed = dg.rebuild(dashed)
-    U = dashed.num_legs
-    vert = dashed.vertex_of()
-    new_edges = []
-    for tail, head, w in dashed.edges:
-        tv, hv = vert[tail], vert[head]
-        if tv < U and tv + 1 in deposits:
-            w = mul_letters(inv_letters(deposits[tv + 1]), w)
-        if hv < U and hv + 1 in deposits:
-            w = mul_letters(w, deposits[hv + 1])
-        new_edges.append((tail, head, w))
-    legs = tuple(dashed.legs[old - 1] for old in order)
-    dkey, sign = dg.canonicalize(dg.Diagram._trusted(legs, dashed.tri, tuple(new_edges)))
+    dashed = dg.regauge(dashed, {l - 1: w for l, w in deposits.items()})
+    dkey, sign = dg.relabel(dashed, order)
     if dkey is ZERO:
         return (ZERO, 0)
     return ((m, arc_beads, counts, dkey), sign)

@@ -88,25 +88,24 @@ def coinvariant_dim(space, i, l) -> int:
     for k its free keys and s the adjacent leg swaps inside consecutive
     blocks, of dimension ``len(free) - echelonize(relations).rank``.  Most of
     these relations have one or two terms, which ``echelonize`` merges
-    without elimination.  Raises ``ValueError`` if a swap leaves the span.
+    without elimination.  Each free key is rebuilt once for its i - 1 swaps.
+    Raises ``ValueError`` if a swap leaves the span.
     """
     if (l == 0 and i > 0) or space.dimension == 0:
         return 0
     span = set(space.span)
     free = space.free_keys
-    # unmemoised: each (key, swap) is asked once; the memo is for the bridge checks
-    relabel = dg.relabel_key.__wrapped__
-
-    @functools.cache
-    def swapped(key, j):
-        """s key reduced to the free keys, for s swapping legs j and j + 1."""
-        image, sign = relabel(key, (*range(1, j), j + 1, j, *range(j + 2, i + 1)))
-        if image not in span:
-            raise ValueError("a leg swap leaves the span of J_%d(%d)" % (space.d, i))
-        return space.reduce({image: sign})
+    swapped = {}  # (key, j) -> s key reduced to the free keys, s swapping legs j, j + 1
+    for key in free:
+        dia = dg.rebuild(key)
+        for j in range(1, i):
+            image, sign = dg.relabel(dia, (*range(1, j), j + 1, j, *range(j + 2, i + 1)))
+            if image not in span:
+                raise ValueError("a leg swap leaves the span of J_%d(%d)" % (space.d, i))
+            swapped[key, j] = space.reduce({image: sign})
 
     def quotient_dim(parts):
-        relations = (vaxpy({key: 1}, -1, swapped(key, j))
+        relations = (vaxpy({key: 1}, -1, swapped[key, j])
                      for p, end in zip(parts, itertools.accumulate(parts))
                      for j, key in itertools.product(range(end - p + 1, end), free))
         return len(free) - echelonize(relations).rank

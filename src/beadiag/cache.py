@@ -31,10 +31,6 @@ def set_cache_dir(path):
     _active_dir = path
 
 
-def cache_dir():
-    return _active_dir
-
-
 def _entry_path(kind, params):
     import hashlib  # disk access only, see the module docstring
 

@@ -144,21 +144,28 @@ class Diagram:
                 raise DiagramError("component without univalent vertex")
 
 
+def regauge(diagram: Diagram, gauge) -> Diagram:
+    """Regauge by ``gauge``, a map vertex -> reduced letters (1 where absent):
+    each edge bead w becomes gauge(tail)^-1 * w * gauge(head).  Unchecked; at
+    a leg this is a bead slid across an arc attachment point, not a move."""
+    vert = diagram.vertex_of()
+    new_edges = []
+    for tail, head, w in diagram.edges:
+        g = gauge.get(vert[tail])
+        if g:
+            w = mul_letters(inv_letters(g), w)
+        g = gauge.get(vert[head])
+        if g:
+            w = mul_letters(w, g)
+        new_edges.append((tail, head, w))
+    return Diagram._trusted(diagram.legs, diagram.tri, tuple(new_edges), vert)
+
+
 def gauge_at_vertex(diagram: Diagram, v: int, g) -> Diagram:
     """Regauge by g at trivalent vertex v (push-through-vertex moves)."""
     if v < diagram.num_legs or v >= diagram.num_legs + diagram.num_tri:
         raise DiagramError("gauge moves apply only at trivalent vertices")
-    g = g.letters if isinstance(g, Word) else reduce_letters(tuple(g))
-    ginv = inv_letters(g)
-    vert = diagram.vertex_of()
-    new_edges = []
-    for tail, head, w in diagram.edges:
-        if vert[tail] == v:
-            w = mul_letters(ginv, w)
-        if vert[head] == v:
-            w = mul_letters(w, g)
-        new_edges.append((tail, head, w))
-    return Diagram._trusted(diagram.legs, diagram.tri, tuple(new_edges), vert)
+    return regauge(diagram, {v: g.letters if isinstance(g, Word) else reduce_letters(tuple(g))})
 
 
 def _components(num_vertices, edge_vertex_pairs):
@@ -402,21 +409,26 @@ def rebuild(key) -> Diagram:
         tuple(legs), tuple(tuple(triples[U + j]) for j in range(T)), tuple(edges), vert)
 
 
+def relabel(dia: Diagram, order):
+    """(key, sign) of a presentation whose leg ``order[i]`` becomes leg i + 1:
+    the canonical form of the diagram with its legs renumbered.  Unchecked
+    and unmemoised; :func:`relabel_key` checks and memoises it for keys."""
+    legs = tuple(dia.legs[old - 1] for old in order)
+    vert = {**dia.vertex_of(), **{h: i for i, h in enumerate(legs)}}
+    return canonicalize(Diagram._trusted(legs, dia.tri, dia.edges, vert))
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def relabel_key(key, order):
     """(key, sign) of a canonical key whose leg ``order[i]`` becomes leg i + 1,
-    for a tuple ``order``: the canonical form of ``rebuild(key)`` with its
-    legs relabelled.
+    for a tuple ``order``: :func:`relabel` of ``rebuild(key)``.
 
     Pure, so memoised for the life of the process; the bound holds the
     12,246 distinct relabellings of ``verify_bridge(3, trivial, 1)``.
     """
-    dia = rebuild(key)
-    if sorted(order) != list(range(1, dia.num_legs + 1)):
-        raise DiagramError("leg order must be a permutation of 1..%d" % dia.num_legs)
-    legs = tuple(dia.legs[old - 1] for old in order)
-    vert = {**dia.vertex_of(), **{h: i for i, h in enumerate(legs)}}
-    return canonicalize(Diagram._trusted(legs, dia.tri, dia.edges, vert))
+    if sorted(order) != list(range(1, key_num_legs(key) + 1)):
+        raise DiagramError("leg order must be a permutation of 1..%d" % key_num_legs(key))
+    return relabel(rebuild(key), order)
 
 
 def key_num_legs(key):
@@ -471,7 +483,7 @@ def unglue_leg(diagram: Diagram, label: int):
         return []
     if w:
         # head at x needs g = w^-1, tail at x needs g = w
-        diagram = gauge_at_vertex(diagram, x, inv_letters(w) if vert[head] == x else w)
+        diagram = regauge(diagram, {x: inv_letters(w) if vert[head] == x else w})
     hx = tail if vert[tail] == x else head
     triple = diagram.tri[x - U]
     pos = triple.index(hx)
@@ -497,7 +509,7 @@ def ihx_at_edge(diagram: Diagram, index: int):
     if u < U or v < U or u == v:
         raise DiagramError("IHX applies to internal edges joining two trivalent vertices")
     if w:
-        diagram = gauge_at_vertex(diagram, v, inv_letters(w))
+        diagram = regauge(diagram, {v: inv_letters(w)})
     triples = list(diagram.tri)
     tu = triples[u - U]
     tv = triples[v - U]

@@ -44,7 +44,7 @@ def word_key(a: Letters):
 
 
 _TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
-_MAX_WORD_LETTERS = 100_000  # parse_letters rejects longer words before expanding them
+_MAX_WORD_LETTERS = 100_000  # bound on one parsed word, and on a gen:n:depth alphabet's words
 
 
 def parse_letters(text: str) -> Letters:
@@ -216,13 +216,20 @@ _GEN_SPEC = re.compile(r"^gen:(\d+):(\d+)$")
 
 
 def alphabet_from_spec(spec: str) -> BeadAlphabet:
-    """Parse the alphabet mini-language: ``trivial`` or ``gen:n:depth``."""
+    """Parse the alphabet mini-language: ``trivial`` or ``gen:n:depth``.  A
+    spec whose words would hold more than 100,000 letters in all is refused."""
     spec = spec.strip()
     if spec == "trivial":
         return TRIVIAL_ALPHABET
     m = _GEN_SPEC.match(spec)
     if m is None:
         raise ValueError("unknown alphabet spec %r (use 'trivial' or 'gen:n:depth')" % spec)
-    n, depth = int(m.group(1)), int(m.group(2))
-    gens = [Word.generator(i) for i in range(1, n + 1)]
+    n = int(m.group(1))
+    depth = int(m.group(2)) if n else 0  # no generators: every depth gives {1}
+    # the closure has 2n(2n-1)^(j-1) words of length j for each j <= depth
+    totals = itertools.accumulate(j * 2 * n * (2 * n - 1) ** (j - 1) for j in range(1, depth + 1))
+    if any(total > _MAX_WORD_LETTERS for total in totals):
+        raise ValueError("alphabet %r has more than %d letters in its words"
+                         % (spec, _MAX_WORD_LETTERS))
+    gens = [Word.generator(i) for i in range(1, n + 1)] if depth else []
     return alphabet_closure(gens, depth, rank=n, label=spec)

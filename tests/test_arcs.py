@@ -186,9 +186,10 @@ def test_gr_laws_suites():
     assert check_hopf_antipode(2, TRIVIAL_ALPHABET, 3)["pass"]
 
 
-def _gr_laws_reports(monkeypatch, memo):
-    """check_gr_laws(2, trivial, m) for m <= 3, with the number of
-    ``_act_arc_key`` computations; ``memo`` stands in for functools.cache."""
+def _suite_reports(monkeypatch, memo, cells, suite=check_gr_laws):
+    """``suite`` at the (d, m) cells over the trivial alphabet, with the
+    number of ``_act_arc_key`` computations; ``memo`` stands in for
+    functools.cache."""
     calls = 0
     act = ar._act_arc_key
 
@@ -199,7 +200,7 @@ def _gr_laws_reports(monkeypatch, memo):
 
     monkeypatch.setattr(ar, "_act_arc_key", counted)
     monkeypatch.setattr(laws.functools, "cache", memo)
-    reports = [check_gr_laws(2, TRIVIAL_ALPHABET, m) for m in range(4)]
+    reports = [suite(d, TRIVIAL_ALPHABET, m) for d, m in cells]
     monkeypatch.undo()
     return reports, calls
 
@@ -207,11 +208,23 @@ def _gr_laws_reports(monkeypatch, memo):
 def test_gr_laws_take_each_generator_image_once_per_call(monkeypatch):
     # the same reports as acting afresh at every gr_act call, with one
     # computation per distinct (generator, position, key) of each call
-    reports, calls = _gr_laws_reports(monkeypatch, functools.cache)
-    fresh_reports, fresh_calls = _gr_laws_reports(monkeypatch, lambda f: f)
+    cells = [(2, m) for m in range(4)]
+    reports, calls = _suite_reports(monkeypatch, functools.cache, cells)
+    fresh_reports, fresh_calls = _suite_reports(monkeypatch, lambda f: f, cells)
     assert reports == fresh_reports
     assert all(report["pass"] for report in reports)
     assert calls <= 4987 < fresh_calls == 11873
+
+
+def test_hopf_antipode_takes_each_generator_image_once_per_call(monkeypatch):
+    # the antipode suite runs through the same memo as the gr-laws suite
+    cells = [(2, 3)]
+    reports, calls = _suite_reports(monkeypatch, functools.cache, cells, check_hopf_antipode)
+    fresh_reports, fresh_calls = _suite_reports(
+        monkeypatch, lambda f: f, cells, check_hopf_antipode)
+    assert reports == fresh_reports
+    assert reports[0]["pass"]
+    assert calls <= 1230 < fresh_calls == 1446
 
 
 def multilinear_sym2_dim(k):

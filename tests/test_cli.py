@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -20,13 +21,14 @@ from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
 from json_fuzzer import mutate
 
 
-def run_cli(*args, stdin=None, env=None):
+def run_cli(*args, stdin=None, env=None, **kwargs):
     proc = subprocess.run(
         [sys.executable, "-m", "beadiag.cli", *args],
         capture_output=True,
         text=True,
         input=stdin,
         env=env,
+        **kwargs,
     )
     return proc
 
@@ -135,6 +137,28 @@ def test_clean_error_for_bad_input():
     assert proc.returncode == 2
     assert proc.stdout == ""  # no partial report
     assert "error:" in proc.stderr
+
+
+def _cap_memory():
+    # an alphabet built in full would otherwise grow until the timeout
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("spec,builds", [("gen:9:9", False), ("gen:1:99999", False),
+                                         ("gen:0:999999999", True), ("gen:99999999:0", True)])
+def test_alphabet_specs_answer_at_once(spec, builds):
+    # about 1.3e11 words, 1e10 letters, 1e9 empty closure rounds and 1e8
+    # generators if built in full; the last two are the alphabet {1}
+    proc = run_cli("dim-j", "--d", "1", "--m", "2", "--alphabet", spec,
+                   timeout=60, preexec_fn=_cap_memory)
+    if builds:
+        trivial = run_cli("dim-j", "--d", "1", "--m", "2")
+        assert proc.returncode == 0
+        assert proc.stdout == trivial.stdout.replace('"trivial"', json.dumps(spec))
+    else:
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: alphabet %r has more than 100000 letters in its words\n" % spec
 
 
 _LIST_HALFEDGE = {

@@ -53,12 +53,11 @@ def _perm_trace(space, perm):
     """Trace of a leg permutation acting on a J-space quotient."""
     sigma = {i + 1: perm[i] for i in range(len(perm))}
     order = tuple(sorted(sigma, key=sigma.__getitem__))  # as in catlie.perm_action
-    # the unmemoised body: each (key, order) is asked once, so memoising
-    # them would only crowd the memo that the bridge checks reuse
-    relabel = dg.relabel_key.__wrapped__
+    # unmemoised: each (key, order) is asked once, so memoising them would
+    # only crowd the memo that the bridge checks reuse
     tr = 0
     for key in space.free_keys:
-        image, sign = relabel(key, order)
+        image, sign = dg.relabel(dg.rebuild(key), order)
         tr += space.reduce({image: sign}).get(key, 0)
     return tr
 
@@ -152,3 +151,20 @@ def test_signed_orbits_leave_few_relations_to_eliminate(monkeypatch):
     assert 0 < len(grew) <= 2 and not any(grew)
     bound = sum((i - 1) * len(space.free_keys) for i, space in spaces if i > 1 and space.dimension)
     assert calls <= bound == 2088
+
+
+def test_each_free_key_is_rebuilt_once(monkeypatch):
+    # alpha_dim(4, trivial, 1), spaces built beforehand: one presentation
+    # per free key serves all of that key's adjacent swaps
+    spaces = [j_space(4, i, TRIVIAL_ALPHABET) for i in range(9)]
+    calls = 0
+    rebuild = dg.rebuild
+
+    def counted(key):
+        nonlocal calls
+        calls += 1
+        return rebuild(key)
+
+    monkeypatch.setattr(dg, "rebuild", counted)
+    assert bridge.alpha_dim(4, TRIVIAL_ALPHABET, 1) == 6
+    assert calls == sum(len(space.free_keys) for space in spaces if space.dimension) == 335

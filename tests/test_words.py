@@ -113,6 +113,18 @@ def test_alphabet_spec_errors():
         BeadAlphabet([Word.parse("x1")])  # not symmetric
 
 
+def test_alphabet_specs_are_bounded_by_their_letters():
+    # the closure has 2n(2n-1)^(j-1) words of length j; a spec whose words
+    # hold more than 100,000 letters in all is refused before it is built
+    a = alphabet_from_spec("gen:1:315")
+    assert len(a) == 631 and sum(len(w) for w in a.elements) == 99_540
+    assert len(alphabet_from_spec("gen:2:8")) == 13_121
+    assert alphabet_from_spec("gen:0:7").elements == ((),)
+    for spec in ("gen:1:316", "gen:2:9"):
+        with pytest.raises(ValueError, match="more than 100000 letters"):
+            alphabet_from_spec(spec)
+
+
 def test_word_total_order():
     ws = [Word.parse(s) for s in ("x2", "1", "x1^-1", "x1", "x1*x2")]
     assert [str(w) for w in sorted(ws)] == ["1", "x1^-1", "x1", "x2", "x1*x2"]
