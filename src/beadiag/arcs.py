@@ -243,22 +243,6 @@ def arc_closure(seed_keys, relations):
 # spanning sets and spaces
 
 
-def leg_placements(c, m):
-    """All ways to place legs 1..c on m arcs with a fiber order: yields
-    per-arc leg sequences.  Count is the rising factorial m(m+1)...(m+c-1)."""
-    if c == 0:
-        yield tuple(() for _ in range(m))
-        return
-    if m == 0:
-        return
-    for images in itertools.product(range(m), repeat=c):
-        fibers = [[i + 1 for i in range(c) if images[i] == j] for j in range(m)]
-        for orders in itertools.product(
-            *[itertools.permutations(f) for f in fibers]
-        ):
-            yield tuple(orders)
-
-
 def enumerate_arc_diagrams(m, d, alphabet, class0=True):
     """All canonical arc keys of degree d on m arcs with canonical beads in
     the alphabet (arc beads forced trivial when class0).
@@ -349,13 +333,16 @@ def _is_zero_in_full_space(vector, d, alphabet) -> bool:
 # the five Hopf generator actions
 
 
+# each Hopf generator acts on m arcs at positions 1..m + its offset here
+_GEN_RANGES = {"eta": 1, "eps": 0, "mu": -1, "antipode": 0, "delta": 0}
+
+
 def check_position(gen, pos, m):
     """Raise unless ``gen`` is a Hopf generator that acts at position pos on
     m arcs: eta at 1..m+1, mu at 1..m-1, the others at 1..m."""
-    top = {"eta": m + 1, "eps": m, "mu": m - 1, "antipode": m, "delta": m}.get(gen)
-    if top is None:
+    if gen not in _GEN_RANGES:
         raise ValueError("unknown generator %r" % gen)
-    if not 1 <= pos <= top:
+    if not 1 <= pos <= m + _GEN_RANGES[gen]:
         raise ArityMismatch("%s position out of range" % gen)
 
 

@@ -44,12 +44,8 @@ def cat_ass_basis(c, l):
 
     Count equals the rising factorial l(l+1)...(l+c-1).
     """
-    out = [
-        FiberOrderedMap(source=c, target=l, fibers=placement)
-        for placement in ar.leg_placements(c, l)
-    ]
-    out.sort(key=lambda f: f.fibers)
-    return out
+    return sorted(FiberOrderedMap(source=c, target=l, fibers=fibers)
+                  for fibers in cl.leg_placements(c, l))
 
 
 def glue_vector(fom: FiberOrderedMap, jvector):
@@ -88,21 +84,28 @@ def coinvariant_dim(space, i, l) -> int:
     for k its free keys and s the adjacent leg swaps inside consecutive
     blocks, of dimension ``len(free) - echelonize(relations).rank``.  Most of
     these relations have one or two terms, which ``echelonize`` merges
-    without elimination.  Each free key is rebuilt once for its i - 1 swaps.
-    Raises ``ValueError`` if a swap leaves the span.
+    without elimination.  Each free key is rebuilt once for its i - 1 swaps,
+    and a swap sending it to a free key also gives that key's image, the
+    swap being an involution.  Raises ``ValueError`` if a swap leaves the
+    span.
     """
     if (l == 0 and i > 0) or space.dimension == 0:
         return 0
     span = set(space.span)
     free = space.free_keys
+    free_set = set(free)
     swapped = {}  # (key, j) -> s key reduced to the free keys, s swapping legs j, j + 1
     for key in free:
         dia = dg.rebuild(key)
         for j in range(1, i):
+            if (key, j) in swapped:
+                continue
             image, sign = dg.relabel(dia, (*range(1, j), j + 1, j, *range(j + 2, i + 1)))
             if image not in span:
                 raise ValueError("a leg swap leaves the span of J_%d(%d)" % (space.d, i))
             swapped[key, j] = space.reduce({image: sign})
+            if image in free_set:
+                swapped[image, j] = {key: sign}
 
     def quotient_dim(parts):
         relations = (vaxpy({key: 1}, -1, swapped[key, j])
@@ -190,17 +193,19 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
         checks.append(entry)
 
     def first_failure(tuples, counterexample):
-        """The first counterexample among the tuples, or among a seeded
-        sample of them when there are more than ``sample``."""
-        if sample is not None and len(tuples) > sample:
-            tuples = rng.sample(tuples, sample)
+        """The first counterexample among the tuples, streamed, or among a
+        seeded sample of them when there are more than ``sample``."""
+        if sample is not None:
+            tuples = list(tuples)
+            if len(tuples) > sample:
+                tuples = rng.sample(tuples, sample)
         return next(filter(None, (counterexample(*t) for t in tuples)), None)
 
     def vanishes(vector):
         return ar._is_zero_in_full_space(vector, d, alphabet)
 
     spaces = {c: j_space(d, c, alphabet) for c in range(0, 2 * d + 1)}
-    maps = {c: sorted(ar.leg_placements(c, l)) for c in spaces}  # cat_ass_basis's fibers
+    maps = {c: [fom.fibers for fom in cat_ass_basis(c, l)] for c in spaces}
 
     # (a) IHX relations die after gluing; the echelon rows span them all, in
     # key order.  One sample per arity, and none after the first failure.
@@ -211,7 +216,7 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
 
     for c, space in spaces.items():
         rows = [dict(sorted(r.items())) for _, r in sorted(space.relations.rows.items())]
-        bad = first_failure([(c, r, f) for r in rows for f in maps[c]], ihx_counterexample)
+        bad = first_failure(((c, r, f) for r in rows for f in maps[c]), ihx_counterexample)
         if bad:
             break
     record("ihx_image_vanishes", bad is None, bad)
@@ -239,10 +244,7 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     # difference vector of the arc key's own labelled key glued in block
     # order, times the gluing sign; the zero test is linear, so the verdict
     # depends on the arc key alone.
-    gens = [("eta", range(1, l + 2)), ("eps", range(1, l + 1)),
-            ("mu", range(1, l)), ("antipode", range(1, l + 1)),
-            ("delta", range(1, l + 1))]
-    moves = [(gen, pos) for gen, positions in gens for pos in positions]
+    moves = [(gen, pos) for gen, top in ar._GEN_RANGES.items() for pos in range(1, l + top + 1)]
 
     @functools.cache
     def failing_move(akey):
@@ -265,7 +267,7 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
             return (*move, fibers, key)
 
     bad = first_failure(
-        [(key, f) for c, space in spaces.items() for key in space.span for f in maps[c]],
+        ((key, f) for c, space in spaces.items() for key in space.span for f in maps[c]),
         naturality_counterexample,
     )
     record("naturality", bad is None, bad)
@@ -290,8 +292,8 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
             return (c, key, fibers, i)
 
     bad = first_failure(
-        [(c, key, f, i) for c in range(1, 2 * d) for key in spaces[c + 1].span
-         for f in maps[c] for i in range(1, c + 1)],
+        ((c, key, f, i) for c in range(1, 2 * d) for key in spaces[c + 1].span
+         for f in maps[c] for i in range(1, c + 1)),
         coequalizer_counterexample,
     )
     record("coequalizer", bad is None, bad)

@@ -108,26 +108,23 @@ def outer_quotient(d: int, k: int, alphabet) -> int:
 # Morphism bases of the Lie PROP
 
 
-def _surjections(m, n):
-    for images in itertools.product(range(1, n + 1), repeat=m):
-        if len(set(images)) == n:
-            yield images
+def leg_placements(c, m):
+    """All fiber-ordered maps {1..c} -> {1..m}, by images then fiber orders:
+    yields per-target leg sequences.  Count is the rising factorial
+    m(m+1)...(m+c-1)."""
+    for images in itertools.product(range(m), repeat=c):
+        fibers = [[i + 1 for i in range(c) if images[i] == j] for j in range(m)]
+        yield from itertools.product(*map(itertools.permutations, fibers))
 
 
 def catlie_basis(m: int, n: int) -> tuple:
     """Basis of the PROP's (m, n) morphism space: surjections with a
     left-normed Lie bracket basis on each fiber, as (surjection images,
-    per-fiber orders) pairs.  Its length, the dimension, is the sum over
+    per-fiber orders) pairs: the fiber-ordered maps whose fibers are
+    non-empty and start at their least element a1, for the brackets
+    [[...[a1, w2], ...], wj].  Its length, the dimension, is the sum over
     surjections of the product of (fiber size - 1)! factors."""
-    elements = []
-    for images in _surjections(m, n):
-        fibers = [tuple(i for i in range(1, m + 1) if images[i - 1] == t) for t in range(1, n + 1)]
-        # left-normed brackets [[...[a1, w2], ...], wj] with a1 the least
-        # fiber element: (j-1)! per fiber
-        per_fiber = [
-            [(f[0],) + rest for rest in itertools.permutations(f[1:])] for f in fibers
-        ]
-        for orders in itertools.product(*per_fiber):
-            elements.append((images, tuple(orders)))
-    return tuple(elements)
-
+    return tuple(
+        (tuple(t for _x, t in sorted((x, t) for t, f in enumerate(fibers, 1) for x in f)), fibers)
+        for fibers in leg_placements(m, n) if all(f and f[0] == min(f) for f in fibers)
+    )

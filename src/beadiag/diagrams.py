@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 
 from .words import (
     IDENTITY,
@@ -648,6 +649,15 @@ def enumerate_diagrams(d: int, m: int, alphabet):
         return []
     if d == 0:
         return [(0, 0, ())] if m == 0 else []
+    # with legs, _structures nests a generator per pair, 3d - m of them, and
+    # calls at most 4 frames below the deepest; refuse what the stack cannot hold
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    if m and depth + 3 * d - m + 4 > sys.getrecursionlimit():
+        raise ValueError("degree %d with %d legs is too large: the pairing search nests "
+                         "%d deep, too close to the recursion limit %d"
+                         % (d, m, 3 * d - m, sys.getrecursionlimit()))
     letters = alphabet.letter_elements()
     loop_letters = tuple(w for w in letters if w)
     found = set()

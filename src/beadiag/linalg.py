@@ -79,17 +79,16 @@ class EchelonBasis:
     def reduce(self, v: dict) -> dict:
         """v minus its projection onto the row space; no support on pivots."""
         out = dict(v)
-        # rows carry no other pivots in their support, so one pass suffices;
-        # out is a private copy, so each elimination updates it in place
-        for pivot in sorted(out.keys() & self.rows.keys()):
-            coeff = out.get(pivot)
-            if coeff:
-                for key, c in self.rows[pivot].items():
-                    s = out.get(key, 0) - coeff * c
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+        # rows carry no other pivots, so one pass in any order suffices, each
+        # pivot's coefficient is v's; out is a private copy, updated in place
+        for pivot in out.keys() & self.rows.keys():
+            coeff = out[pivot]
+            for key, c in self.rows[pivot].items():
+                s = out.get(key, 0) - coeff * c
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
         return out
 
     def insert(self, v: dict) -> bool:

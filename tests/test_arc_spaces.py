@@ -18,6 +18,7 @@ import pytest
 from beadiag import arcs as ar
 from beadiag import diagrams as dg
 from beadiag.bridge import alpha_dim
+from beadiag.catlie import leg_placements
 from beadiag.linalg import echelonize
 from beadiag.words import IDENTITY, TRIVIAL_ALPHABET, alphabet_from_spec
 
@@ -47,7 +48,7 @@ def brute_force_arc_keys(m, d, alphabet, class0=True):
                     skeleton.tri,
                     [(t, h, (w,)) for (t, h, _), w in zip(skeleton.edges, beads)],
                 )
-                for placement in ar.leg_placements(c, m):
+                for placement in leg_placements(c, m):
                     key, _sign = ar.arc_canonicalize(
                         [[("leg", lab) for lab in fiber] for fiber in placement], dashed
                     )

@@ -161,6 +161,20 @@ def test_alphabet_specs_answer_at_once(spec, builds):
         assert proc.stderr == "error: alphabet %r has more than 100000 letters in its words\n" % spec
 
 
+@pytest.mark.parametrize("command,deep", [
+    ("enumerate --d 400 --m 2", 1198), ("dim-j --d 400 --m 2", 1198),
+    ("dim-a --n 0 --m 1 --d 400", 1199), ("outer-check --d 400", 1199),
+    ("cross-effect --n 0 --d 400 --k 1", 1199), ("enumerate --d 340 --m 2", 1018)])
+def test_large_degree_is_refused_before_the_search(command, deep):
+    # the pairing search nests 3d - m generators deep, past the recursion limit
+    proc = run_cli(*command.split(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: degree ")
+    assert proc.stderr.count("\n") == 1
+    assert "nests %d deep" % deep in proc.stderr
+
+
 _LIST_HALFEDGE = {
     "vertices": [
         {"id": 0, "kind": "uni", "label": 1, "halfedge": [0]},

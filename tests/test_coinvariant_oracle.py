@@ -168,3 +168,22 @@ def test_each_free_key_is_rebuilt_once(monkeypatch):
     monkeypatch.setattr(dg, "rebuild", counted)
     assert bridge.alpha_dim(4, TRIVIAL_ALPHABET, 1) == 6
     assert calls == sum(len(space.free_keys) for space in spaces if space.dimension) == 335
+
+
+def test_each_swap_orbit_is_relabelled_from_one_half(monkeypatch):
+    # alpha_dim(4, trivial, 1), spaces built beforehand: a swap sending a
+    # free key to a free key also gives the swap image of that key, so only
+    # 1,168 of the 1,933 (free key, swap) pairs are relabelled
+    for i in range(9):
+        j_space(4, i, TRIVIAL_ALPHABET)
+    calls = 0
+    relabel = dg.relabel
+
+    def counted(dia, order):
+        nonlocal calls
+        calls += 1
+        return relabel(dia, order)
+
+    monkeypatch.setattr(dg, "relabel", counted)
+    assert bridge.alpha_dim(4, TRIVIAL_ALPHABET, 1) == 6
+    assert calls == 1168
