@@ -12,7 +12,6 @@ five Hopf generators.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -120,6 +119,8 @@ def coinvariant_dim(space, i, l) -> int:
 def alpha_dim(d, alphabet, l, max_arity=None) -> int:
     """The glued functor's dimension at l arcs: sum over arities i of the
     coinvariant dimensions; ``max_arity`` truncates the module."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
     if l < 0:
         raise ValueError("l must be >= 0")
     top = 2 * d if max_arity is None else min(2 * d, max_arity)
@@ -177,6 +178,13 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     (e) the coequalizer identity f(L(..)) = f(R(..)) (an STU instance).
     Exhaustive when ``sample`` is None; otherwise a seeded sample caps each
     check's tuple count (in (a), each arity's).
+
+    Every check glues along block maps only, one per composition of the
+    arity c into l leg counts, whose fibers are the leg blocks in order.
+    Any fiber-ordered map glues a key as its block map glues the key with
+    its legs relabelled by the map's flattened order, and a leg relabelling
+    maps the span of J_d(c), and the span of its IHX relations, onto itself.
+    So the other maps glue nothing that the block maps miss.
     """
     if l < 0:
         raise ValueError("l must be >= 0")
@@ -205,7 +213,9 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
         return ar._is_zero_in_full_space(vector, d, alphabet)
 
     spaces = {c: j_space(d, c, alphabet) for c in range(0, 2 * d + 1)}
-    maps = {c: [fom.fibers for fom in cat_ass_basis(c, l)] for c in spaces}
+    maps = {c: [tuple(map(tuple, ar._leg_blocks(counts)))  # the block maps, sorted
+                for counts in itertools.product(range(c + 1), repeat=l) if sum(counts) == c]
+            for c in spaces}
 
     # (a) IHX relations die after gluing; the echelon rows span them all, in
     # key order.  One sample per arity, and none after the first failure.
@@ -237,34 +247,18 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     dim_alpha = alpha_dim(d, alphabet, l)
     record("dimension_equality", dim_alpha == dim_arc, (dim_alpha, dim_arc))
 
-    # (d) naturality for the five generators, modulo the arc relations.  On
-    # bare arcs gluing only relabels legs, and each generator moves the
-    # flattened leg order of a map by a permutation of the fiber sizes alone.
-    # So every (key, map) pair glued to one arc key has, for each move, the
-    # difference vector of the arc key's own labelled key glued in block
-    # order, times the gluing sign; the zero test is linear, so the verdict
-    # depends on the arc key alone.
+    # (d) naturality for the five generators, modulo the arc relations
     moves = [(gen, pos) for gen, top in ar._GEN_RANGES.items() for pos in range(1, l + top + 1)]
 
-    @functools.cache
-    def failing_move(akey):
-        """The first move whose naturality vector at the arc key does not
-        vanish, or None."""
-        _m, _beads, counts, dkey = akey
-        blocks = tuple(map(tuple, ar._leg_blocks(counts)))
-
-        def vector(gen, pos):
-            """Acting after gluing minus gluing after acting."""
-            return vaxpy(ar.gr_act(gen, pos, {akey: 1}), -1, vec(
-                (k, coeff * sign) for coeff, fibers in _act_fibers(gen, pos, blocks)
-                for k, sign in [ar._glue_key(fibers, dkey)]))
-
-        return next((move for move in moves if not vanishes(vector(*move))), None)
-
     def naturality_counterexample(key, fibers):
-        move = failing_move(ar._glue_key(fibers, key)[0])
-        if move is not None:
-            return (*move, fibers, key)
+        glued = dict([ar._glue_key(fibers, key)])
+        for gen, pos in moves:
+            # acting after gluing minus gluing after acting
+            vector = vaxpy(ar.gr_act(gen, pos, glued), -1, vec(
+                (k, coeff * sign) for coeff, image in _act_fibers(gen, pos, fibers)
+                for k, sign in [ar._glue_key(image, key)]))
+            if not vanishes(vector):
+                return (gen, pos, fibers, key)
 
     bad = first_failure(
         ((key, f) for c, space in spaces.items() for key in space.span for f in maps[c]),
@@ -272,23 +266,15 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     )
     record("naturality", bad is None, bad)
 
-    # (e) coequalizer identity via the STU relation.  Glued along ``after``,
-    # i and c + 1 are the adjacent legs q + 1 and q + 2 of the arc key, q
-    # the place of i in the flattened fibers; ``before`` swaps them and the
-    # gluing glues them, so the vector depends on (arc key, q) up to sign,
-    # and so does whether it vanishes.
-    coequal = {}  # (arc key, q) -> whether its difference vector vanishes
-
+    # (e) coequalizer identity via the STU relation: glued along ``after``,
+    # i and c + 1 are adjacent legs, ``before`` swaps them and the
+    # right-hand side glues them onto a tripod
     def coequalizer_counterexample(c, key, fibers, i):
         after, before = _mu_lifted_maps(fibers, i)
-        akey, sign = ar._glue_key(after, key)
-        cls = (akey, list(itertools.chain(*after)).index(i))
-        if cls not in coequal:
-            bkey, bsign = ar._glue_key(before, key)
-            lhs = vec([(akey, sign), (bkey, -bsign)])
-            rhs = ar.on_bare_arcs(fibers, cl.mu_action(i, {key: 1}, c + 1))
-            coequal[cls] = vanishes(vaxpy(lhs, -1, rhs))
-        if not coequal[cls]:
+        (akey, sign), (bkey, bsign) = ar._glue_key(after, key), ar._glue_key(before, key)
+        lhs = vec([(akey, sign), (bkey, -bsign)])
+        rhs = ar.on_bare_arcs(fibers, cl.mu_action(i, {key: 1}, c + 1))
+        if not vanishes(vaxpy(lhs, -1, rhs)):
             return (c, key, fibers, i)
 
     bad = first_failure(

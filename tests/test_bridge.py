@@ -152,6 +152,14 @@ def test_alpha_dim_examples():
     assert alpha_dim(1, GEN11, 3) == ar.a_space(1, 3, 1, GEN11).dim(0)
 
 
+def test_alpha_dim_rejects_a_negative_degree():
+    # no arity has a diagram of negative degree, so the sum was an empty 0
+    with pytest.raises(ValueError, match="^d must be >= 0$"):
+        alpha_dim(-1, TRIVIAL_ALPHABET, 1)
+    with pytest.raises(ValueError, match="^d must be >= 0$"):
+        verify_filtration(-1, TRIVIAL_ALPHABET, 1, 0)
+
+
 @pytest.mark.parametrize("spec", ["gen:1:1", "gen:2:1", "gen:1:2"])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_coinvariants_need_the_legs_to_permute_inside_the_span(spec, l):
@@ -214,6 +222,15 @@ def test_verify_bridge_cells():
     for l in (1, 2):
         assert verify_bridge(1, GEN11, l)["pass"]
     assert verify_bridge(2, TRIVIAL_ALPHABET, 2)["pass"]
+
+
+@pytest.mark.parametrize("d, l, dim", [(3, 1, 3), (3, 2, 23), (3, 3, 111), (4, 1, 6)])
+def test_verify_bridge_reach_cells(d, l, dim):
+    # exhaustive, past the d <= 2 cells above
+    report = verify_bridge(d, TRIVIAL_ALPHABET, l)
+    assert report["pass"]
+    assert report["checks"][1] == {"name": "glue_surjective", "pass": True,
+                                   "counterexample": repr((dim, dim))}
 
 
 def test_verify_filtration_cells():

@@ -1,13 +1,16 @@
-"""Checks (d) naturality and (e) coequalizer of ``verify_bridge`` decide
-each glued arc key once (for (e), each arc key and place of the glued
-pair): every other (key, map) pair has the same difference vector up to
-the gluing sign, and the zero test is linear.  The driver that glued,
-acted and tested afresh for every (key, map) pair is kept here verbatim as
-the oracle: the two must ask the zero test about the same distinct vectors,
-up to sign and in the same order of first ask, and give byte-identical
-reports, also when the zero test is made to answer "nonzero" on chosen
-vectors.  The counter test pins how much work the memoised checks save
-without timing anything.
+"""``verify_bridge`` glues along one block map per composition of leg counts,
+where the driver kept here verbatim as the oracle glued, acted and tested
+afresh along every fiber-ordered map.  Any fiber-ordered map glues a key as
+its block map glues the key with its legs relabelled, so the two give
+byte-identical reports, and every vector the block-map driver asks the zero
+test about is, up to sign, one the oracle asks about too.  The order of
+asking differs, so a tuple named under a numbered forced failure is checked
+with the oracle's test of that tuple, not against the oracle's run.  A
+semantic fault injected into both drivers (in the map action, in
+``catlie.mu_action`` or in a J-space relation row) fails the same checks in
+both, and each counterexample the driver names fails the oracle's test for
+that tuple.  The counter tests pin the work of a passing run without timing
+anything.
 """
 
 import itertools
@@ -217,7 +220,7 @@ FAILING = [
 ] + [
     ((1, "gen:1:1", 2, 7, 2), fails) for fails in ([1], [2], [3])
 ] + [
-    ((2, "trivial", 3, 50, 3), fails) for fails in ([1], [2], [13], [25])
+    ((2, "trivial", 3, 50, 3), fails) for fails in ([1], [2], [13], [23])
 ] + [
     ((2, "trivial", 3, None, 0), fails) for fails in ([1], [11], [37])
 ]
@@ -225,38 +228,155 @@ FAILING = [
 IHX_FAILING = [((3, "trivial", 1, 300, 5), fails) for fails in ([1], [6], [1, 2])]
 
 
-def _run(monkeypatch, driver, d, spec, l, sample, seed, fails=()):
-    """The report as JSON and the numbered vectors the zero test was asked
-    about."""
+def _run(patch, driver, d, spec, l, sample, seed, fails=()):
+    """The report, with the zero test patched to number the vectors it is
+    asked about and to fail the numbered ones in ``fails``, and the list of
+    those vectors; the patch stays for the caller."""
     numbered, asked = numbered_zero_test(ar._is_zero_in_full_space, fails)
-    monkeypatch.setattr(ar, "_is_zero_in_full_space", numbered)
-    report = driver(d, alphabet_from_spec(spec), l, seed=seed, sample=sample)
-    monkeypatch.undo()
-    return json.dumps(report, sort_keys=True), asked
+    patch.setattr(ar, "_is_zero_in_full_space", numbered)
+    return driver(d, alphabet_from_spec(spec), l, seed=seed, sample=sample), asked
+
+
+def _counterexamples(report):
+    """(check, tuple) for each failing check of a report that names a tuple:
+    (a), (d) and (e)."""
+    return [(c["name"], eval(c["counterexample"], {"Fraction": Fraction}))
+            for c in report["checks"]
+            if not c["pass"] and c["name"] in ("ihx_image_vanishes", "naturality", "coequalizer")]
+
+
+def _oracle_vector(check, counterexample, l):
+    """The vector that the oracle's test of a named tuple asks the zero test
+    about; for (d), at the named move."""
+    if check == "ihx_image_vanishes":
+        c, fibers, r = counterexample
+        return glue_vector(FiberOrderedMap(c, l, fibers), r)
+    if check == "naturality":
+        gen, pos, fibers, key = counterexample
+        fom = FiberOrderedMap(dg.key_num_legs(key), l, fibers)
+        rhs = vec((k2, coeff * c2) for coeff, fom2 in catass_act_per_call(gen, pos, fom)
+                  for k2, c2 in glue(fom2, key).items())
+        return vaxpy(ar.gr_act(gen, pos, glue(fom, key)), -1, rhs)
+    c, key, fibers, i = counterexample
+    fom = FiberOrderedMap(c, l, fibers)
+    fom_after, fom_before = mu_lifted_maps_per_call(fom, i)
+    lhs = vaxpy(glue(fom_after, key), -1, glue(fom_before, key))
+    return vaxpy(lhs, -1, glue_vector(fom, cl.mu_action(i, {key: 1}, c + 1)))
+
+
+def _oracle_fails(report, d, spec, l):
+    """Whether the oracle's test fails every tuple the report names."""
+    return all(not ar._is_zero_in_full_space(_oracle_vector(check, t, l), d,
+                                             alphabet_from_spec(spec))
+               for check, t in _counterexamples(report))
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: "-".join(map(str, cell)))
 def test_memoised_checks_match_the_per_call_driver(monkeypatch, cell):
-    report, asked = _run(monkeypatch, verify_bridge, *cell)
-    assert json.loads(report)["pass"]
-    assert (report, asked) == _run(monkeypatch, verify_bridge_per_call, *cell)
+    """The two drivers sample different tuples, so a sampled run is held to
+    the vectors of its own exhaustive run, which ask about no more than the
+    oracle's (checked on the exhaustive cells)."""
+    with monkeypatch.context() as patch:
+        report, asked = _run(patch, verify_bridge, *cell)
+    with monkeypatch.context() as patch:
+        oracle, allowed = _run(patch, verify_bridge_per_call, *cell)
+    assert report["pass"]
+    assert json.dumps(report, sort_keys=True) == json.dumps(oracle, sort_keys=True)
+    if cell[3] is not None:
+        with monkeypatch.context() as patch:
+            _report, allowed = _run(patch, verify_bridge, *cell[:3], None, 0)
+    assert set(asked) <= set(allowed)
 
 
 @pytest.mark.parametrize("cell, fails", FAILING + IHX_FAILING,
                          ids=["-".join(map(str, cell + tuple(fails)))
                               for cell, fails in FAILING + IHX_FAILING])
 def test_forced_failures_name_the_same_counterexamples(monkeypatch, cell, fails):
-    report, asked = _run(monkeypatch, verify_bridge, *cell, fails)
-    assert not json.loads(report)["pass"]
-    assert (report, asked) == _run(monkeypatch, verify_bridge_per_call, *cell, fails)
+    """A tuple named under a forced failure fails the oracle's test too."""
+    with monkeypatch.context() as patch:
+        report, asked = _run(patch, verify_bridge, *cell, fails)
+        assert max(fails) <= len(asked)
+        assert not report["pass"]
+        assert _oracle_fails(report, *cell[:3])
 
 
 def test_forced_failures_reach_naturality_and_coequalizer(monkeypatch):
     failed = set()
     for cell, fails in FAILING:
-        report, _asked = _run(monkeypatch, verify_bridge, *cell, fails)
-        failed.update(c["name"] for c in json.loads(report)["checks"] if not c["pass"])
+        with monkeypatch.context() as patch:
+            report, _asked = _run(patch, verify_bridge, *cell, fails)
+        failed.update(c["name"] for c in report["checks"] if not c["pass"])
     assert failed == {"naturality", "coequalizer"}
+
+
+def _antipode_sign_flipped_on_one_leg(act):
+    """A map action, on fibers or on maps, whose antipode has the wrong sign
+    on a one-leg fiber."""
+
+    def faulty(gen, pos, operand):
+        terms = act(gen, pos, operand)
+        if gen == "antipode" and len(getattr(operand, "fibers", operand)[pos - 1]) == 1:
+            return [(-coeff, image) for coeff, image in terms]
+        return terms
+
+    return faulty
+
+
+def _delta_shuffle_dropped(act):
+    """A map action whose delta drops the last shuffle of a nonempty fiber."""
+
+    def faulty(gen, pos, operand):
+        terms = act(gen, pos, operand)
+        return terms[:-1] if gen == "delta" and len(terms) > 1 else terms
+
+    return faulty
+
+
+def _mu_2_sign_flipped(mu_action):
+    def faulty(i, vector, arity):
+        image = mu_action(i, vector, arity)
+        return {k: -c for k, c in image.items()} if i == 2 else image
+
+    return faulty
+
+
+def _inject(patch, fault, d, alphabet):
+    """The named fault, in both drivers."""
+    if fault in ("antipode", "delta"):
+        wrap = _antipode_sign_flipped_on_one_leg if fault == "antipode" else _delta_shuffle_dropped
+        patch.setattr(bridge, "_act_fibers", wrap(bridge._act_fibers))
+        patch.setitem(globals(), "catass_act_per_call", wrap(catass_act_per_call))
+    elif fault == "mu_action":
+        patch.setattr(cl, "mu_action", _mu_2_sign_flipped(cl.mu_action))
+    else:  # "ihx_row": the first relation row of J_d keeps its pivot alone
+        rows = next(rows for c in range(2 * d + 1)
+                    for rows in [j_space(d, c, alphabet).relations.rows] if rows)
+        pivot = min(rows)
+        patch.setitem(rows, pivot, {pivot: rows[pivot][pivot]})
+
+
+EXHAUSTIVE = [(2, "trivial", 2, None, 0), (2, "trivial", 3, None, 0), (1, "gen:1:1", 2, None, 0)]
+# (fault, cell, the check it must fail)
+FAULTS = (
+    [(fault, cell, "naturality") for fault in ("antipode", "delta") for cell in EXHAUSTIVE]
+    + [("mu_action", cell, "coequalizer") for cell in EXHAUSTIVE[:2]]
+    + [("ihx_row", (3, "trivial", 1, 300, 5), "ihx_image_vanishes")]
+)
+
+
+@pytest.mark.parametrize("fault, cell, check", FAULTS,
+                         ids=["-".join(map(str, (fault, *cell))) for fault, cell, _ in FAULTS])
+def test_a_fault_fails_the_same_checks_in_both_drivers(monkeypatch, fault, cell, check):
+    d, spec, l, sample, seed = cell
+    failed = []
+    for driver in (verify_bridge, verify_bridge_per_call):
+        with monkeypatch.context() as patch:
+            _inject(patch, fault, d, alphabet_from_spec(spec))
+            report = driver(d, alphabet_from_spec(spec), l, seed=seed, sample=sample)
+            failed.append([c["name"] for c in report["checks"] if not c["pass"]])
+            assert driver is verify_bridge_per_call or _oracle_fails(report, d, spec, l)
+    assert check in failed[0]
+    assert failed[0] == failed[1]
 
 
 def _count_calls(monkeypatch, names):
@@ -280,30 +400,34 @@ def test_work_per_labelled_key_is_done_once(monkeypatch):
     assert verify_bridge(2, alphabet_from_spec("trivial"), 3)["pass"]
     # the per-call driver made 17,847 zero tests, one per (key, map, move) of
     # (d) and per tuple of (e), and 17,280 gr_act, 27,766 on_bare_arcs and
-    # 17,280 _act_fibers calls; memoised per labelled key and per map, the
-    # checks made 2,265, 6,210 and 6,480; one zero test per class of (d) and
-    # (e) leaves 1,020
+    # 17,280 _act_fibers calls; one zero test per class of (d) and (e) leaves
+    # 1,020, and one block map per class reaches each class once
     assert counts["_is_zero_in_full_space"] == 1_020
-    assert counts["gr_act"] <= 915
-    assert counts["on_bare_arcs"] <= 3_697
-    assert counts["_act_fibers"] <= 915
+    assert counts["gr_act"] == 915
+    assert counts["on_bare_arcs"] == 105
+    assert counts["_act_fibers"] == 915
 
 
 def test_tuples_are_glued_as_keys_not_vectors(monkeypatch):
-    """Each tuple of (d) and (e) finds its class by one memoised relabelling
-    (``arcs._glue_key``), and (d) decides a class from its arc key alone, so
-    the only vectors glued are the right-hand sides of (e), one per class."""
+    """Each (d) tuple glues its key, and each image of a move of its block
+    map, as one key (``arcs._glue_key``, one memoised relabelling); each (e)
+    tuple glues its key along its two lifted maps.  The only vectors glued
+    are the right-hand sides of (e), one per tuple."""
     trivial = alphabet_from_spec("trivial")
     for c in range(5):
         j_space(2, c, trivial)
     for m in (2, 3, 4):
         ar.a_space(trivial.rank, m, 2, trivial, class0=True)
-    counts = _count_calls(monkeypatch, ("gr_act", "on_bare_arcs", "_is_zero_in_full_space"))
+    counts = _count_calls(monkeypatch, ("gr_act", "on_bare_arcs", "_is_zero_in_full_space",
+                                        "_glue_key"))
     dg.relabel_key.cache_clear()
     assert verify_bridge(2, trivial, 3)["pass"]
     asked = dg.relabel_key.cache_info()
-    # 3,697 on_bare_arcs calls when each tuple was glued as a one-term vector
-    assert counts["on_bare_arcs"] <= 105
+    # 3,697 on_bare_arcs calls when each tuple was glued as a one-term
+    # vector; 3,664 _glue_key calls and 4,593 relabel_key asks for 80
+    # relabellings while every fiber-ordered map was glued to find its class
+    assert counts["on_bare_arcs"] == 105
     assert counts["_is_zero_in_full_space"] == 1_020
     assert counts["gr_act"] == 915
-    assert (asked.hits + asked.misses, asked.misses) == (4_593, 80)
+    assert counts["_glue_key"] == 1_641
+    assert (asked.hits + asked.misses, asked.misses) == (2_570, 53)
