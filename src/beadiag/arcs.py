@@ -27,9 +27,8 @@ import itertools
 from collections import namedtuple
 
 from . import cache
-from . import catlie as cl
 from . import diagrams as dg
-from .jspaces import ClosureDiverged, _grow, full_residue, ihx_relations
+from .jspaces import ClosureDiverged, Space, _grow, canonical_vector, full_residue, ihx_relations
 from .linalg import echelonize, vec
 from .words import IDENTITY, inv_letters, mul_letters
 
@@ -145,14 +144,22 @@ def _leg_blocks(counts):
 # STU and IHX relations, closure
 
 
+# Dashed-key work depends on neither arc beads nor leg counts, so it is
+# memoised for the process with relabel_key's bound: a_space(0, 1, 5) needs
+# 41,203 swap-and-glue pairs and 6,389 dashed keys, verify_bridge(4, trivial,
+# 1) 2,316 and 458.  The helpers look up ihx_relations, dg.unglue_leg and
+# dg.glue_pair when called, so a rebinding of those sees every miss.
+@functools.lru_cache(maxsize=1 << 16)
 def _swap_and_glue(dkey, l):
     """The dashed parts of the STU instance at legs l, l + 1 of a labelled
     key: the key with the two legs swapped, as (key, sign), and the two legs
     glued onto a tripod (a vector)."""
     swapped = (*range(1, l), l + 1, l, *range(l + 2, dg.key_num_legs(dkey) + 1))
-    return dg.relabel_key(dkey, swapped), cl.glue_pair_key(dkey, l, l + 1)
+    glued = canonical_vector([(1, dg.glue_pair(dg.rebuild(dkey), l, l + 1))])
+    return dg.relabel_key(dkey, swapped), glued
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _unglued(dkey):
     """Per leg label of a labelled key, the canonical keys of that leg's
     ungluings (``diagrams.unglue_leg``)."""
@@ -162,21 +169,25 @@ def _unglued(dkey):
             for label in range(1, dashed.num_legs + 1)]
 
 
-def stu_relations(key, swap_and_glue=None):
+@functools.lru_cache(maxsize=1 << 16)
+def _dashed_ihx(dkey):
+    """``ihx_relations`` of a labelled key."""
+    return ihx_relations(dkey)
+
+
+def stu_relations(key):
     """One STU relation per adjacent leg pair on an arc: T - U - S = 0.
 
     For legs l, l + 1 adjacent on arc j: T is the key, U swaps the two
     labels, and S glues the two legs onto a tripod whose free end, leg l,
-    takes their place on the arc.  The dashed parts of U and S come from
-    ``swap_and_glue(dkey, l)``, by default :func:`_swap_and_glue`.
+    takes their place on the arc (:func:`_swap_and_glue`).
     """
     m, arc_beads, counts, dkey = key
-    swap_and_glue = swap_and_glue or _swap_and_glue
     rels = []
     for j, block in enumerate(_leg_blocks(counts)):
         counts_s = counts[:j] + (counts[j] - 1,) + counts[j + 1 :]
         for l in block[:-1]:
-            (u_dkey, u_sign), glued = swap_and_glue(dkey, l)
+            (u_dkey, u_sign), glued = _swap_and_glue(dkey, l)
             rel = vec(
                 [(key, 1), ((m, arc_beads, counts, u_dkey), -u_sign)]
                 + [((m, arc_beads, counts_s, k), -c) for k, c in glued.items()]
@@ -186,16 +197,15 @@ def stu_relations(key, swap_and_glue=None):
     return rels
 
 
-def _unglue_neighbours(key, unglued=None):
+def _unglue_neighbours(key):
     """Keys of the T and U terms of STU instances whose S term is this key.
 
     Needed so that the closure contains every STU instance touching it: each
     leg whose dashed edge ends at a trivalent vertex is unglued back onto
-    its arc in both orders, one more leg there.  The dashed keys come from
-    ``unglued(dkey)``, by default :func:`_unglued`.
+    its arc in both orders, one more leg there (:func:`_unglued`).
     """
     m, arc_beads, counts, dkey = key
-    per_label = (unglued or _unglued)(dkey)
+    per_label = _unglued(dkey)
     out = []
     for j, block in enumerate(_leg_blocks(counts)):
         counts_t = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
@@ -204,35 +214,27 @@ def _unglue_neighbours(key, unglued=None):
     return out
 
 
-def ihx_relations_arc(key, ihx=None):
-    """IHX relations at internal dashed edges, arc structure unchanged; the
-    dashed relations come from ``ihx(dkey)``, by default ``ihx_relations``."""
+def ihx_relations_arc(key):
+    """IHX relations at internal dashed edges, arc structure unchanged."""
     m, arc_beads, counts, dkey = key
     return [{(m, arc_beads, counts, k): c for k, c in rel.items()}
-            for rel in (ihx or ihx_relations)(dkey)]
+            for rel in _dashed_ihx(dkey)]
 
 
 def arc_closure(seed_keys, relations):
     """Close a key set under STU (both directions) and IHX neighbours.
 
     Every STU and IHX relation of every member is appended to the list
-    ``relations``.  The dashed-key part of that work (IHX relations, leg
-    swaps and gluings, ungluings) depends on neither arc beads nor leg
-    counts, so it is done once per dashed key (and leg) of this call and
-    rewrapped onto each arc key.  Raises
-    :class:`beadiag.jspaces.ClosureDiverged` on unbounded bead growth, as
-    for the labelled-diagram closure.
+    ``relations``.  Raises :class:`beadiag.jspaces.ClosureDiverged` on
+    unbounded bead growth, as for the labelled-diagram closure.
     """
-    swap_and_glue = functools.cache(_swap_and_glue)
-    unglued = functools.cache(_unglued)
-    ihx = functools.cache(ihx_relations)
 
     def expand(key):
-        rels = stu_relations(key, swap_and_glue) + ihx_relations_arc(key, ihx)
+        rels = stu_relations(key) + ihx_relations_arc(key)
         neighbours = set()
         for rel in rels:
             neighbours.update(rel)
-        neighbours.update(_unglue_neighbours(key, unglued))
+        neighbours.update(_unglue_neighbours(key))
         return rels, neighbours
 
     return _grow(seed_keys, relations, expand,
@@ -269,19 +271,10 @@ def enumerate_arc_diagrams(m, d, alphabet, class0=True):
     return sorted(found)
 
 
-class ASpace:
+class ASpace(Space):
     """A truncated space of degree-d arc diagrams modulo STU/IHX/AS."""
 
-    def __init__(self, m, d, alphabet, class0, span, relations):
-        self.m = m
-        self.d = d
-        self.alphabet = alphabet
-        self.class0 = class0
-        self.span = span
-        self.relations = relations
-
-    def reduce(self, vector):
-        return self.relations.reduce(vector)
+    FIELDS = ("m", "d", "alphabet", "class0")
 
     def dim(self, min_trivalent=0) -> int:
         """Dimension of the image of the span keys K with at least

@@ -186,6 +186,8 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     maps the span of J_d(c), and the span of its IHX relations, onto itself.
     So the other maps glue nothing that the block maps miss.
     """
+    if d < 0:
+        raise ValueError("d must be >= 0")
     if l < 0:
         raise ValueError("l must be >= 0")
     if sample is not None and sample < 1:

@@ -39,11 +39,6 @@ def perm_action(sigma, vector):
     )
 
 
-def glue_pair_key(key, a, b):
-    """Glue legs a and b of a canonical diagram; a one-term vector (or zero)."""
-    return canonical_vector([(1, dg.glue_pair(dg.rebuild(key), a, b))])
-
-
 def _check_arity(vector, arity):
     if any(dg.key_num_legs(key) != arity for key in vector):
         raise ValueError("vector not supported in arity %d" % arity)

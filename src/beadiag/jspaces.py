@@ -139,27 +139,39 @@ def full_residue(vector, relations, close):
     return echelonize(rels).reduce(residue)
 
 
-class JSpace:
-    """A truncated space J_d(m) over a finite bead alphabet."""
+class Space:
+    """A truncated quotient (:class:`JSpace`, ``arcs.ASpace``): the ``FIELDS``
+    parameters, a ``span`` of keys, and echelonized ``relations`` inside it."""
 
-    def __init__(self, d, m, alphabet, span, relations):
-        self.d = d
-        self.m = m
-        self.alphabet = alphabet
-        self.span = span  # closure of the enumerated canonical keys
-        self.relations = relations
+    FIELDS = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.FIELDS + ("span", "relations")
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or set(values) != set(names):
+            raise TypeError("%s takes %s" % (type(self).__name__, ", ".join(names)))
+        self.__dict__.update((name, values[name]) for name in names)
 
     def __setstate__(self, state):
-        # the closure holds every key its relations touch, so a loaded entry
+        # the span holds every key its relations touch, so a loaded entry
         # whose rows leave the span is corrupt; raising makes it a cache miss
         if not {k for row in state["relations"].rows.values() for k in row} <= set(state["span"]):
             raise ValueError("relation rows reach keys outside the span")
         self.__dict__.update(state)
 
+    def reduce(self, vector):
+        """Quotient coordinates of a vector (support on free keys only)."""
+        return self.relations.reduce(vector)
+
+
+class JSpace(Space):
+    """A truncated space J_d(m) over a finite bead alphabet, spanned by a closure."""
+
+    FIELDS = ("d", "m", "alphabet")
+
     @property
     def dimension(self) -> int:
-        # the relations lie inside the span; as a property it also shadows
-        # the count that entries pickled before it carry
+        # as a property it also shadows the count older pickled entries carry
         return len(self.span) - self.relations.rank
 
     @property
@@ -167,10 +179,6 @@ class JSpace:
         """Keys forming a basis of the quotient (non-pivots of the relations)."""
         pivots = set(self.relations.rows)
         return tuple(k for k in self.span if k not in pivots)
-
-    def reduce(self, vector):
-        """Quotient coordinates of a vector (support on free keys only)."""
-        return self.relations.reduce(vector)
 
 
 def j_space(d: int, m: int, alphabet) -> JSpace:

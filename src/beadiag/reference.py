@@ -1,11 +1,12 @@
-"""Closed-form reference dimensions, independent of the diagram engine.
+"""Reference dimensions that cross-check the diagram computations.
 
 The degree-two group-ring quotient IF_m/(IF_m)^3 splits linearly as the
 abelianisation plus its tensor square (dimension m + m^2); the involution
 acts as minus the identity on the first block and as the place permutation
 on the second.  Schur functor dimensions come from the hook content
-formula.  These feed the independent pipelines that cross-check the
-diagram computations.
+formula.  These are closed forms; ``b_di_dim`` is not: it builds J-spaces
+and their coinvariants, so importing this module loads ``bridge``,
+``arcs``, ``catlie``, ``jspaces``, ``linalg`` and ``cache``.
 """
 
 from __future__ import annotations

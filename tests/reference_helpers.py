@@ -6,18 +6,20 @@ untruncated quotient; ``rebuild_arc`` and ``homotopy_class_raw`` are the
 raw-arc routes that the arc-canonicalization oracles compare with the
 canonical keys, ``catass_act`` the generator action on a whole
 fiber-ordered map, and ``numbered_zero_test`` the arc zero test with
-failures injected by vector.
+failures injected by vector; ``clear_dashed_memos`` empties the arc
+layer's memos before a test counts dashed work.
 Below them: accessors of canonical labelled and arc keys, the leg
 relabelling of a raw diagram (the oracle of ``diagrams.relabel_key``), the
 rank embedding of arc vectors, the truncation dimensions, and the property
 suites of the gluing action (Jacobi identity, well-definedness).
 """
 
+from beadiag import arcs as ar
 from beadiag import catlie as cl
 from beadiag import diagrams as dg
 from beadiag.arcs import check_position
 from beadiag.bridge import FiberOrderedMap, _act_fibers
-from beadiag.jspaces import closure, full_residue, j_space
+from beadiag.jspaces import canonical_vector, closure, full_residue, j_space
 from beadiag.linalg import EchelonBasis, echelonize, vec
 from beadiag.words import IDENTITY, Word, mul_letters
 
@@ -51,6 +53,13 @@ def quotient_dim(span, relations) -> int:
 def vector_is_zero_in_full_space(vector) -> bool:
     """Whether a diagram vector vanishes in the untruncated AS/IHX quotient."""
     return not full_residue(vector, EchelonBasis(), closure)
+
+
+def clear_dashed_memos():
+    """Empty the process-wide memos of the arc layer's dashed-key work, so
+    that what a test counts does not depend on which tests ran before it."""
+    for memo in (ar._swap_and_glue, ar._unglued, ar._dashed_ihx):
+        memo.cache_clear()
 
 
 def catass_act(gen, pos, fom: FiberOrderedMap):
@@ -183,11 +192,7 @@ def check_jacobi(d, alphabet, arity):
     space = j_space(d, arity, alphabet)
     failures = []
     def bracket(v, a, b):
-        return vec(
-            (k2, coeff * c)
-            for kk, coeff in v.items()
-            for k2, c in cl.glue_pair_key(kk, a, b).items()
-        )
+        return canonical_vector((coeff, dg.glue_pair(dg.rebuild(kk), a, b)) for kk, coeff in v.items())
 
     for key in space.free_keys:
         v = {key: 1}

@@ -1,10 +1,10 @@
-"""``arcs.arc_closure`` does the dashed-key part of its expansions once per
-dashed key (and leg) of a call: IHX relations, leg swaps and gluings, and
-ungluings, rewrapped onto each arc key.  The per-key expansion that redid
-them for every arc key is kept here verbatim as the oracle: the closure
-keys and the relation list, in order and item by item, must equal its
-own.  The counter test pins how much dashed work one closure does, without
-timing anything.
+"""``arcs`` does the dashed-key part of the arc closure once per dashed key
+(and leg) in a process: IHX relations, leg swaps and gluings, and
+ungluings, each memoised and rewrapped onto every arc key.  The per-key
+expansion that redid them for every arc key is kept here verbatim as the
+oracle: the closure keys and the relation list, in order and item by item,
+must equal its own.  The counter test pins how much dashed work two builds
+do, without timing anything.
 """
 
 from collections import Counter
@@ -12,11 +12,13 @@ from collections import Counter
 import pytest
 
 from beadiag import arcs as ar
-from beadiag import catlie as cl
+from beadiag import cache
 from beadiag import diagrams as dg
-from beadiag.jspaces import _grow, ihx_relations
+from beadiag.jspaces import _grow, canonical_vector, ihx_relations
 from beadiag.linalg import vec
 from beadiag.words import alphabet_from_spec
+
+from reference_helpers import clear_dashed_memos
 
 ZERO = dg.ZERO
 
@@ -39,7 +41,8 @@ def stu_relations_per_key(key):
             rel = vec(
                 [(key, 1), (u_key, -u_sign)]
                 + [((m, arc_beads, counts_s, k), -c)
-                   for k, c in cl.glue_pair_key(dkey, l, l + 1).items()]
+                   for k, c in canonical_vector(
+                       [(1, dg.glue_pair(dg.rebuild(dkey), l, l + 1))]).items()]
             )
             if rel:
                 rels.append(rel)
@@ -129,13 +132,13 @@ def test_per_key_functions_need_no_memo(cell):
 
 
 def test_dashed_work_is_done_once_per_dashed_key(monkeypatch):
-    calls = {"glue_pair_key": Counter(), "ihx_relations": Counter(), "unglue_leg": Counter()}
-    glue_pair_key, ihx, unglue_leg = cl.glue_pair_key, ar.ihx_relations, dg.unglue_leg
+    calls = {"glue_pair": Counter(), "ihx_relations": Counter(), "unglue_leg": Counter()}
+    glue_pair, ihx, unglue_leg = dg.glue_pair, ar.ihx_relations, dg.unglue_leg
 
-    def counting_glue(dkey, a, b):
+    def counting_glue(dia, a, b):
         assert b == a + 1
-        calls["glue_pair_key"][dkey, a] += 1
-        return glue_pair_key(dkey, a, b)
+        calls["glue_pair"][dia.legs, dia.tri, dia.edges, a] += 1
+        return glue_pair(dia, a, b)
 
     def counting_ihx(dkey):
         calls["ihx_relations"][dkey] += 1
@@ -145,14 +148,21 @@ def test_dashed_work_is_done_once_per_dashed_key(monkeypatch):
         calls["unglue_leg"][dia.legs, dia.tri, dia.edges, label] += 1
         return unglue_leg(dia, label)
 
-    monkeypatch.setattr(cl, "glue_pair_key", counting_glue)
+    monkeypatch.setattr(dg, "glue_pair", counting_glue)
     monkeypatch.setattr(ar, "ihx_relations", counting_ihx)
     monkeypatch.setattr(dg, "unglue_leg", counting_unglue)
+    monkeypatch.setattr(cache, "_active_dir", None)
+    monkeypatch.setattr(cache, "_spaces", {})
+    clear_dashed_memos()
+    trivial = alphabet_from_spec("trivial")
+    # A(0, 2, 3) and then A(0, 3, 3): the second build reuses the first's
+    # dashed work, and its closure is the one the per-key expansion gives
+    assert ar.a_space(0, 2, 3, trivial).dim(0) == 23
+    assert ar.a_space(0, 3, 3, trivial).dim(0) == 111
     rels = []
-    keys = ar.arc_closure(ar.enumerate_arc_diagrams(3, 3, alphabet_from_spec("trivial")), rels)
-    # A(0, 3, 3): the closure and relations the per-key expansion also gives
+    keys = ar.arc_closure(ar.enumerate_arc_diagrams(3, 3, trivial), rels)
     assert (len(keys), len(rels)) == (823, 2211)
-    dashed = {key[3] for key in keys}
     for name, counter in calls.items():
         assert counter and max(counter.values()) == 1, name
+    dashed = {key[3] for m in (2, 3) for key in ar.enumerate_arc_diagrams(m, 3, trivial)}
     assert set(calls["ihx_relations"]) == dashed

@@ -15,7 +15,7 @@ from beadiag import arcs as ar
 from beadiag import cache, cli, jspaces, reference
 from beadiag import diagrams as dg
 from beadiag.jspaces import j_space
-from beadiag.linalg import EchelonBasis, vaxpy
+from beadiag.linalg import vaxpy
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
 
 from json_fuzzer import mutate
@@ -258,6 +258,13 @@ def test_range_error_names_the_parameter_given(args, name, capsys):
     assert captured.err.startswith("error: ") and name in captured.err
 
 
+def test_bridge_names_a_negative_degree(capsys):
+    # verify_bridge checks d itself, before a_space could name an m not given
+    argv = ["verify", "bridge", "--d", "-1", "--alphabet", "trivial", "--l", "1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: d must be >= 0\n")
+
+
 def test_usage_error_exit_code():
     proc = run_cli("dim-j", "--d", "1")
     assert proc.returncode != 0
@@ -435,27 +442,6 @@ def test_stale_jspace_dimension_is_not_read(tmp_path, monkeypatch, capsys):
     assert loaded.dimension == 1
 
 
-def test_jspace_rows_outside_the_span_are_a_miss(tmp_path, monkeypatch, capsys):
-    # the closure holds every key its relations touch, so an entry whose
-    # rows leave its span is corrupt: it is rebuilt, not read
-    monkeypatch.setattr(cache, "_active_dir", None)
-    command, params = _CACHED_COMMANDS["jspace"]
-    argv = ["--cache-dir", str(tmp_path)] + command
-    _forget_spaces(monkeypatch)
-    assert cli.main(argv) == 0
-    expected = capsys.readouterr().out
-    clean = cache.get("jspace", params, jspaces.JSpace)
-    (key,) = clean.span
-    tampered = jspaces.JSpace(clean.d, clean.m, clean.alphabet, clean.span, EchelonBasis())
-    tampered.relations.rows[key] = {key: Fraction(1), (2, 0, ((0, 1, ((1, 1),)),)): Fraction(1)}
-    cache.put("jspace", params, tampered)  # a valid digest: the load check must refuse it
-    _forget_spaces(monkeypatch)
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == expected
-    rewritten = cache.get("jspace", params, jspaces.JSpace)
-    assert rewritten.relations.rows == clean.relations.rows == {}
-
-
 def _scaled_pivot(rows):
     p = min(rows)
     rows[p] = {k: 2 * c for k, c in rows[p].items()}
@@ -498,6 +484,37 @@ def test_rows_out_of_echelon_form_are_a_miss(tmp_path, monkeypatch, capsys, kind
     tampered = pickle.loads(pickle.dumps(clean))
     tamper(tampered.relations.rows)
     assert tampered.relations.rows != clean.relations.rows
+    cache.put(kind, params, tampered)  # a valid digest: the load check must refuse it
+    _forget_spaces(monkeypatch)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    rewritten = cache.get(kind, params, cls)
+    assert rewritten.relations.rows == clean.relations.rows
+
+
+# per space kind, its cell's dim and a key outside its span that sorts after
+# every span key, so a row that also names it is still in reduced echelon form
+_OUTSIDE_THE_SPAN = {"aspace": (2, (2, ((), ()), (0, 0), (0, 0, ()))),
+                     "jspace": (1, (4, 0, ((0, 1, ()), (2, 3, ()))))}
+
+
+@pytest.mark.parametrize("kind", sorted(_ECHELON_CELLS))
+def test_rows_outside_the_span_are_a_miss(tmp_path, monkeypatch, capsys, kind):
+    # the span holds every key its relations touch, so an entry whose rows
+    # leave its span is corrupt: it is rebuilt, not read
+    monkeypatch.setattr(cache, "_active_dir", None)
+    command, params, cls = _ECHELON_CELLS[kind]
+    dim, outside = _OUTSIDE_THE_SPAN[kind]
+    argv = ["--cache-dir", str(tmp_path)] + command
+    _forget_spaces(monkeypatch)
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    assert json.loads(expected)["dim"] == dim
+    clean = cache.get(kind, params, cls)
+    assert outside not in clean.span and outside > max(clean.span)
+    tampered = pickle.loads(pickle.dumps(clean))
+    pivot = min(tampered.relations.rows)
+    tampered.relations.rows[pivot] = {**tampered.relations.rows[pivot], outside: Fraction(1)}
     cache.put(kind, params, tampered)  # a valid digest: the load check must refuse it
     _forget_spaces(monkeypatch)
     assert cli.main(argv) == 0

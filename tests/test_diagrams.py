@@ -16,7 +16,7 @@ from move_fuzzer import (
     seed_diagrams,
     shuffle_presentation,
 )
-from reference_helpers import relabel_legs
+from reference_helpers import clear_dashed_memos, relabel_legs
 
 GEN11 = alphabet_from_spec("gen:1:1")
 
@@ -84,8 +84,10 @@ def assert_valid(dia):
 
 def test_trusted_rewrites_pass_validation(monkeypatch):
     # a warm relabel_key memo would answer without building the relabelled
-    # diagram, so it would never reach the recording canonicalize below
+    # diagram, so it would never reach the recording canonicalize below; a
+    # warm dashed memo would not reach the recording unglue_leg
     dg.relabel_key.cache_clear()
+    clear_dashed_memos()
     made = []
     canonicalize = dg.canonicalize
 
@@ -126,7 +128,10 @@ def test_trusted_rewrites_pass_validation(monkeypatch):
         return out
 
     monkeypatch.setattr(dg, "unglue_leg", recording_unglue)
+    # each dashed key is unglued once, so these cells alone unglue 12
+    # diagrams; the degree-3 cell brings the corpus to 156
     arc_cells = [(TRIVIAL_ALPHABET, m, d, True) for m in (1, 2) for d in (1, 2)]
+    arc_cells += [(TRIVIAL_ALPHABET, 1, 3, True)]
     arc_cells += [(GEN11, m, 1, class0) for m in (1, 2) for class0 in (True, False)]
     for alphabet, m, d, class0 in arc_cells:
         for key in ar.enumerate_arc_diagrams(m, d, alphabet, class0):

@@ -107,6 +107,20 @@ def test_space_building_commands_load_neither_dataclasses_nor_inspect(tmp_path):
     assert {"dataclasses", "inspect"}.isdisjoint(loaded)
 
 
+@pytest.mark.parametrize("leaf", [("dim-a",), ("cross-effect",)], ids=" ".join)
+def test_arc_space_commands_load_no_catlie(leaf, tmp_path):
+    # the arc layer glues dashed legs through diagrams, not the Lie-PROP layer
+    loaded = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from beadiag import cli\n"
+        "cache_dir, args = sys.argv[1], json.loads(sys.argv[2])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['--cache-dir', cache_dir] + args) == 0, args\n"
+        "print(json.dumps(sorted(sys.modules)))\n",
+        str(tmp_path), json.dumps(SMOKE[leaf][0]))
+    assert "beadiag.arcs" in loaded and "beadiag.catlie" not in loaded
+
+
 def test_every_subcommand_has_a_smoke_cell():
     assert sorted(_leaves(cli.build_parser())) == sorted(SMOKE)
 
