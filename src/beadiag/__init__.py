@@ -14,10 +14,10 @@ _EXPORTS = {
     "diagrams": ("Diagram", "canonicalize", "diagram_from_json", "diagram_to_json",
                  "enumerate_diagrams", "gauge_at_vertex"),
     "jspaces": ("JSpace", "j_space"),
-    "catlie": ("catlie_basis", "mu_action", "outer_check", "outer_quotient", "perm_action"),
+    "catlie": ("mu_action", "outer_check", "outer_quotient", "perm_action"),
     "arcs": ("ASpace", "FunctorSpec", "a_space", "cross_effect_dim", "gr_act",
              "nonpoly_witness"),
-    "bridge": ("alpha_dim", "cat_ass_basis", "glue", "verify_bridge", "verify_filtration"),
+    "bridge": ("alpha_dim", "glue", "verify_bridge", "verify_filtration"),
     "reference": ("a11_reference_dim", "b_d0_reference", "b_di_dim", "partitions",
                   "schur_dim"),
 }

@@ -131,13 +131,22 @@ def arc_key_trivalents(key):
 
 
 def _leg_blocks(counts):
-    """The leg labels on each arc, in order."""
-    blocks = []
-    start = 1
-    for c in counts:
-        blocks.append(list(range(start, start + c)))
-        start += c
-    return blocks
+    """The leg labels on each arc, in order: the fibers of the block map
+    with these leg counts."""
+    return tuple(tuple(range(end - c + 1, end + 1))
+                 for c, end in zip(counts, itertools.accumulate(counts)))
+
+
+def compositions(c, m):
+    """The m-tuples of leg counts that sum to c, in lexicographic order: one
+    per choice of m - 1 bars among c + m - 1 places (stars and bars)."""
+    if m == 0:
+        if c == 0:
+            yield ()
+        return
+    places = c + m - 1
+    for bars in itertools.combinations(range(places), m - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, places)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +272,7 @@ def enumerate_arc_diagrams(m, d, alphabet, class0=True):
     found = []
     for c in range(0, 2 * d + 1):
         dkeys = dg.enumerate_diagrams(d, c, alphabet)
-        for counts in itertools.product(range(c + 1), repeat=m):
-            if sum(counts) != c:
-                continue
+        for counts in compositions(c, m):
             for arc_beads in bead_choices:
                 found.extend((m, arc_beads, counts, dkey) for dkey in dkeys)
     return sorted(found)

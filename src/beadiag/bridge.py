@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import namedtuple
 from fractions import Fraction
 
 from . import arcs as ar
@@ -25,43 +24,17 @@ from .jspaces import j_space
 from .linalg import echelonize, vaxpy, vec
 
 
-class FiberOrderedMap(namedtuple("FiberOrderedMap", "source target fibers")):
-    """A set map {1..c} -> {1..l} with a total order on each fiber; ``fibers``
-    holds, per target 1..l, the ordered tuple of its preimages."""
-
-    __slots__ = ()
-
-    def __new__(cls, source, target, fibers):
-        flat = sorted(x for f in fibers for x in f)
-        if flat != list(range(1, source + 1)) or len(fibers) != target:
-            raise ValueError("fibers must partition 1..source over target slots")
-        return super().__new__(cls, source, target, fibers)
-
-
-def cat_ass_basis(c, l):
-    """All fiber-ordered maps {1..c} -> {1..l}, deterministically ordered.
-
-    Count equals the rising factorial l(l+1)...(l+c-1).
-    """
-    return sorted(FiberOrderedMap(source=c, target=l, fibers=fibers)
-                  for fibers in cl.leg_placements(c, l))
-
-
-def glue_vector(fom: FiberOrderedMap, jvector):
-    """Glue labelled diagrams' legs onto bare arcs in fiber order; returns a
-    vector over canonical arc keys."""
+def glue(fibers, jvector):
+    """Glue labelled diagrams' legs onto bare arcs, the legs of fiber j
+    attached to arc j in order; returns a vector over canonical arc keys.
+    Raises ``ArityMismatch`` unless the fibers partition the legs 1..c of
+    every key."""
+    flat = sorted(itertools.chain(*fibers))
     for jkey in jvector:
-        if dg.key_num_legs(jkey) != fom.source:
-            raise ar.ArityMismatch(
-                "diagram has %d legs, map has source %d" % (dg.key_num_legs(jkey), fom.source)
-            )
-    return ar.on_bare_arcs(fom.fibers, jvector)
-
-
-def glue(fom: FiberOrderedMap, jkey):
-    """:func:`glue_vector` of one labelled key: a one-term vector (possibly
-    empty)."""
-    return glue_vector(fom, {jkey: 1})
+        if flat != list(range(1, dg.key_num_legs(jkey) + 1)):
+            raise ar.ArityMismatch("fibers must partition the legs 1..%d"
+                                   % dg.key_num_legs(jkey))
+    return ar.on_bare_arcs(fibers, jvector)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +188,7 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
         return ar._is_zero_in_full_space(vector, d, alphabet)
 
     spaces = {c: j_space(d, c, alphabet) for c in range(0, 2 * d + 1)}
-    maps = {c: [tuple(map(tuple, ar._leg_blocks(counts)))  # the block maps, sorted
-                for counts in itertools.product(range(c + 1), repeat=l) if sum(counts) == c]
+    maps = {c: [ar._leg_blocks(counts) for counts in ar.compositions(c, l)]  # sorted
             for c in spaces}
 
     # (a) IHX relations die after gluing; the echelon rows span them all, in

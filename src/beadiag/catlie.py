@@ -9,8 +9,6 @@ at every arity.
 
 from __future__ import annotations
 
-import itertools
-
 from . import diagrams as dg
 from .jspaces import canonical_vector, closure, full_residue, j_space
 from .linalg import echelonize, vec
@@ -97,29 +95,3 @@ def outer_quotient(d: int, k: int, alphabet) -> int:
     """Dimension of the cokernel of the mu transform at arity k."""
     target = j_space(d, k, alphabet)
     return target.dimension - echelonize(mu_transform(d, k, alphabet).values()).rank
-
-
-# ---------------------------------------------------------------------------
-# Morphism bases of the Lie PROP
-
-
-def leg_placements(c, m):
-    """All fiber-ordered maps {1..c} -> {1..m}, by images then fiber orders:
-    yields per-target leg sequences.  Count is the rising factorial
-    m(m+1)...(m+c-1)."""
-    for images in itertools.product(range(m), repeat=c):
-        fibers = [[i + 1 for i in range(c) if images[i] == j] for j in range(m)]
-        yield from itertools.product(*map(itertools.permutations, fibers))
-
-
-def catlie_basis(m: int, n: int) -> tuple:
-    """Basis of the PROP's (m, n) morphism space: surjections with a
-    left-normed Lie bracket basis on each fiber, as (surjection images,
-    per-fiber orders) pairs: the fiber-ordered maps whose fibers are
-    non-empty and start at their least element a1, for the brackets
-    [[...[a1, w2], ...], wj].  Its length, the dimension, is the sum over
-    surjections of the product of (fiber size - 1)! factors."""
-    return tuple(
-        (tuple(t for _x, t in sorted((x, t) for t, f in enumerate(fibers, 1) for x in f)), fibers)
-        for fibers in leg_placements(m, n) if all(f and f[0] == min(f) for f in fibers)
-    )

@@ -4,8 +4,9 @@
 relations, and ``vector_is_zero_in_full_space`` its zero test in the
 untruncated quotient; ``rebuild_arc`` and ``homotopy_class_raw`` are the
 raw-arc routes that the arc-canonicalization oracles compare with the
-canonical keys, ``catass_act`` the generator action on a whole
-fiber-ordered map, and ``numbered_zero_test`` the arc zero test with
+canonical keys, ``oracle_leg_placements`` the tests' enumerator of every
+fiber-ordered map, ``catass_act`` the generator action on the fibers of
+one such map, and ``numbered_zero_test`` the arc zero test with
 failures injected by vector; ``clear_dashed_memos`` empties the arc
 layer's memos before a test counts dashed work.
 Below them: accessors of canonical labelled and arc keys, the leg
@@ -14,11 +15,13 @@ rank embedding of arc vectors, the truncation dimensions, and the property
 suites of the gluing action (Jacobi identity, well-definedness).
 """
 
+import itertools
+
 from beadiag import arcs as ar
 from beadiag import catlie as cl
 from beadiag import diagrams as dg
 from beadiag.arcs import check_position
-from beadiag.bridge import FiberOrderedMap, _act_fibers
+from beadiag.bridge import _act_fibers
 from beadiag.jspaces import canonical_vector, closure, full_residue, j_space
 from beadiag.linalg import EchelonBasis, echelonize, vec
 from beadiag.words import IDENTITY, Word, mul_letters
@@ -62,12 +65,29 @@ def clear_dashed_memos():
         memo.cache_clear()
 
 
-def catass_act(gen, pos, fom: FiberOrderedMap):
-    """Action of a Hopf generator on a fiber-ordered map, mirroring the arc
-    operations and their position ranges; returns [(coeff, fom')]."""
-    check_position(gen, pos, fom.target)
-    return [(coeff, FiberOrderedMap(fom.source, len(fibers), fibers))
-            for coeff, fibers in _act_fibers(gen, pos, fom.fibers)]
+def oracle_leg_placements(c, m):
+    """Every fiber-ordered map {1..c} -> {1..m}, by images then fiber
+    orders: per map, the tuple over targets of its ordered fiber.  There are
+    m(m+1)...(m+c-1) of them."""
+    if c == 0:
+        yield tuple(() for _ in range(m))
+        return
+    if m == 0:
+        return
+    for images in itertools.product(range(m), repeat=c):
+        fibers = [[i + 1 for i in range(c) if images[i] == j] for j in range(m)]
+        for orders in itertools.product(
+            *[itertools.permutations(f) for f in fibers]
+        ):
+            yield tuple(orders)
+
+
+def catass_act(gen, pos, fibers):
+    """Action of a Hopf generator on the fibers of a fiber-ordered map,
+    mirroring the arc operations and their position ranges; returns
+    [(coeff, fibers')]."""
+    check_position(gen, pos, len(fibers))
+    return _act_fibers(gen, pos, fibers)
 
 
 def numbered_zero_test(zero_test, fails=()):

@@ -18,11 +18,11 @@ import pytest
 from beadiag import arcs as ar
 from beadiag import diagrams as dg
 from beadiag.bridge import alpha_dim
-from beadiag.catlie import leg_placements
 from beadiag.linalg import echelonize
 from beadiag.words import IDENTITY, TRIVIAL_ALPHABET, alphabet_from_spec
 
 from frozen_structures import structures
+from reference_helpers import oracle_leg_placements
 
 GEN11 = alphabet_from_spec("gen:1:1")
 GEN22 = alphabet_from_spec("gen:2:2")
@@ -48,7 +48,7 @@ def brute_force_arc_keys(m, d, alphabet, class0=True):
                     skeleton.tri,
                     [(t, h, (w,)) for (t, h, _), w in zip(skeleton.edges, beads)],
                 )
-                for placement in leg_placements(c, m):
+                for placement in oracle_leg_placements(c, m):
                     key, _sign = ar.arc_canonicalize(
                         [[("leg", lab) for lab in fiber] for fiber in placement], dashed
                     )

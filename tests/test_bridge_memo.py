@@ -1,6 +1,7 @@
 """``verify_bridge`` glues along one block map per composition of leg counts,
-where the driver kept here verbatim as the oracle glued, acted and tested
-afresh along every fiber-ordered map.  Any fiber-ordered map glues a key as
+where the driver kept here as the oracle glued, acted and tested afresh
+along every fiber-ordered map (``oracle_leg_placements``, on plain fiber
+tuples, in sorted order).  Any fiber-ordered map glues a key as
 its block map glues the key with its legs relabelled, so the two give
 byte-identical reports, and every vector the block-map driver asks the zero
 test about is, up to sign, one the oracle asks about too.  The order of
@@ -24,70 +25,57 @@ from beadiag import arcs as ar
 from beadiag import bridge
 from beadiag import catlie as cl
 from beadiag import diagrams as dg
-from beadiag.bridge import (
-    FiberOrderedMap,
-    alpha_dim,
-    cat_ass_basis,
-    glue,
-    glue_vector,
-    verify_bridge,
-)
+from beadiag.bridge import alpha_dim, glue, verify_bridge
 from beadiag.jspaces import j_space
 from beadiag.linalg import echelonize, vaxpy, vec
 from beadiag.words import alphabet_from_spec
 
-from reference_helpers import numbered_zero_test
+from reference_helpers import numbered_zero_test, oracle_leg_placements
 
 
-def catass_act_per_call(gen, pos, fom: FiberOrderedMap):
-    """``catass_act`` as it was: one validated map per image, no position
+def catass_act_per_call(gen, pos, fibers):
+    """``catass_act`` as it was: written out per generator, no position
     check."""
-    fibers = fom.fibers
-    l = fom.target
     if gen == "eta":
-        new = fibers[: pos - 1] + ((),) + fibers[pos - 1 :]
-        return [(1, FiberOrderedMap(fom.source, l + 1, new))]
+        return [(1, fibers[: pos - 1] + ((),) + fibers[pos - 1 :])]
     if gen == "eps":
         if fibers[pos - 1]:
             return []
-        new = fibers[: pos - 1] + fibers[pos:]
-        return [(1, FiberOrderedMap(fom.source, l - 1, new))]
+        return [(1, fibers[: pos - 1] + fibers[pos:])]
     if gen == "mu":
         merged = fibers[pos - 1] + fibers[pos]
-        new = fibers[: pos - 1] + (merged,) + fibers[pos + 1 :]
-        return [(1, FiberOrderedMap(fom.source, l - 1, new))]
+        return [(1, fibers[: pos - 1] + (merged,) + fibers[pos + 1 :])]
     if gen == "antipode":
         new = fibers[: pos - 1] + (tuple(reversed(fibers[pos - 1])),) + fibers[pos:]
-        return [((-1) ** len(fibers[pos - 1]), FiberOrderedMap(fom.source, l, new))]
+        return [((-1) ** len(fibers[pos - 1]), new)]
     if gen == "delta":
         f = fibers[pos - 1]
         out = []
         for mask in itertools.product((0, 1), repeat=len(f)):
             one = tuple(x for x, b in zip(f, mask) if b == 0)
             two = tuple(x for x, b in zip(f, mask) if b == 1)
-            new = fibers[: pos - 1] + (one, two) + fibers[pos:]
-            out.append((1, FiberOrderedMap(fom.source, l + 1, new)))
+            out.append((1, fibers[: pos - 1] + (one, two) + fibers[pos:]))
         return out
     raise ValueError("unknown generator %r" % gen)
 
 
-def mu_lifted_maps_per_call(fom: FiberOrderedMap, i):
-    """``_mu_lifted_maps`` as it was: two validated maps, found through the
+def mu_lifted_maps_per_call(fibers, i):
+    """``_mu_lifted_maps`` as it was: two fiber tuples, found through the
     fiber of i."""
-    c = fom.source
-    target_slot = next(t + 1 for t, f in enumerate(fom.fibers) if i in f)
+    c = sum(map(len, fibers))
+    target_slot = next(t + 1 for t, f in enumerate(fibers) if i in f)
     out = []
     for after in (True, False):
-        fibers = []
-        for t, f in enumerate(fom.fibers):
+        lifted = []
+        for t, f in enumerate(fibers):
             if t + 1 == target_slot:
                 p = f.index(i)
                 if after:
                     f = f[: p + 1] + (c + 1,) + f[p + 1 :]
                 else:
                     f = f[:p] + (c + 1,) + f[p:]
-            fibers.append(f)
-        out.append(FiberOrderedMap(c + 1, fom.target, tuple(fibers)))
+            lifted.append(f)
+        out.append(tuple(lifted))
     return out  # [i < c+1 order, c+1 < i order]
 
 
@@ -126,17 +114,17 @@ def verify_bridge_per_call(d, alphabet, l, seed=0, sample=None):
         return ar._is_zero_in_full_space(vector, d, alphabet)
 
     spaces = {c: j_space(d, c, alphabet) for c in range(0, 2 * d + 1)}
-    foms = {c: cat_ass_basis(c, l) for c in spaces}
+    maps = {c: sorted(oracle_leg_placements(c, l)) for c in spaces}
 
     # (a) IHX relations die after gluing; the echelon rows span them all.
     # One sample per arity, and none after the first failure.
-    def ihx_counterexample(c, r, fom):
-        if not vanishes(glue_vector(fom, r)):
-            return (c, fom.fibers, {k: Fraction(v) for k, v in r.items()})
+    def ihx_counterexample(c, r, fibers):
+        if not vanishes(glue(fibers, r)):
+            return (c, fibers, {k: Fraction(v) for k, v in r.items()})
 
     for c, space in spaces.items():
         rows = [dict(sorted(r.items())) for _, r in sorted(space.relations.rows.items())]
-        bad = first_failure([(c, r, f) for r in rows for f in foms[c]], ihx_counterexample)
+        bad = first_failure([(c, r, f) for r in rows for f in maps[c]], ihx_counterexample)
         if bad:
             break
     record("ihx_image_vanishes", bad is None, bad)
@@ -145,7 +133,7 @@ def verify_bridge_per_call(d, alphabet, l, seed=0, sample=None):
     # the dimension, so the images stop once it is reached
     dim_arc = aspace.dim(0)
     basis = echelonize([])
-    images = (glue(fom, key) for c, space in spaces.items() for fom in foms[c]
+    images = (glue(fibers, {key: 1}) for c, space in spaces.items() for fibers in maps[c]
               for key in space.span)
     for img in images:
         if img:
@@ -163,36 +151,36 @@ def verify_bridge_per_call(d, alphabet, l, seed=0, sample=None):
             ("mu", range(1, l)), ("antipode", range(1, l + 1)),
             ("delta", range(1, l + 1))]
 
-    def naturality_counterexample(key, fom):
-        glued = glue(fom, key)
+    def naturality_counterexample(key, fibers):
+        glued = glue(fibers, {key: 1})
         for gen, positions in gens:
             for pos in positions:
                 lhs = ar.gr_act(gen, pos, glued)
                 rhs = vec(
                     (k2, coeff * c2)
-                    for coeff, fom2 in catass_act_per_call(gen, pos, fom)
-                    for k2, c2 in glue(fom2, key).items()
+                    for coeff, fibers2 in catass_act_per_call(gen, pos, fibers)
+                    for k2, c2 in glue(fibers2, {key: 1}).items()
                 )
                 if not vanishes(vaxpy(lhs, -1, rhs)):
-                    return (gen, pos, fom.fibers, key)
+                    return (gen, pos, fibers, key)
 
     bad = first_failure(
-        [(key, fom) for c, space in spaces.items() for key in space.span for fom in foms[c]],
+        [(key, fibers) for c, space in spaces.items() for key in space.span for fibers in maps[c]],
         naturality_counterexample,
     )
     record("naturality", bad is None, bad)
 
     # (e) coequalizer identity via the STU relation
-    def coequalizer_counterexample(c, key, fom, i):
-        fom_after, fom_before = mu_lifted_maps_per_call(fom, i)
-        lhs = vaxpy(glue(fom_after, key), -1, glue(fom_before, key))
-        rhs = glue_vector(fom, cl.mu_action(i, {key: 1}, c + 1))
+    def coequalizer_counterexample(c, key, fibers, i):
+        after, before = mu_lifted_maps_per_call(fibers, i)
+        lhs = vaxpy(glue(after, {key: 1}), -1, glue(before, {key: 1}))
+        rhs = glue(fibers, cl.mu_action(i, {key: 1}, c + 1))
         if not vanishes(vaxpy(lhs, -1, rhs)):
-            return (c, key, fom.fibers, i)
+            return (c, key, fibers, i)
 
     bad = first_failure(
-        [(c, key, fom, i) for c in range(1, 2 * d) for key in spaces[c + 1].span
-         for fom in foms[c] for i in range(1, c + 1)],
+        [(c, key, fibers, i) for c in range(1, 2 * d) for key in spaces[c + 1].span
+         for fibers in maps[c] for i in range(1, c + 1)],
         coequalizer_counterexample,
     )
     record("coequalizer", bad is None, bad)
@@ -245,28 +233,26 @@ def _counterexamples(report):
             if not c["pass"] and c["name"] in ("ihx_image_vanishes", "naturality", "coequalizer")]
 
 
-def _oracle_vector(check, counterexample, l):
+def _oracle_vector(check, counterexample):
     """The vector that the oracle's test of a named tuple asks the zero test
     about; for (d), at the named move."""
     if check == "ihx_image_vanishes":
-        c, fibers, r = counterexample
-        return glue_vector(FiberOrderedMap(c, l, fibers), r)
+        _c, fibers, r = counterexample
+        return glue(fibers, r)
     if check == "naturality":
         gen, pos, fibers, key = counterexample
-        fom = FiberOrderedMap(dg.key_num_legs(key), l, fibers)
-        rhs = vec((k2, coeff * c2) for coeff, fom2 in catass_act_per_call(gen, pos, fom)
-                  for k2, c2 in glue(fom2, key).items())
-        return vaxpy(ar.gr_act(gen, pos, glue(fom, key)), -1, rhs)
+        rhs = vec((k2, coeff * c2) for coeff, fibers2 in catass_act_per_call(gen, pos, fibers)
+                  for k2, c2 in glue(fibers2, {key: 1}).items())
+        return vaxpy(ar.gr_act(gen, pos, glue(fibers, {key: 1})), -1, rhs)
     c, key, fibers, i = counterexample
-    fom = FiberOrderedMap(c, l, fibers)
-    fom_after, fom_before = mu_lifted_maps_per_call(fom, i)
-    lhs = vaxpy(glue(fom_after, key), -1, glue(fom_before, key))
-    return vaxpy(lhs, -1, glue_vector(fom, cl.mu_action(i, {key: 1}, c + 1)))
+    after, before = mu_lifted_maps_per_call(fibers, i)
+    lhs = vaxpy(glue(after, {key: 1}), -1, glue(before, {key: 1}))
+    return vaxpy(lhs, -1, glue(fibers, cl.mu_action(i, {key: 1}, c + 1)))
 
 
-def _oracle_fails(report, d, spec, l):
+def _oracle_fails(report, d, spec):
     """Whether the oracle's test fails every tuple the report names."""
-    return all(not ar._is_zero_in_full_space(_oracle_vector(check, t, l), d,
+    return all(not ar._is_zero_in_full_space(_oracle_vector(check, t), d,
                                              alphabet_from_spec(spec))
                for check, t in _counterexamples(report))
 
@@ -297,7 +283,7 @@ def test_forced_failures_name_the_same_counterexamples(monkeypatch, cell, fails)
         report, asked = _run(patch, verify_bridge, *cell, fails)
         assert max(fails) <= len(asked)
         assert not report["pass"]
-        assert _oracle_fails(report, *cell[:3])
+        assert _oracle_fails(report, *cell[:2])
 
 
 def test_forced_failures_reach_naturality_and_coequalizer(monkeypatch):
@@ -310,12 +296,12 @@ def test_forced_failures_reach_naturality_and_coequalizer(monkeypatch):
 
 
 def _antipode_sign_flipped_on_one_leg(act):
-    """A map action, on fibers or on maps, whose antipode has the wrong sign
-    on a one-leg fiber."""
+    """A map action on fibers whose antipode has the wrong sign on a one-leg
+    fiber."""
 
-    def faulty(gen, pos, operand):
-        terms = act(gen, pos, operand)
-        if gen == "antipode" and len(getattr(operand, "fibers", operand)[pos - 1]) == 1:
+    def faulty(gen, pos, fibers):
+        terms = act(gen, pos, fibers)
+        if gen == "antipode" and len(fibers[pos - 1]) == 1:
             return [(-coeff, image) for coeff, image in terms]
         return terms
 
@@ -325,8 +311,8 @@ def _antipode_sign_flipped_on_one_leg(act):
 def _delta_shuffle_dropped(act):
     """A map action whose delta drops the last shuffle of a nonempty fiber."""
 
-    def faulty(gen, pos, operand):
-        terms = act(gen, pos, operand)
+    def faulty(gen, pos, fibers):
+        terms = act(gen, pos, fibers)
         return terms[:-1] if gen == "delta" and len(terms) > 1 else terms
 
     return faulty
@@ -374,7 +360,7 @@ def test_a_fault_fails_the_same_checks_in_both_drivers(monkeypatch, fault, cell,
             _inject(patch, fault, d, alphabet_from_spec(spec))
             report = driver(d, alphabet_from_spec(spec), l, seed=seed, sample=sample)
             failed.append([c["name"] for c in report["checks"] if not c["pass"]])
-            assert driver is verify_bridge_per_call or _oracle_fails(report, d, spec, l)
+            assert driver is verify_bridge_per_call or _oracle_fails(report, d, spec)
     assert check in failed[0]
     assert failed[0] == failed[1]
 

@@ -1,12 +1,10 @@
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
 
 from beadiag import diagrams as dg
 from beadiag.catlie import (
-    catlie_basis,
     mu_action,
     mu_sum,
     mu_transform,
@@ -133,28 +131,6 @@ def test_truncate_matches_j_space():
     for k, val in dims.items():
         expect = j_space(2, k, TRIVIAL_ALPHABET).dimension if k <= 2 else 0
         assert val == expect
-
-
-def test_catlie_basis_dims():
-    assert len(catlie_basis(2, 1)) == 1
-    assert len(catlie_basis(2, 2)) == 2
-    assert len(catlie_basis(1, 2)) == 0
-    assert len(catlie_basis(3, 1)) == 2
-    # oracle: sum over surjections of prod (fiber-1)!
-    def oracle(m, n):
-        total = 0
-        for images in itertools.product(range(n), repeat=m):
-            if len(set(images)) != n:
-                continue
-            prod = 1
-            for t in range(n):
-                prod *= math.factorial(sum(1 for x in images if x == t) - 1)
-            total += prod
-        return total
-
-    for m in range(1, 5):
-        for n in range(1, m + 1):
-            assert len(catlie_basis(m, n)) == oracle(m, n)
 
 
 def test_mu_equivariance_under_label_fixing_perms():

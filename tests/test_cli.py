@@ -175,6 +175,18 @@ def test_large_degree_is_refused_before_the_search(command, deep):
     assert "nests %d deep" % deep in proc.stderr
 
 
+def test_twenty_arcs_list_their_compositions_without_filtering_counts():
+    # 210 compositions of 2 legs over 20 arcs, out of the 3^20 count tuples
+    # that filtering the product would visit
+    proc = run_cli("dim-a", "--n", "0", "--m", "20", "--d", "1", timeout=30)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["dim"] == 210
+    proc = run_cli("verify", "bridge", "--d", "1", "--alphabet", "trivial", "--l", "20",
+                   timeout=30)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["pass"] is True
+
+
 _LIST_HALFEDGE = {
     "vertices": [
         {"id": 0, "kind": "uni", "label": 1, "halfedge": [0]},
@@ -288,11 +300,9 @@ def test_cache_roundtrip(tmp_path):
         loaded2 = roundtrip("aspace", ("t",), aspace)
         assert loaded2.span == aspace.span
         assert loaded2.dim(0) == aspace.dim(0)
-        from beadiag.catlie import catlie_basis
-
-        basis = catlie_basis(2, 2)
-        loaded3 = roundtrip("misc", ("catlie", 2, 2), basis)
-        assert loaded3 == basis
+        blocks = tuple(ar._leg_blocks(counts) for counts in ar.compositions(3, 2))
+        loaded3 = roundtrip("misc", ("blocks", 3, 2), blocks)
+        assert loaded3 == blocks
     finally:
         cache.set_cache_dir(None)
 
