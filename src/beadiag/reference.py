@@ -57,8 +57,10 @@ def passi_sigma(m: int):
     return mat
 
 
-def _trace(mat) -> Fraction:
-    return sum((mat[i][i] for i in range(len(mat))), Fraction(0))
+def _passi_sigma_trace(m: int) -> int:
+    """The trace of ``passi_sigma(m)``, unbuilt: -1 at each of the m places of
+    its first block, +1 at each of the m fixed places (i, i) of its swap."""
+    return -m + m
 
 
 def a11_reference_dim(alphabet, m: int) -> int:
@@ -70,8 +72,7 @@ def a11_reference_dim(alphabet, m: int) -> int:
     n = m + m * m
     size = len(alphabet)
     fixed = sum(1 for w in alphabet.letter_elements() if inv_letters(w) == w)
-    tr_sigma = _trace(passi_sigma(m))  # transpose-invariant
-    total = Fraction(n * size + tr_sigma * fixed, 2)
+    total = Fraction(n * size + _passi_sigma_trace(m) * fixed, 2)  # transpose-invariant
     if total.denominator != 1:
         raise ArithmeticError("coinvariant dimension %s is not an integer" % total)
     return int(total)

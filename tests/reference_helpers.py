@@ -8,7 +8,10 @@ canonical keys, ``oracle_leg_placements`` the tests' enumerator of every
 fiber-ordered map, ``catass_act`` the generator action on the fibers of
 one such map, and ``numbered_zero_test`` the arc zero test with
 failures injected by vector; ``clear_dashed_memos`` empties the arc
-layer's memos before a test counts dashed work.
+layer's memos before a test counts dashed work.  ``ihx_relations_arc`` is
+the per-key arc IHX that A-spaces now lift from their J-spaces' rows, and
+``arc_closure_with_ihx`` the arc closure under STU and it together, whose
+relations the A-space rows must echelonize to.
 Below them: accessors of canonical labelled and arc keys, the leg
 relabelling of a raw diagram (the oracle of ``diagrams.relabel_key``), the
 rank embedding of arc vectors, the truncation dimensions, and the property
@@ -22,7 +25,7 @@ from beadiag import catlie as cl
 from beadiag import diagrams as dg
 from beadiag.arcs import check_position
 from beadiag.bridge import _act_fibers
-from beadiag.jspaces import canonical_vector, closure, full_residue, j_space
+from beadiag.jspaces import _grow, canonical_vector, closure, full_residue, ihx_relations, j_space
 from beadiag.linalg import EchelonBasis, echelonize, vec
 from beadiag.words import IDENTITY, Word, mul_letters
 
@@ -61,8 +64,29 @@ def vector_is_zero_in_full_space(vector) -> bool:
 def clear_dashed_memos():
     """Empty the process-wide memos of the arc layer's dashed-key work, so
     that what a test counts does not depend on which tests ran before it."""
-    for memo in (ar._swap_and_glue, ar._unglued, ar._dashed_ihx):
+    for memo in (ar._swap_and_glue, ar._unglued):
         memo.cache_clear()
+
+
+def ihx_relations_arc(key):
+    """IHX relations at internal dashed edges, arc structure unchanged."""
+    m, arc_beads, counts, dkey = key
+    return [{(m, arc_beads, counts, k): c for k, c in rel.items()}
+            for rel in ihx_relations(dkey)]
+
+
+def arc_closure_with_ihx(seed_keys, relations):
+    """Close a key set under STU (both directions) and IHX neighbours,
+    appending every STU and IHX relation of every member to ``relations``."""
+
+    def expand(key):
+        rels = ar.stu_relations(key) + ihx_relations_arc(key)
+        neighbours = {k for rel in rels for k in rel}
+        neighbours.update(ar._unglue_neighbours(key))
+        return rels, neighbours
+
+    return _grow(seed_keys, relations, expand,
+                 lambda key: dg.key_beads(key[3]) + list(key[1]))
 
 
 def oracle_leg_placements(c, m):

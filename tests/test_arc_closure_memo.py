@@ -1,10 +1,14 @@
 """``arcs`` does the dashed-key part of the arc closure once per dashed key
-(and leg) in a process: IHX relations, leg swaps and gluings, and
-ungluings, each memoised and rewrapped onto every arc key.  The per-key
-expansion that redid them for every arc key is kept here verbatim as the
-oracle: the closure keys and the relation list, in order and item by item,
-must equal its own.  The counter test pins how much dashed work two builds
-do, without timing anything.
+(and leg) in a process: leg swaps and gluings, and ungluings, each
+memoised and rewrapped onto every arc key.  The per-key expansion that
+redid them for every arc key is kept here as the oracle: the closure keys
+and the relation list, in order and item by item, must equal its own.  The
+counter test pins how much dashed work two builds do, without timing
+anything.
+
+The arc closure is STU only; an A-space lifts its IHX rows from its
+J-spaces.  The row-equality gate compares its rows with the echelon form
+of the earlier design, which closed under STU and the per-key arc IHX.
 """
 
 from collections import Counter
@@ -14,11 +18,11 @@ import pytest
 from beadiag import arcs as ar
 from beadiag import cache
 from beadiag import diagrams as dg
-from beadiag.jspaces import _grow, canonical_vector, ihx_relations
-from beadiag.linalg import vec
+from beadiag.jspaces import _grow, canonical_vector, j_space
+from beadiag.linalg import echelonize, vec
 from beadiag.words import alphabet_from_spec
 
-from reference_helpers import clear_dashed_memos
+from reference_helpers import arc_closure_with_ihx, clear_dashed_memos, ihx_relations_arc
 
 ZERO = dg.ZERO
 
@@ -69,23 +73,16 @@ def unglue_neighbours_per_key(key):
     return out
 
 
-def ihx_relations_arc_per_key(key):
-    """IHX relations at internal dashed edges, arc structure unchanged."""
-    m, arc_beads, counts, dkey = key
-    return [{(m, arc_beads, counts, k): c for k, c in rel.items()}
-            for rel in ihx_relations(dkey)]
-
-
 def arc_closure_per_key(seed_keys, relations):
-    """Close a key set under STU (both directions) and IHX neighbours.
+    """Close a key set under STU (both directions).
 
-    Every STU and IHX relation of every member is appended to the list
+    Every STU relation of every member is appended to the list
     ``relations``.  Raises :class:`beadiag.jspaces.ClosureDiverged` on
     unbounded bead growth, as for the labelled-diagram closure.
     """
 
     def expand(key):
-        rels = stu_relations_per_key(key) + ihx_relations_arc_per_key(key)
+        rels = stu_relations_per_key(key)
         neighbours = set()
         for rel in rels:
             neighbours.update(rel)
@@ -125,31 +122,63 @@ def test_closure_keys_and_relations_match_the_per_key_expansion(cell):
                          ids=lambda cell: "-".join(map(str, cell)))
 def test_per_key_functions_need_no_memo(cell):
     (keys, _rels), _oracle = _closures(*cell)
+    spec, m, d, class0 = cell
+    alphabet = alphabet_from_spec(spec)
+    space = ar.a_space(alphabet.rank, m, d, alphabet, class0)
     for key in keys:
         assert ar.stu_relations(key) == stu_relations_per_key(key)
-        assert ar.ihx_relations_arc(key) == ihx_relations_arc_per_key(key)
         assert ar._unglue_neighbours(key) == unglue_neighbours_per_key(key)
+        # the lifted J rows hold every per-key arc IHX relation
+        assert not any(space.reduce(rel) for rel in ihx_relations_arc(key))
+
+
+@pytest.mark.parametrize("cell", CELLS + [("trivial", 1, 4, True)],
+                         ids=lambda cell: "-".join(map(str, cell)))
+def test_rows_equal_the_stu_and_per_key_ihx_closure(cell):
+    spec, m, d, class0 = cell
+    alphabet = alphabet_from_spec(spec)
+    rels = []
+    arc_closure_with_ihx(ar.enumerate_arc_diagrams(m, d, alphabet, class0), rels)
+    assert ar.a_space(alphabet.rank, m, d, alphabet, class0).relations.rows == echelonize(rels).rows
+
+
+def test_a_space_eliminates_its_stu_relations_then_the_lifted_j_rows(monkeypatch):
+    # STU alone gives the same rows (Bar-Natan), but eliminates about twice
+    # as slowly; the J rows keep IHX in the elimination, after STU
+    given = []
+
+    def recording(vectors):
+        given.append(list(vectors))
+        return echelonize(given[-1])
+
+    monkeypatch.setattr(ar, "echelonize", recording)
+    monkeypatch.setattr(cache, "_active_dir", None)
+    monkeypatch.setattr(cache, "_spaces", {})
+    trivial = alphabet_from_spec("trivial")
+    ar.a_space(0, 2, 3, trivial)
+    span = ar.enumerate_arc_diagrams(2, 3, trivial)
+    stu = []
+    ar.arc_closure(span, stu)
+    lifted = [{(*arc_data, k): c for k, c in row.items()}
+              for arc_data in dict.fromkeys(key[:3] for key in span)
+              for row in j_space(3, sum(arc_data[2]), trivial).relations.rows.values()]
+    assert lifted and given == [stu + lifted]
 
 
 def test_dashed_work_is_done_once_per_dashed_key(monkeypatch):
-    calls = {"glue_pair": Counter(), "ihx_relations": Counter(), "unglue_leg": Counter()}
-    glue_pair, ihx, unglue_leg = dg.glue_pair, ar.ihx_relations, dg.unglue_leg
+    calls = {"glue_pair": Counter(), "unglue_leg": Counter()}
+    glue_pair, unglue_leg = dg.glue_pair, dg.unglue_leg
 
     def counting_glue(dia, a, b):
         assert b == a + 1
         calls["glue_pair"][dia.legs, dia.tri, dia.edges, a] += 1
         return glue_pair(dia, a, b)
 
-    def counting_ihx(dkey):
-        calls["ihx_relations"][dkey] += 1
-        return ihx(dkey)
-
     def counting_unglue(dia, label):
         calls["unglue_leg"][dia.legs, dia.tri, dia.edges, label] += 1
         return unglue_leg(dia, label)
 
     monkeypatch.setattr(dg, "glue_pair", counting_glue)
-    monkeypatch.setattr(ar, "ihx_relations", counting_ihx)
     monkeypatch.setattr(dg, "unglue_leg", counting_unglue)
     monkeypatch.setattr(cache, "_active_dir", None)
     monkeypatch.setattr(cache, "_spaces", {})
@@ -161,8 +190,6 @@ def test_dashed_work_is_done_once_per_dashed_key(monkeypatch):
     assert ar.a_space(0, 3, 3, trivial).dim(0) == 111
     rels = []
     keys = ar.arc_closure(ar.enumerate_arc_diagrams(3, 3, trivial), rels)
-    assert (len(keys), len(rels)) == (823, 2211)
+    assert (len(keys), len(rels)) == (823, 2058)
     for name, counter in calls.items():
         assert counter and max(counter.values()) == 1, name
-    dashed = {key[3] for m in (2, 3) for key in ar.enumerate_arc_diagrams(m, 3, trivial)}
-    assert set(calls["ihx_relations"]) == dashed

@@ -18,6 +18,7 @@ from reference_helpers import (
     epsilon_embed,
     homotopy_class,
     homotopy_class_raw,
+    ihx_relations_arc,
     rebuild_arc,
 )
 
@@ -112,7 +113,7 @@ def test_stu_closure_fixpoint():
     assert ar.arc_closure(clo, []) == clo
     # every relation of a member stays inside the closure
     for k in clo:
-        for rel in ar.stu_relations(k) + ar.ihx_relations_arc(k):
+        for rel in ar.stu_relations(k) + ihx_relations_arc(k):
             assert set(rel) <= set(clo)
 
 

@@ -161,6 +161,20 @@ def test_alphabet_specs_answer_at_once(spec, builds):
         assert proc.stderr == "error: alphabet %r has more than 100000 letters in its words\n" % spec
 
 
+def test_cross_effect_names_the_degree_it_refuses():
+    proc = run_cli("cross-effect", "--n", "0", "--d", "-1", "--k", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: d must be >= 0\n"
+
+
+def test_a11_reference_at_a_large_rank_fits_in_a_gigabyte():
+    # the involution's (m + m^2)^2 matrix would hold 8.2e9 entries at m = 300
+    proc = run_cli("reference", "a11", "--alphabet", "gen:1:1", "--m", "300",
+                   timeout=60, preexec_fn=_cap_memory)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim"] == 135450 == 3 * (300 + 300 ** 2) // 2
+
+
 @pytest.mark.parametrize("command,deep", [
     ("enumerate --d 400 --m 2", 1198), ("dim-j --d 400 --m 2", 1198),
     ("dim-a --n 0 --m 1 --d 400", 1199), ("outer-check --d 400", 1199),
@@ -430,7 +444,9 @@ def test_stale_aspace_pickle_loads_and_is_rebuilt(tmp_path, monkeypatch):
         fresh = ar.a_space(0, 2, 1, TRIVIAL_ALPHABET)
         assert not hasattr(fresh, field) and fresh.dim(0) == stale.dim(0)
         assert not hasattr(cache.get("aspace", params, ar.ASpace), field)
-        assert len(os.listdir(cache_dir)) == 2
+        # the stale entry, the fresh one and the J_1(2) it lifts its IHX rows from
+        kinds = sorted(name.split("-")[0] for name in os.listdir(cache_dir))
+        assert kinds == ["aspace", "aspace", "jspace"]
 
 
 def test_stale_jspace_dimension_is_not_read(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,8 @@ replaced.
 
 The mu transform used to close the whole target span together with the
 image supports and reduce each image there; the arc zero test used to close
-the support of the vector itself.  Both are kept here verbatim as oracles.
+the support of the vector itself under STU and IHX.  Both are kept here as
+oracles; the arc zero test now closes under STU alone.
 """
 
 from fractions import Fraction
@@ -15,6 +16,8 @@ from beadiag.catlie import mu_sum, mu_transform
 from beadiag.jspaces import closure, j_space
 from beadiag.linalg import echelonize
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
+
+from reference_helpers import arc_closure_with_ihx, ihx_relations_arc
 
 
 def closure_of_span_mu_transform(d, k, alphabet):
@@ -52,12 +55,12 @@ def test_mu_transform_matches_the_closure_of_the_target_span():
 
 
 def closure_of_support_is_zero(vector):
-    """Reduction modulo the relations of the closure of the vector's own
-    support."""
+    """Reduction modulo the STU and IHX relations of the closure of the
+    vector's own support."""
     if not vector:
         return True
     rels = []
-    ar.arc_closure(vector.keys(), rels)
+    arc_closure_with_ihx(vector.keys(), rels)
     return not echelonize(rels).reduce(vector)
 
 
@@ -72,6 +75,6 @@ def test_arc_zero_test_matches_the_closure_of_the_support(spec, m, d):
     vectors = []
     for key in space.span:
         vectors.append({key: Fraction(1)})
-        vectors.extend(ar.stu_relations(key) + ar.ihx_relations_arc(key))
+        vectors.extend(ar.stu_relations(key) + ihx_relations_arc(key))
     for v in vectors:
         assert ar._is_zero_in_full_space(v, d, alphabet) == closure_of_support_is_zero(v), v
