@@ -16,7 +16,7 @@ from fractions import Fraction
 from .bridge import coinvariant_dim
 from .catlie import _parts
 from .jspaces import j_space
-from .words import TRIVIAL_ALPHABET, inv_letters
+from .words import TRIVIAL_ALPHABET
 
 
 def partitions(d: int):
@@ -57,25 +57,16 @@ def passi_sigma(m: int):
     return mat
 
 
-def _passi_sigma_trace(m: int) -> int:
-    """The trace of ``passi_sigma(m)``, unbuilt: -1 at each of the m places of
-    its first block, +1 at each of the m fixed places (i, i) of its swap."""
-    return -m + m
-
-
 def a11_reference_dim(alphabet, m: int) -> int:
     """dim of the order-two coinvariants of the dual degree-two space
     tensored with the span of the alphabet, the involution acting by
     ``passi_sigma`` dualised and by inversion on the alphabet."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    n = m + m * m
-    size = len(alphabet)
-    fixed = sum(1 for w in alphabet.letter_elements() if inv_letters(w) == w)
-    total = Fraction(n * size + _passi_sigma_trace(m) * fixed, 2)  # transpose-invariant
-    if total.denominator != 1:
-        raise ArithmeticError("coinvariant dimension %s is not an integer" % total)
-    return int(total)
+    # Burnside: (n |alphabet| + tr(passi_sigma) * #self-inverse letters) / 2
+    # with n = m + m^2 even, and the trace is 0: -m on the first block, +m
+    # from the swap's m fixed places
+    return (m + m * m) * len(alphabet) // 2
 
 
 def b_di_dim(d: int, i: int, m: int) -> int:

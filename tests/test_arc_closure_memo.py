@@ -142,9 +142,9 @@ def test_rows_equal_the_stu_and_per_key_ihx_closure(cell):
     assert ar.a_space(alphabet.rank, m, d, alphabet, class0).relations.rows == echelonize(rels).rows
 
 
-def test_a_space_eliminates_its_stu_relations_then_the_lifted_j_rows(monkeypatch):
-    # STU alone gives the same rows (Bar-Natan), but eliminates about twice
-    # as slowly; the J rows keep IHX in the elimination, after STU
+def test_a_space_eliminates_its_stu_relations_and_the_lifted_j_rows(monkeypatch):
+    # STU alone gives the same rows (Bar-Natan), but eliminates more slowly;
+    # the J rows keep IHX in the elimination
     given = []
 
     def recording(vectors):
@@ -162,7 +162,8 @@ def test_a_space_eliminates_its_stu_relations_then_the_lifted_j_rows(monkeypatch
     lifted = [{(*arc_data, k): c for k, c in row.items()}
               for arc_data in dict.fromkeys(key[:3] for key in span)
               for row in j_space(3, sum(arc_data[2]), trivial).relations.rows.values()]
-    assert lifted and given == [stu + lifted]
+    # largest pivots first; the stable sort keeps STU first among ties
+    assert lifted and given == [sorted(stu + lifted, key=min, reverse=True)]
 
 
 def test_dashed_work_is_done_once_per_dashed_key(monkeypatch):

@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from beadiag import arcs as ar
-from beadiag import bridge
+from beadiag import bridge, cache
 from beadiag import catlie as cl
 from beadiag import diagrams as dg
 from beadiag.bridge import alpha_dim, glue, verify_bridge
@@ -326,7 +326,7 @@ def _mu_2_sign_flipped(mu_action):
     return faulty
 
 
-def _inject(patch, fault, d, alphabet, l):
+def _inject(patch, fault, d, alphabet):
     """The named fault, in both drivers."""
     if fault in ("antipode", "delta"):
         wrap = _antipode_sign_flipped_on_one_leg if fault == "antipode" else _delta_shuffle_dropped
@@ -334,10 +334,10 @@ def _inject(patch, fault, d, alphabet, l):
         patch.setitem(globals(), "catass_act_per_call", wrap(catass_act_per_call))
     elif fault == "mu_action":
         patch.setattr(cl, "mu_action", _mu_2_sign_flipped(cl.mu_action))
-    else:  # "ihx_row": the first relation row of J_d keeps its pivot alone
-        # once the A-space at l arcs, which lifts J_d's rows, is built sound:
-        # a wrong J entry beside a sound A entry, whichever test ran first
-        ar.a_space(alphabet.rank, l, d, alphabet)
+    else:  # "ihx_row": the first relation row of J_d keeps its pivot alone,
+        # in spaces built afresh, so the A-spaces lift it, and dropped after
+        patch.setattr(cache, "_spaces", {})
+        patch.setattr(cache, "_active_dir", None)
         rows = next(rows for c in range(2 * d + 1)
                     for rows in [j_space(d, c, alphabet).relations.rows] if rows)
         pivot = min(rows)
@@ -360,7 +360,7 @@ def test_a_fault_fails_the_same_checks_in_both_drivers(monkeypatch, fault, cell,
     failed = []
     for driver in (verify_bridge, verify_bridge_per_call):
         with monkeypatch.context() as patch:
-            _inject(patch, fault, d, alphabet_from_spec(spec), l)
+            _inject(patch, fault, d, alphabet_from_spec(spec))
             report = driver(d, alphabet_from_spec(spec), l, seed=seed, sample=sample)
             failed.append([c["name"] for c in report["checks"] if not c["pass"]])
             assert driver is verify_bridge_per_call or _oracle_fails(report, d, spec)

@@ -4,7 +4,6 @@ from beadiag import arcs as ar
 from beadiag.bridge import coinvariant_dim
 from beadiag.jspaces import j_space
 from beadiag.reference import (
-    _passi_sigma_trace,
     a11_reference_dim,
     b_d0_reference,
     b_di_dim,
@@ -73,10 +72,11 @@ def test_passi_sigma_examples():
         assert all(square[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
 
 
-def test_passi_sigma_trace_counts_its_blocks():
+def test_passi_sigma_has_trace_zero():
+    # a11_reference_dim relies on it: -m on the first block, +m from the swap
     for m in range(0, 6):
         mat = passi_sigma(m)
-        assert sum(mat[i][i] for i in range(len(mat))) == _passi_sigma_trace(m) == -m + m
+        assert sum(mat[i][i] for i in range(len(mat))) == 0
 
 
 def test_a11_reference_examples():
