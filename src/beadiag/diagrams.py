@@ -116,12 +116,9 @@ class Diagram:
     def vertex_of(self):
         """Map half-edge -> vertex id (legs 0..U-1, trivalent U..U+T-1)."""
         if self._vert is None:
-            vert = {}
-            for i, h in enumerate(self.legs):
-                vert[h] = i
-            for j, triple in enumerate(self.tri):
-                for h in triple:
-                    vert[h] = len(self.legs) + j
+            vert = dict(zip(self.legs, range(len(self.legs))))
+            for v, (a, b, c) in enumerate(self.tri, len(self.legs)):
+                vert[a] = vert[b] = vert[c] = v
             object.__setattr__(self, "_vert", vert)
         return self._vert
 
@@ -188,7 +185,7 @@ def _components(num_vertices, edge_vertex_pairs):
     return list(comps.values())
 
 
-def _colour_classes(diagram: Diagram):
+def _colour_classes(diagram: Diagram, base=None):
     """Trivalent vertices grouped by an isomorphism-invariant colour.
 
     Colours use only structure and leg labels (never beads or orientations),
@@ -200,36 +197,48 @@ def _colour_classes(diagram: Diagram):
     until no class splits.  A colour is its class's position, so the
     classes come back in a deterministic order, in which canonical
     numbering assigns ids blockwise.
+
+    A sorted tuple of codes is held as minus the sum of 4 ** (top - code),
+    top the largest code: no code repeats four times, so this orders tuples
+    of one length, as those of one class are, as the tuples.  ``base`` may
+    give the edges' (tail vertex, head vertex, ...) tuples.
     """
     U, T = diagram.num_legs, diagram.num_tri
-    vert = diagram.vertex_of()
-    incident = {v: [] for v in range(U, U + T)}
-    neighbours = {v: [] for v in range(U, U + T)}
-    for tail, head, _ in diagram.edges:
-        a, b = vert[tail], vert[head]
+    if base is None:
+        vert = diagram.vertex_of()
+        base = [(vert[t], vert[h]) for t, h, _w in diagram.edges]
+    code = [0] * (U + T)  # top U + 1
+    neighbours = [[] for _ in range(U + T)]
+    for e in base:
+        a, b = e[0], e[1]
         if a == b:
-            incident[a] += (U, U)
+            code[a] -= 8  # U twice
         elif a >= U and b >= U:
-            incident[a].append(U + 1)
-            incident[b].append(U + 1)
+            code[a] -= 1
+            code[b] -= 1
             neighbours[a].append(b)
             neighbours[b].append(a)
-        elif a >= U or b >= U:
-            incident[max(a, b)].append(min(a, b))
+        elif a >= U:
+            code[a] -= 4 ** (U + 1 - b)
+        elif b >= U:
+            code[b] -= 4 ** (U + 1 - a)
     parts = {}
-    for v, inc in incident.items():
-        parts.setdefault(tuple(sorted(inc)), []).append(v)
+    for v in range(U, U + T):
+        parts.setdefault(code[v], []).append(v)
     classes = [parts[s] for s in sorted(parts)]
-    colour = {}
     while len(classes) < T:
         for c, cls in enumerate(classes):
+            weight = -4 ** (T - 1 - c)  # colour c, top T - 1
             for v in cls:
-                colour[v] = c
+                code[v] = weight
         split = []
         for cls in classes:
             parts = {}
             for v in cls if len(cls) > 1 else ():
-                parts.setdefault(tuple(sorted([colour[x] for x in neighbours[v]])), []).append(v)
+                sig = 0
+                for x in neighbours[v]:
+                    sig += code[x]
+                parts.setdefault(sig, []).append(v)
             split += [parts[s] for s in sorted(parts)] if len(parts) > 1 else [cls]
         if len(split) == len(classes):
             break
@@ -291,9 +300,11 @@ def _gauges(steps, base):
 
 
 def _canonical_form(diagram: Diagram):
-    """(key, sign, order): the (key, sign) of :func:`canonicalize`, and
-    ``order[i]``, the index in ``diagram.edges`` of the edge that becomes
-    key entry i (None for ZERO).
+    """(key, sign, orders): the (key, sign) of :func:`canonicalize`, and
+    the edge order of each candidate that reaches the key, the first found
+    first (None for ZERO): ``order[i]`` is the index in ``diagram.edges``
+    of the edge that becomes key entry i.  All such candidates have one
+    sign, so any two of the orders differ by an automorphism.
 
     Candidates are numberings x canonical gauges; the least certificate is
     the key.  A numbering keeps the legs' ids and fills each block of
@@ -315,7 +326,7 @@ def _canonical_form(diagram: Diagram):
         struts = sorted((vert[t], vert[h], w, ei) if vert[t] < vert[h]
                         else (vert[h], vert[t], inv_letters(w), ei)
                         for ei, (t, h, w) in enumerate(diagram.edges))
-        return ((U, 0, tuple([s[:3] for s in struts])), 1, tuple([s[3] for s in struts]))
+        return ((U, 0, tuple([s[:3] for s in struts])), 1, (tuple([s[3] for s in struts]),))
     base = [(vert[t], vert[h], ei, t, h, w) for ei, (t, h, w) in enumerate(diagram.edges)]
     beaded = False
     for tv, hv, _ei, _th, _hh, w in base:
@@ -330,10 +341,9 @@ def _canonical_form(diagram: Diagram):
                 adjacency[tv].append((hv, ei))
                 adjacency[hv].append((tv, ei))
 
-    best = order = None
-    signs = set()
+    best, signs = None, set()
     cmap = list(range(U + T))
-    classes = _colour_classes(diagram)
+    classes = _colour_classes(diagram, base)
     numberings = ([[v for v, in classes]] if len(classes) == T  # all singletons: one numbering
                   else map(itertools.chain.from_iterable,
                            itertools.product(*map(itertools.permutations, classes))))
@@ -357,26 +367,28 @@ def _canonical_form(diagram: Diagram):
                     wi = inv_letters(w)
                     if wi < w:
                         th, hh, w = hh, th, wi
-                entries.append((cu, cv, len(w) if w else 0, w, ei, th, hh))
+                entries.append((cu, cv, len(w), w, ei, th, hh))
             entries.sort()
-            cert = (U, T, tuple([(cu, cv, w) for cu, cv, _n, w, _ei, _th, _hh in entries]))
+            cert = (U, T, tuple([(e[0], e[1], e[3]) for e in entries]))
             if best is not None and cert > best:
                 continue
             rank = {}  # half-edge -> where the sorted entries meet it
-            for i, (_cu, _cv, _n, _w, _ei, th, hh) in enumerate(entries):
-                rank[th], rank[hh] = 2 * i, 2 * i + 1
+            for i, e in enumerate(entries):
+                rank[e[5]], rank[e[6]] = 2 * i, 2 * i + 1
             sign = 1
             for a, b, c in diagram.tri:
                 # the triple meets its half-edges in cyclic order iff exactly
                 # two of the three cyclic comparisons hold
-                if (rank[a] < rank[b]) + (rank[b] < rank[c]) + (rank[c] < rank[a]) != 2:
+                a, b, c = rank[a], rank[b], rank[c]
+                if (a < b) + (b < c) + (c < a) != 2:
                     sign = -sign
             if cert != best:
-                best, order, signs = cert, tuple([e[4] for e in entries]), set()
+                best, orders, signs = cert, [], set()
+            orders.append(tuple([e[4] for e in entries]))
             signs.add(sign)
     if len(signs) == 2:
         return (ZERO, 0, None)
-    return (best, signs.pop(), order)
+    return (best, signs.pop(), tuple(orders))
 
 
 def canonicalize(diagram: Diagram):
@@ -450,17 +462,13 @@ def glue_pair(diagram: Diagram, a: int, b: int) -> Diagram:
     U = diagram.num_legs
     if not (1 <= a <= U and 1 <= b <= U and a != b):
         raise DiagramError("glue_pair needs two distinct leg labels")
-    ha, hb = diagram.legs[a - 1], diagram.legs[b - 1]
-    top = max(list(diagram.legs) + [h for t in diagram.tri for h in t]) + 1
-    h_stub, h_leg = top, top + 1
-    new_tri = diagram.tri + ((h_stub, hb, ha),)
-    new_edges = diagram.edges + ((h_stub, h_leg, IDENTITY),)
-    keep = sorted(set(range(1, U + 1)) - {a, b})
-    provisional = {min(a, b): h_leg}
-    for lab in keep:
-        provisional[lab] = diagram.legs[lab - 1]
-    new_legs = tuple(provisional[lab] for lab in sorted(provisional))
-    return Diagram._trusted(new_legs, new_tri, new_edges)
+    legs = list(diagram.legs)
+    h_stub = max(max(legs), max(map(max, diagram.tri), default=-1)) + 1
+    new_tri = diagram.tri + ((h_stub, legs[b - 1], legs[a - 1]),)
+    new_edges = diagram.edges + ((h_stub, h_stub + 1, IDENTITY),)
+    legs[min(a, b) - 1] = h_stub + 1
+    del legs[max(a, b) - 1]
+    return Diagram._trusted(tuple(legs), new_tri, new_edges)
 
 
 def unglue_leg(diagram: Diagram, label: int):
@@ -550,17 +558,19 @@ def _structures(num_legs: int, num_tri: int, loops: bool = True):
 
     Slots of a trivalent vertex are used in order and vertices are activated
     in order, so each isomorphism class appears at least once and without the
-    (3!)^T T! relabelling blow-up.  The slots of one vertex differ only by
-    the sign of its cyclic order, so the vertices their partners sit on
-    (legs counting as vertices 0..U-1) never fall from one slot to the next:
-    each vertex-level shape, the sorted multiset of (vertex, vertex) edges,
-    comes exactly once.  A partial pairing is dropped as soon as it closes a
-    legless component, which no completion can reopen.  With ``loops`` false
-    no pair joins two slots of one vertex, and the subtree below such a pair
-    is never searched: for a caller with no bead to put on a loop, since a
-    bead-free loop is zero.  Yields Diagram presentations with bead-free
-    edges and the slot order as cyclic order; without loops, the others in
-    the same order.
+    (3!)^T T! relabelling blow-up.  Half-edges are matched lowest first, so
+    a vertex's matched slots are a prefix, and each order check reads one
+    flag.  The slots of one vertex differ only by the sign of its cyclic
+    order, so the vertices their partners sit on (legs counting as vertices
+    0..U-1) never fall from one slot to the next: each vertex-level shape,
+    the sorted multiset of (vertex, vertex) edges, comes exactly once.  A
+    partial pairing is dropped as soon as it closes a legless component,
+    which no completion can reopen.  With ``loops`` false no pair joins two
+    slots of one vertex, and the subtree below such a pair is never
+    searched: for a caller with no bead to put on a loop, since a bead-free
+    loop is zero.  Yields Diagram presentations as they are found, with
+    bead-free edges and the slot order as cyclic order; without loops, the
+    others in the same order.
     """
     U, T = num_legs, num_tri
     if U == 0 < T:
@@ -584,13 +594,10 @@ def _structures(num_legs: int, num_tri: int, loops: bool = True):
                     todo.append(w)
         return True
 
-    def rec():
-        h = -1
-        for i in range(H):
-            if not matched[i]:
-                h = i
-                break
-        if h < 0:
+    def rec(h):  # every half-edge before h is matched
+        while h < H and matched[h]:
+            h += 1
+        if h == H:
             yield list(pairs)
             return
         matched[h] = True
@@ -605,21 +612,16 @@ def _structures(num_legs: int, num_tri: int, loops: bool = True):
             if matched[h2]:
                 continue
             if h2 >= U:
-                t = (h2 - U) // 3
-                s = (h2 - U) % 3
-                base = U + 3 * t
-                if any(not matched[base + s2] for s2 in range(s)):
-                    continue  # use slots of a vertex in order
-                if s == 0 and t > 0:
-                    prev = U + 3 * (t - 1)
-                    if not any(matched[prev + s2] for s2 in range(3)):
-                        continue  # activate vertices in order
+                s = (h2 - U) % 3  # the slot before is used; the vertex before is active
+                if (not matched[h2 - 1]) if s else (h2 >= U + 3 and not matched[h2 - 3]):
+                    continue
             matched[h2] = True
             partner[h], partner[h2] = h2, h
             pairs.append((h, h2))
-            # the new edge's component is the only one this pair can close
-            if h < U or not closes_legless(U + (h - U) // 3):
-                yield from rec()
+            # only the new edge's component can close, once both its end vertices are full
+            if (h < U or not matched[h + 2 - (h - U) % 3] or not matched[h2 + 2 - (h2 - U) % 3]
+                    or not closes_legless(U + (h - U) // 3)):
+                yield from rec(h + 1)
             pairs.pop()
             partner[h] = partner[h2] = -1
             matched[h2] = False
@@ -627,8 +629,9 @@ def _structures(num_legs: int, num_tri: int, loops: bool = True):
 
     legs = tuple(range(U))
     tri = tuple((U + 3 * t, U + 3 * t + 1, U + 3 * t + 2) for t in range(T))
-    for pairing in rec():
-        yield Diagram._trusted(legs, tri, tuple((a, b, IDENTITY) for a, b in pairing))
+    vert = {h: h if h < U else U + (h - U) // 3 for h in range(H)}  # shared, read-only
+    for pairing in rec(0):
+        yield Diagram._trusted(legs, tri, tuple((a, b, IDENTITY) for a, b in pairing), vert)
 
 
 def enumerate_diagrams(d: int, m: int, alphabet):

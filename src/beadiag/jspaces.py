@@ -45,10 +45,12 @@ def ihx_relations(key, done=None):
     canonicalizes to (key, +1), and the gauge move of
     :func:`diagrams.ihx_at_edge` changes neither.  So only H and X are
     canonicalized, by ``diagrams._canonical_form``, which also says which
-    key entry the rewired edge becomes.  With a set ``done``, those (key,
-    entry) pairs are added to it, and the edges of ``key`` found in it are
-    skipped: such an edge carries the IHX instance of an earlier relation,
-    so its relation is the same up to sign.  An edge whose ends a second
+    key entry the rewired edge becomes under each of its edge orders, so
+    along the entry's orbit under the key's automorphisms.  With a set
+    ``done``, those (key, entry) pairs are added to it, and the edges of
+    ``key`` found in it are skipped: such an edge carries the IHX instance
+    of an earlier relation, or its image under an automorphism, so its
+    relation is the same up to sign.  An edge whose ends a second
     edge also joins, both bead-free, is skipped: H or X has a bead-free
     loop, zero by AS, and the other is -I, so the relation is 0.
     """
@@ -62,11 +64,11 @@ def ihx_relations(key, done=None):
             continue
         pairs = [(key, 1)]
         for coeff, term in dg.ihx_at_edge(dia, index)[1:]:
-            term_key, sign, order = dg._canonical_form(term)
+            term_key, sign, orders = dg._canonical_form(term)
             if term_key is not dg.ZERO:
                 pairs.append((term_key, coeff * sign))
                 if done is not None:
-                    done.add((term_key, order.index(index)))
+                    done.update((term_key, order.index(index)) for order in orders)
         rel = vec(pairs)
         if rel:
             out.append(rel)
@@ -108,7 +110,8 @@ def closure(seed_keys, relations):
 
     The members' IHX relations are appended to the list ``relations``; one
     ``done`` set shared by their :func:`ihx_relations` calls skips each
-    edge that carries the IHX instance of an earlier relation.  Raises
+    edge that carries the IHX instance of an earlier relation, up to an
+    automorphism of the member.  Raises
     :class:`ClosureDiverged` on unbounded bead growth (see the class
     docstring for when that happens).
     """

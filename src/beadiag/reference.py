@@ -42,28 +42,13 @@ def schur_dim(lam, m: int) -> int:
     return int(dim)
 
 
-def passi_sigma(m: int):
-    """The involution matrix on the (m + m^2)-dimensional degree-two space:
-    minus the identity on the m block, the place permutation on the m^2 block."""
-    n = m + m * m
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(m):
-        mat[i][i] = Fraction(-1)
-    for i in range(m):
-        for j in range(m):
-            row = m + i * m + j
-            col = m + j * m + i
-            mat[row][col] = Fraction(1)
-    return mat
-
-
 def a11_reference_dim(alphabet, m: int) -> int:
     """dim of the order-two coinvariants of the dual degree-two space
-    tensored with the span of the alphabet, the involution acting by
-    ``passi_sigma`` dualised and by inversion on the alphabet."""
+    tensored with the span of the alphabet, the involution acting by the
+    degree-two involution dualised and by inversion on the alphabet."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    # Burnside: (n |alphabet| + tr(passi_sigma) * #self-inverse letters) / 2
+    # Burnside: (n |alphabet| + tr(involution) * #self-inverse letters) / 2
     # with n = m + m^2 even, and the trace is 0: -m on the first block, +m
     # from the swap's m fixed places
     return (m + m * m) * len(alphabet) // 2

@@ -11,7 +11,9 @@ failures injected by vector; ``clear_dashed_memos`` empties the arc
 layer's memos before a test counts dashed work.  ``ihx_relations_arc`` is
 the per-key arc IHX that A-spaces now lift from their J-spaces' rows, and
 ``arc_closure_with_ihx`` the arc closure under STU and it together, whose
-relations the A-space rows must echelonize to.
+relations the A-space rows must echelonize to.  ``passi_sigma`` is the
+degree-two involution as a matrix, whose trace ``a11_reference_dim``
+takes in closed form.
 Below them: accessors of canonical labelled and arc keys, the leg
 relabelling of a raw diagram (the oracle of ``diagrams.relabel_key``), the
 rank embedding of arc vectors, the truncation dimensions, and the property
@@ -19,6 +21,7 @@ suites of the gluing action (Jacobi identity, well-definedness).
 """
 
 import itertools
+from fractions import Fraction
 
 from beadiag import arcs as ar
 from beadiag import catlie as cl
@@ -87,6 +90,21 @@ def arc_closure_with_ihx(seed_keys, relations):
 
     return _grow(seed_keys, relations, expand,
                  lambda key: dg.key_beads(key[3]) + list(key[1]))
+
+
+def passi_sigma(m: int):
+    """The involution matrix on the (m + m^2)-dimensional degree-two space:
+    minus the identity on the m block, the place permutation on the m^2 block."""
+    n = m + m * m
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(m):
+        mat[i][i] = Fraction(-1)
+    for i in range(m):
+        for j in range(m):
+            row = m + i * m + j
+            col = m + j * m + i
+            mat[row][col] = Fraction(1)
+    return mat
 
 
 def oracle_leg_placements(c, m):

@@ -4,9 +4,11 @@ A bubble edge is an internal edge whose two trivalent ends a second edge
 also joins, both edges bead-free.  The IHX relation there is 0: one of H
 and X keeps the other edge as a bead-free loop, and the remaining term is
 -I.  On every cell of ``test_ihx_once.py``, each bubble edge of each closure
-key gives the empty relation when all three terms are computed, and the
-closure's relation list, values and order, equals the one of
-``ihx_relations`` without the bubble rule, kept here verbatim as the oracle.
+key gives the empty relation when all three terms are computed.  The
+closure has the echelon rows of ``ihx_relations`` without the bubble rule
+and with one edge order per term in its ``done`` set, kept here as the
+oracle, and each of its relations is one of the oracle's: a ``done`` set
+that covers automorphism orbits only drops repeated relations.
 """
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from beadiag import diagrams as dg
 from beadiag import jspaces
 from beadiag.jspaces import canonical_vector
-from beadiag.linalg import vec
+from beadiag.linalg import echelonize, vec
 from beadiag.words import TRIVIAL_ALPHABET
 
 from test_ihx_once import CELLS, _cell_id
@@ -22,7 +24,8 @@ from test_ihx_once import CELLS, _cell_id
 
 def ihx_relations_at_every_bubble(key, done=None):
     """One IHX relation vector per internal edge of the canonical diagram,
-    skipping only the edges found in ``done``."""
+    skipping only the edges found in ``done``, which records the first edge
+    order of each term."""
     dia = dg.rebuild(key)
     out = []
     for index in dg.internal_edges(dia):
@@ -30,11 +33,11 @@ def ihx_relations_at_every_bubble(key, done=None):
             continue
         pairs = [(key, 1)]
         for coeff, term in dg.ihx_at_edge(dia, index)[1:]:
-            term_key, sign, order = dg._canonical_form(term)
+            term_key, sign, orders = dg._canonical_form(term)
             if term_key is not dg.ZERO:
                 pairs.append((term_key, coeff * sign))
                 if done is not None:
-                    done.add((term_key, order.index(index)))
+                    done.add((term_key, orders[0].index(index)))
         rel = vec(pairs)
         if rel:
             out.append(rel)
@@ -96,7 +99,9 @@ def test_the_cells_have_bubbles(closed):
 def test_relation_list_equals_the_closure_without_the_bubble_rule(closed, cell):
     (span, rels), (old_span, old_rels) = closed[cell]
     assert span == old_span
-    assert [list(rel.items()) for rel in rels] == [list(rel.items()) for rel in old_rels]
+    assert echelonize(rels).rows == echelonize(old_rels).rows
+    old = {tuple(rel.items()) for rel in old_rels}
+    assert all(tuple(rel.items()) in old for rel in rels)
 
 
 def _hx_forms(monkeypatch, close, seeds):
@@ -118,4 +123,4 @@ def test_j52_makes_fewer_hx_forms(monkeypatch):
     seeds = dg.enumerate_diagrams(5, 2, TRIVIAL_ALPHABET)
     calls = _hx_forms(monkeypatch, jspaces.closure, seeds)
     oracle_calls = _hx_forms(monkeypatch, closure_at_every_bubble, seeds)
-    assert calls <= 836 < oracle_calls == 1304
+    assert calls <= 694 < 836 < oracle_calls == 1304

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import random
 
@@ -9,6 +10,7 @@ from beadiag import cache
 from beadiag import diagrams as dg
 from beadiag.words import TRIVIAL_ALPHABET, Word, alphabet_from_spec
 
+from frozen_structures import shape_structures
 from move_fuzzer import (
     random_arc_moves,
     random_move_sequence,
@@ -222,6 +224,21 @@ def test_structures_prune_legless_components_early(U, T):
                  for dia in dg._structures(U, T, loops=False)]
     assert loop_free == [p for p in pairings
                          if not any(a >= U and (a - U) // 3 == (b - U) // 3 for a, b in p)]
+
+
+@pytest.mark.parametrize("U,T", STRUCTURE_CELLS, ids=["U%d-T%d" % c for c in STRUCTURE_CELLS])
+def test_structures_equal_the_frozen_shape_search(U, T):
+    # the one-flag order checks and the search that starts after the last
+    # matched half-edge yield the range-scanning search's pairings, in order
+    for loops in (True, False):
+        assert ([dia.edges for dia in dg._structures(U, T, loops)]
+                == [dia.edges for dia in shape_structures(U, T, loops)])
+
+
+def test_structures_stream_their_pairings():
+    # a generator yields each pairing as it is found, so the search never
+    # holds the full list
+    assert inspect.isgeneratorfunction(dg._structures)
 
 
 def test_reverse_edge_inverts_bead():

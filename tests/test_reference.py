@@ -8,10 +8,11 @@ from beadiag.reference import (
     b_d0_reference,
     b_di_dim,
     partitions,
-    passi_sigma,
     schur_dim,
 )
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
+
+from reference_helpers import passi_sigma
 
 GEN11 = alphabet_from_spec("gen:1:1")
 
