@@ -28,7 +28,7 @@ from collections import namedtuple
 
 from . import cache
 from . import diagrams as dg
-from .jspaces import ClosureDiverged, Space, _grow, canonical_vector, full_residue, j_space
+from .jspaces import ClosureDiverged, Space, _grow, canonical_vector, full_residue
 from .linalg import echelonize, vec
 from .words import IDENTITY, inv_letters, mul_letters
 
@@ -218,7 +218,8 @@ def _unglue_neighbours(key):
 
 
 def arc_closure(seed_keys, relations):
-    """Close a key set under STU (both directions); ``a_space`` adds IHX.
+    """Close a key set under STU (both directions), which implies IHX on
+    the enumerated arc diagrams (:class:`ASpace`).
 
     Every STU relation of every member is appended to the list
     ``relations``.  Raises :class:`beadiag.jspaces.ClosureDiverged` on
@@ -264,7 +265,14 @@ def enumerate_arc_diagrams(m, d, alphabet, class0=True):
 
 
 class ASpace(Space):
-    """A truncated space of degree-d arc diagrams modulo STU/IHX/AS."""
+    """A truncated space of degree-d arc diagrams modulo STU/IHX/AS.
+
+    Its rows echelonize the STU relations of the span's closure alone.  STU
+    implies IHX on diagrams whose every dashed component has a leg on an
+    arc (Bar-Natan, Topology 34, 1995), as every enumerated diagram has; and
+    beaded arc spaces build only at d <= 1, where no diagram has an internal
+    edge and so no IHX relation.  So the space is the STU quotient.
+    """
 
     FIELDS = ("m", "d", "alphabet", "class0")
 
@@ -295,43 +303,26 @@ def a_space(n, m, d, alphabet, class0=True) -> ASpace:
         rels = []
         try:
             arc_closure(span, rels)
-            # STU implies IHX here but eliminates more slowly alone; IHX
-            # rewires the dashed part only, so lift the rows of J_d(#legs)
-            # onto each arc beads and leg counts of the span
-            for arc_data in dict.fromkeys(key[:3] for key in span):
-                jrows = j_space(d, sum(arc_data[2]), alphabet).relations.rows
-                rels.extend({(*arc_data, k): c for k, c in row.items()} for row in jrows.values())
         except ClosureDiverged as exc:
             raise ClosureDiverged("%sA_%d(%d, %d) over %s: %s" % (
                 "class-0 " if class0 else "", d, n, m, alphabet.label, exc)) from None
-        # largest pivots first fill in least: A(0, 2, 4) in 0.75 s, 1.6 s unsorted
+        # largest pivots first fill in least: A(0, 2, 4) in 0.8 s, 2.3 s in closure order
         return ASpace(m=m, d=d, alphabet=alphabet, class0=class0, span=span,
                       relations=echelonize(sorted(rels, key=min, reverse=True)))
 
     return cache.space("aspace", (m, d, alphabet.rank, alphabet.elements, class0), ASpace, build)
 
 
-@functools.lru_cache(maxsize=16)
-def _stu_relations(space):
-    """The echelonized STU relations of the closure of an A-space's span."""
-    rels = []
-    arc_closure(space.span, rels)
-    return echelonize(sorted(rels, key=min, reverse=True))
-
-
 def _is_zero_in_full_space(vector, d, alphabet) -> bool:
     """Whether a class-0 arc vector of degree d vanishes in the untruncated
-    STU/IHX quotient: its residue modulo the STU relations of the closed span
-    of the a_space at the vector's arc count, then modulo the STU closure of
-    what is left.  STU implies IHX where every dashed component has a leg on
-    an arc (Bar-Natan, Topology 34, 1995), as in every enumerated diagram,
-    and beaded arc spaces build only at d <= 1, where no diagram has an
-    internal edge and so no IHX relation.  The a_space's own rows are not
-    read: they lift the J-spaces' rows, which the bridge checks test here."""
+    STU/IHX quotient: its residue modulo the rows of the a_space at the
+    vector's arc count, then modulo the STU closure of what is left.  Those
+    rows are STU relations only, which is exact (see :class:`ASpace`), so
+    the bridge checks test the J-spaces' IHX rows against STU alone."""
     if not vector:
         return True
     space = a_space(alphabet.rank, arc_key_m(next(iter(vector))), d, alphabet, class0=True)
-    return not full_residue(vector, _stu_relations(space), arc_closure)
+    return not full_residue(vector, space.relations, arc_closure)
 
 
 # ---------------------------------------------------------------------------

@@ -191,8 +191,10 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
     maps = {c: [ar._leg_blocks(counts) for counts in ar.compositions(c, l)]  # sorted
             for c in spaces}
 
-    # (a) IHX relations die after gluing, modulo STU alone (the zero test); the
-    # echelon rows span them all, in key order.  One sample per arity.
+    # (a) IHX relations die after gluing, modulo the A-space's rows (the zero
+    # test).  Those are STU relations alone, so the J rows are held against
+    # the arc side only.  The echelon rows span them all, in key order.  One
+    # sample per arity.
     def ihx_counterexample(c, r, fibers):
         if not vanishes(ar.on_bare_arcs(fibers, r)):
             # reported with Fraction coefficients, whichever exact type a row holds

@@ -6,9 +6,10 @@ and the relation list, in order and item by item, must equal its own.  The
 counter test pins how much dashed work two builds do, without timing
 anything.
 
-The arc closure is STU only; an A-space lifts its IHX rows from its
-J-spaces.  The row-equality gate compares its rows with the echelon form
-of the earlier design, which closed under STU and the per-key arc IHX.
+The arc closure is STU only, and an A-space eliminates its STU relations
+alone: STU implies IHX on every enumerated diagram (Bar-Natan).  The
+row-equality gate compares its rows with the echelon form of the earlier
+design, which closed under STU and the per-key arc IHX.
 """
 
 from collections import Counter
@@ -18,7 +19,8 @@ import pytest
 from beadiag import arcs as ar
 from beadiag import cache
 from beadiag import diagrams as dg
-from beadiag.jspaces import _grow, canonical_vector, j_space
+from beadiag.bridge import verify_bridge
+from beadiag.jspaces import _grow, canonical_vector
 from beadiag.linalg import echelonize, vec
 from beadiag.words import alphabet_from_spec
 
@@ -128,7 +130,7 @@ def test_per_key_functions_need_no_memo(cell):
     for key in keys:
         assert ar.stu_relations(key) == stu_relations_per_key(key)
         assert ar._unglue_neighbours(key) == unglue_neighbours_per_key(key)
-        # the lifted J rows hold every per-key arc IHX relation
+        # the STU rows imply every per-key arc IHX relation (Bar-Natan)
         assert not any(space.reduce(rel) for rel in ihx_relations_arc(key))
 
 
@@ -142,9 +144,10 @@ def test_rows_equal_the_stu_and_per_key_ihx_closure(cell):
     assert ar.a_space(alphabet.rank, m, d, alphabet, class0).relations.rows == echelonize(rels).rows
 
 
-def test_a_space_eliminates_its_stu_relations_and_the_lifted_j_rows(monkeypatch):
-    # STU alone gives the same rows (Bar-Natan), but eliminates more slowly;
-    # the J rows keep IHX in the elimination
+def test_a_space_eliminates_its_stu_relations_alone(monkeypatch):
+    # STU implies IHX on every enumerated diagram (Bar-Natan), so the STU
+    # relations of the closure are all an A-space eliminates, and it builds
+    # no J-space
     given = []
 
     def recording(vectors):
@@ -156,14 +159,33 @@ def test_a_space_eliminates_its_stu_relations_and_the_lifted_j_rows(monkeypatch)
     monkeypatch.setattr(cache, "_spaces", {})
     trivial = alphabet_from_spec("trivial")
     ar.a_space(0, 2, 3, trivial)
-    span = ar.enumerate_arc_diagrams(2, 3, trivial)
     stu = []
-    ar.arc_closure(span, stu)
-    lifted = [{(*arc_data, k): c for k, c in row.items()}
-              for arc_data in dict.fromkeys(key[:3] for key in span)
-              for row in j_space(3, sum(arc_data[2]), trivial).relations.rows.values()]
-    # largest pivots first; the stable sort keeps STU first among ties
-    assert lifted and given == [sorted(stu + lifted, key=min, reverse=True)]
+    ar.arc_closure(ar.enumerate_arc_diagrams(2, 3, trivial), stu)
+    # largest pivots first
+    assert stu and given == [sorted(stu, key=min, reverse=True)]
+    assert [kind for kind, _params in cache._spaces] == ["aspace"]
+
+
+def test_verify_bridge_closes_each_a_space_span_once(monkeypatch):
+    # the zero test reduces by the A-space's own rows, so no second closure
+    # of the span eliminates its STU relations again
+    seeds = Counter()
+    arc_closure = ar.arc_closure
+
+    def counting(seed_keys, relations):
+        seed_keys = tuple(seed_keys)
+        seeds[frozenset(seed_keys)] += 1
+        return arc_closure(seed_keys, relations)
+
+    monkeypatch.setattr(ar, "arc_closure", counting)
+    monkeypatch.setattr(cache, "_active_dir", None)
+    monkeypatch.setattr(cache, "_spaces", {})
+    trivial = alphabet_from_spec("trivial")
+    assert verify_bridge(2, trivial, 2)["pass"]
+    spans = {params[0]: frozenset(space.span)
+             for (kind, params), space in cache._spaces.items() if kind == "aspace"}
+    assert 2 in spans
+    assert {m: seeds[span] for m, span in spans.items()} == dict.fromkeys(spans, 1)
 
 
 def test_dashed_work_is_done_once_per_dashed_key(monkeypatch):

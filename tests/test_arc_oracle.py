@@ -7,8 +7,9 @@ canonicalizes the result again (``arc_canonicalize``).  The library acts on
 the arc data and the labelled key directly, so it must give the same
 vectors and the same neighbour keys.  The full-functor cells are where
 ``mu`` and the antipode slide a nontrivial arc bead onto dashed legs.
-A-spaces lift their IHX rows from J-spaces, so the raw route's arc IHX is
-checked against the per-key arc IHX the tests keep in ``reference_helpers``.
+A-spaces eliminate STU relations alone, which imply IHX on arcs, so the
+raw route's arc IHX is checked against the per-key arc IHX the tests keep
+in ``reference_helpers``.
 """
 
 import itertools

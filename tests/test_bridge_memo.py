@@ -335,7 +335,7 @@ def _inject(patch, fault, d, alphabet):
     elif fault == "mu_action":
         patch.setattr(cl, "mu_action", _mu_2_sign_flipped(cl.mu_action))
     else:  # "ihx_row": the first relation row of J_d keeps its pivot alone,
-        # in spaces built afresh, so the A-spaces lift it, and dropped after
+        # in spaces built afresh and dropped after; A-spaces read no J row
         patch.setattr(cache, "_spaces", {})
         patch.setattr(cache, "_active_dir", None)
         rows = next(rows for c in range(2 * d + 1)

@@ -444,9 +444,9 @@ def test_stale_aspace_pickle_loads_and_is_rebuilt(tmp_path, monkeypatch):
         fresh = ar.a_space(0, 2, 1, TRIVIAL_ALPHABET)
         assert not hasattr(fresh, field) and fresh.dim(0) == stale.dim(0)
         assert not hasattr(cache.get("aspace", params, ar.ASpace), field)
-        # the stale entry, the fresh one and the J_1(2) it lifts its IHX rows from
+        # the stale entry and the fresh one; an A-space reads no J-space
         kinds = sorted(name.split("-")[0] for name in os.listdir(cache_dir))
-        assert kinds == ["aspace", "aspace", "jspace"]
+        assert kinds == ["aspace", "aspace"]
 
 
 def test_stale_jspace_dimension_is_not_read(tmp_path, monkeypatch, capsys):

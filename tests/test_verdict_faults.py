@@ -12,7 +12,9 @@ keep passing:
 * ``verify_filtration`` and the ``verify a11`` report: an A-space with one
   relation row too few;
 * the antipode axiom of the law suites: an antipode without its sign
-  (-1)^#legs.
+  (-1)^#legs;
+* their coassociativity: a delta that doubles its terms with legs on both
+  copies at positions above 1.
 
 The rows are dropped from spaces the process has built, and the spaces that
 the zero tests read are built before a fault that would reach their
@@ -122,3 +124,25 @@ def test_an_antipode_without_its_sign_fails_the_antipode_axiom_alone(monkeypatch
     hopf = laws.check_hopf_antipode(d, alphabet, m)
     assert not hopf["pass"]
     assert len(hopf["failures"]) == len(report["failures"])
+
+
+def _delta_doubled_above_position_1(act):
+    def faulty(gen, pos, key):
+        terms = act(gen, pos, key)
+        if gen == "delta" and pos > 1:
+            # a term with legs on both copies, arcs pos and pos + 1, counts twice
+            return [t for t in terms for _ in range(1 + all(t[0][2][pos - 1 : pos + 1]))]
+        return terms
+
+    return faulty
+
+
+@pytest.mark.parametrize("d, spec", [(1, "trivial"), (2, "trivial"), (1, "gen:1:1")])
+def test_a_delta_doubled_above_position_1_fails_coassociativity_alone(monkeypatch, d, spec):
+    # at one arc only the second delta of coassociativity acts at position 2
+    alphabet = alphabet_from_spec(spec)
+    assert laws.check_gr_laws(d, alphabet, 1)["pass"]
+    monkeypatch.setattr(ar, "_act_arc_key", _delta_doubled_above_position_1(ar._act_arc_key))
+    report = laws.check_gr_laws(d, alphabet, 1)
+    assert not report["pass"]
+    assert {name for name, *_rest in report["failures"]} == {"coassociativity"}

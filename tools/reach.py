@@ -38,6 +38,7 @@ CELLS = (
     ("a_space(0, 2, 4)", "arcs.a_space(0, 2, 4, trivial).dim()", False, 120),
     ("verify_bridge(3, trivial, 3)", "bridge.verify_bridge(3, trivial, 3)['pass']", False, 120),
     ("verify_bridge(4, trivial, 1)", "bridge.verify_bridge(4, trivial, 1)['pass']", False, 120),
+    ("verify_bridge(4, trivial, 2)", "bridge.verify_bridge(4, trivial, 2)['pass']", False, 120),
     ("alpha_dim(6, trivial, 1)", "bridge.alpha_dim(6, trivial, 1)", True, 600),
     ("a_space(0, 1, 5)", "arcs.a_space(0, 1, 5, trivial).dim()", True, 600),
     ("verify_bridge(5, trivial, 1)", "bridge.verify_bridge(5, trivial, 1)['pass']", True, 600),
