@@ -11,9 +11,9 @@ failures injected by vector; ``clear_dashed_memos`` empties the arc
 layer's memos before a test counts dashed work.  ``ihx_relations_arc`` is
 the per-key arc IHX, which STU implies on arcs, so A-spaces no longer
 generate it, and ``arc_closure_with_ihx`` the arc closure under STU and
-it together, whose relations the A-space rows must echelonize to.  ``passi_sigma`` is the
-degree-two involution as a matrix, whose trace ``a11_reference_dim``
-takes in closed form.
+it together, whose relations the A-space rows must echelonize to.
+``passi_sigma`` is the degree-two involution as a matrix, whose trace
+``a11_reference_dim`` takes in closed form.
 Below them: accessors of canonical labelled and arc keys, the leg
 relabelling of a raw diagram (the oracle of ``diagrams.relabel_key``), the
 rank embedding of arc vectors, the truncation dimensions, and the property
