@@ -130,6 +130,7 @@ def arc_key_trivalents(key):
     return key[3][1]
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _leg_blocks(counts):
     """The leg labels on each arc, in order: the fibers of the block map
     with these leg counts."""
@@ -240,6 +241,13 @@ def arc_closure(seed_keys, relations):
 # spanning sets and spaces
 
 
+@functools.lru_cache(maxsize=1 << 6)
+def _labelled_keys(d, c, alphabet):
+    """``diagrams.enumerate_diagrams(d, c, alphabet)`` as a tuple, read once
+    per process: the arc spans of every arc count share it."""
+    return tuple(dg.enumerate_diagrams(d, c, alphabet))
+
+
 def enumerate_arc_diagrams(m, d, alphabet, class0=True):
     """All canonical arc keys of degree d on m arcs with canonical beads in
     the alphabet (arc beads forced trivial when class0).
@@ -257,7 +265,7 @@ def enumerate_arc_diagrams(m, d, alphabet, class0=True):
         bead_choices = list(itertools.product(alphabet.letter_elements(), repeat=m))
     found = []
     for c in range(0, 2 * d + 1):
-        dkeys = dg.enumerate_diagrams(d, c, alphabet)
+        dkeys = _labelled_keys(d, c, alphabet)
         for counts in compositions(c, m):
             for arc_beads in bead_choices:
                 found.extend((m, arc_beads, counts, dkey) for dkey in dkeys)
@@ -335,59 +343,93 @@ _GEN_RANGES = {"eta": 1, "eps": 0, "mu": -1, "antipode": 0, "delta": 0}
 
 def check_position(gen, pos, m):
     """Raise unless ``gen`` is a Hopf generator that acts at position pos on
-    m arcs: eta at 1..m+1, mu at 1..m-1, the others at 1..m."""
+    m arcs: eta at 1..m+1, mu at 1..m-1, the others at 1..m.  With m None
+    only the generator and pos >= 1 are checked."""
     if gen not in _GEN_RANGES:
         raise ValueError("unknown generator %r" % gen)
-    if not 1 <= pos <= m + _GEN_RANGES[gen]:
+    if pos < 1 or (m is not None and pos > m + _GEN_RANGES[gen]):
         raise ArityMismatch("%s position out of range" % gen)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _moves(gen, counts, j):
+    """The leg bookkeeping of a generator other than eta at arc j (0-based)
+    of keys with these leg counts: (the labels of arc j's legs, the terms),
+    one term (new leg counts, leg order, sign) per image, the leg order as
+    ``diagrams.relabel_key`` takes it.  eps has no term when arc j carries
+    legs; delta has one per split of arc j's legs between the two copies,
+    in the order of ``itertools.product((0, 1), repeat=#legs)`` over the
+    legs' copies."""
+    start, end = sum(counts[:j]), sum(counts[: j + 1])
+    labels = tuple(range(1, sum(counts) + 1))
+    before, here, after = labels[:start], labels[start:end], labels[end:]
+    if gen == "eps":
+        terms = [] if here else [(counts[:j] + counts[j + 1 :], labels, 1)]
+    elif gen == "mu":
+        terms = [(counts[:j] + (counts[j] + counts[j + 1],) + counts[j + 2 :], labels, 1)]
+    elif gen == "antipode":
+        terms = [(counts, before + here[::-1] + after, (-1) ** len(here))]
+    else:
+        splits = [((), ())]  # (first copy, second copy), the last leg's side varying fastest
+        for l in here:
+            splits = [s for one, two in splits for s in ((one + (l,), two), (one, two + (l,)))]
+        terms = [(counts[:j] + (len(one), len(two)) + counts[j + 1 :], before + one + two + after, 1)
+                 for one, two in splits]
+    return here, tuple(terms)
 
 
 def _act_arc_key(gen, pos, key):
     """Action of one generator at arc position pos on a canonical key, as
-    (key, sign) terms; :func:`gr_act` has checked the position."""
+    (key, sign) terms; :func:`gr_act` has checked the position.  The leg
+    bookkeeping comes from :func:`_moves`; per key, this builds the arc
+    beads and, but for eps, relabels the dashed key once per term."""
     m, arc_beads, counts, dkey = key
     if gen == "eta":
         return [(insert_bare_arc(key, pos), 1)]
     j = pos - 1
-    labels = list(range(1, sum(counts) + 1))
-    start, end = sum(counts[:j]), sum(counts[:pos])
-    before, here, after = labels[:start], labels[start:end], labels[end:]
     if gen == "eps":
-        if here:
-            return []
-        return [((m - 1, arc_beads[:j] + arc_beads[pos:], counts[:j] + counts[pos:], dkey), 1)]
+        # no leg moves, so the dashed key stays as it is
+        return [((m - 1, arc_beads[:j] + arc_beads[pos:], counts2, dkey), sign)
+                for counts2, _order, sign in _moves(gen, counts, j)[1]]
+    bead = IDENTITY  # slid back across arc j's legs onto their dashed edges
     if gen == "mu":
         # the second arc's bead slides back across the first arc's legs
         bead = arc_beads[pos]
-        merged_beads = arc_beads[:j] + (mul_letters(arc_beads[j], bead),) + arc_beads[pos + 1 :]
-        merged_counts = counts[:j] + (counts[j] + counts[pos],) + counts[pos + 1 :]
-        deposits = dict.fromkeys(here, bead) if bead else {}
-        return [_lift(m - 1, merged_beads, merged_counts, dkey, labels, deposits)]
-    if gen == "antipode":
+        m2 = m - 1
+        beads2 = arc_beads[:j] + (mul_letters(arc_beads[j], bead),) + arc_beads[pos + 1 :]
+    elif gen == "antipode":
         # reversed legs; the inverted bead slides back across all of them
         bead = inv_letters(arc_beads[j])
-        deposits = dict.fromkeys(here, bead) if bead else {}
-        beads2 = arc_beads[:j] + (bead,) + arc_beads[pos:]
-        key2, sign = _lift(m, beads2, counts, dkey, before + here[::-1] + after, deposits)
-        return [(key2, sign * (-1) ** len(here))]
-    # delta: both copies start with the arc's bead; sum over leg shuffles
-    beads2 = arc_beads[:j] + (arc_beads[j],) + arc_beads[j:]
-    terms = []
-    for mask in itertools.product((0, 1), repeat=len(here)):
-        one = [l for l, side in zip(here, mask) if not side]
-        two = [l for l, side in zip(here, mask) if side]
-        counts2 = counts[:j] + (len(one), len(two)) + counts[pos:]
-        terms.append(_lift(m + 1, beads2, counts2, dkey, before + one + two + after, {}))
-    return terms
+        m2, beads2 = m, arc_beads[:j] + (bead,) + arc_beads[pos:]
+    else:
+        # delta: both copies start with the arc's bead
+        m2, beads2 = m + 1, arc_beads[:j] + (arc_beads[j],) + arc_beads[j:]
+    here, terms = _moves(gen, counts, j)
+    deposits = dict.fromkeys(here, bead) if bead else {}
+    return [(key2, sign * s) for counts2, order, s in terms
+            for key2, sign in [_lift(m2, beads2, counts2, dkey, order, deposits)]]
 
 
 def gr_act(gen, pos, vector, act=_act_arc_key):
     """Linear action of a Hopf generator at an arc position on a vector;
     ``act`` is :func:`_act_arc_key` or a caller's memo of it.  The position
-    is checked once per arc count of the vector, before any action."""
-    for m in {arc_key_m(key) for key in vector}:
+    is checked once per arc count of the vector, before any action; on the
+    zero vector, the generator and pos >= 1 still are."""
+    for m in {arc_key_m(key) for key in vector} or (None,):
         check_position(gen, pos, m)
     return vec((k2, coeff * c) for key, coeff in vector.items() for k2, c in act(gen, pos, key))
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _permuted(news, counts):
+    """Arc permutation bookkeeping: news[old] = new position (0-based) gives
+    (old position per new position, new leg counts, leg order)."""
+    olds = [None] * len(news)  # new position -> old position
+    for old, new in enumerate(news):
+        olds[new] = old
+    blocks = _leg_blocks(counts)
+    return (tuple(olds), tuple(counts[o] for o in olds),
+            tuple(l for o in olds for l in blocks[o]))
 
 
 def perm_arcs(sigma, vector):
@@ -395,13 +437,8 @@ def perm_arcs(sigma, vector):
     pairs = []
     for key, coeff in vector.items():
         m, arc_beads, counts, dkey = key
-        blocks = _leg_blocks(counts)
-        olds = [None] * m  # new position - 1 -> old position - 1
-        for old0 in range(m):
-            olds[sigma[old0 + 1] - 1] = old0
-        k2, sign = _lift(
-            m, tuple(arc_beads[o] for o in olds), tuple(counts[o] for o in olds), dkey,
-            [l for o in olds for l in blocks[o]], {})
+        olds, counts2, order = _permuted(tuple(sigma[o] - 1 for o in range(1, m + 1)), counts)
+        k2, sign = _lift(m, tuple(arc_beads[o] for o in olds), counts2, dkey, order, {})
         pairs.append((k2, coeff * sign))
     return vec(pairs)
 

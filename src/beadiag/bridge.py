@@ -244,12 +244,23 @@ def verify_bridge(d, alphabet, l, seed=0, sample=None):
 
     # (e) coequalizer identity via the STU relation: glued along ``after``,
     # i and c + 1 are adjacent legs, ``before`` swaps them and the
-    # right-hand side glues them onto a tripod
+    # right-hand side glues them onto a tripod.  mu_i of a key does not
+    # depend on the map, and the tuples reach a key's maps in a row, so its
+    # images are held until the tuples move on to the next key (a sample
+    # may come back to a key, and takes its images again)
+    last, images = None, {}  # the last (c, key) the tuples reached, and its mu_i by i
+
     def coequalizer_counterexample(c, key, fibers, i):
+        nonlocal last
+        if last != (c, key):
+            last = (c, key)
+            images.clear()
+        if i not in images:
+            images[i] = cl.mu_action(i, {key: 1}, c + 1)
         after, before = _mu_lifted_maps(fibers, i)
         (akey, sign), (bkey, bsign) = ar._glue_key(after, key), ar._glue_key(before, key)
         lhs = vec([(akey, sign), (bkey, -bsign)])
-        rhs = ar.on_bare_arcs(fibers, cl.mu_action(i, {key: 1}, c + 1))
+        rhs = ar.on_bare_arcs(fibers, images[i])
         if not vanishes(vaxpy(lhs, -1, rhs)):
             return (c, key, fibers, i)
 

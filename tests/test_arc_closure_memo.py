@@ -216,3 +216,22 @@ def test_dashed_work_is_done_once_per_dashed_key(monkeypatch):
     assert (len(keys), len(rels)) == (823, 2058)
     for name, counter in calls.items():
         assert counter and max(counter.values()) == 1, name
+
+
+def test_a_spaces_enumerate_each_labelled_cell_once(monkeypatch):
+    # the spans of every arc count share the labelled keys of a cell (d, c)
+    cells = Counter()
+    enumerate_diagrams = dg.enumerate_diagrams
+
+    def counting(d, c, alphabet):
+        cells[d, c] += 1
+        return enumerate_diagrams(d, c, alphabet)
+
+    monkeypatch.setattr(dg, "enumerate_diagrams", counting)
+    monkeypatch.setattr(cache, "_active_dir", None)
+    monkeypatch.setattr(cache, "_spaces", {})
+    ar._labelled_keys.cache_clear()
+    trivial = alphabet_from_spec("trivial")
+    for m in (1, 2, 3):
+        ar.a_space(0, m, 2, trivial)
+    assert cells == Counter((2, c) for c in range(5))

@@ -215,7 +215,8 @@ def perm_arcs(sigma, vector):
 
 # ---------------------------------------------------------------------------
 
-# no arcs carry no legs, so m = 0 has keys only in degree 0
+# no arcs carry no legs, so m = 0 has keys only in degree 0; the d = 3
+# cells put up to 6 legs on one arc, 64 shuffles under delta
 CELLS = [
     (alphabet, m, d, c0)
     for alphabet, max_m, max_d, classes in ((TRIVIAL_ALPHABET, 3, 2, (True,)),
@@ -223,7 +224,7 @@ CELLS = [
                                             (GEN21, 2, 1, (True, False)))
     for m in range(max_m + 1) for d in range(max_d + 1) for c0 in classes
     if m or not d
-]
+] + [(TRIVIAL_ALPHABET, m, 3, True) for m in (1, 2)]
 
 
 def positions(gen, m):

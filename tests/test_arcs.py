@@ -160,6 +160,20 @@ def test_gr_act_examples():
     assert ar.gr_act("eps", 1, unit(both_on_one)) == {}
 
 
+@pytest.mark.parametrize("gen, pos, error, match", [
+    ("bogus", 1, ValueError, "unknown generator"),
+    ("delta", 0, ar.ArityMismatch, "position out of range"),
+])
+def test_gr_act_refuses_a_bad_generator_or_position_on_the_zero_vector(gen, pos, error, match):
+    # the same refusal as on a unit vector, whatever the vector holds
+    key = ar.enumerate_arc_diagrams(1, 1, TRIVIAL_ALPHABET)[0]
+    for vector in ({}, unit(key)):
+        with pytest.raises(error, match=match):
+            ar.gr_act(gen, pos, vector)
+    # the top of a position's range depends on the arc count, which {} lacks
+    assert ar.gr_act("delta", 5, {}) == {}
+
+
 def test_gr_act_degree_and_trivalent_monotone():
     space = ar.a_space(0, 2, 2, TRIVIAL_ALPHABET)
     for key in space.span[:8]:

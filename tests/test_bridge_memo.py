@@ -17,6 +17,7 @@ anything.
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from beadiag.jspaces import j_space
 from beadiag.linalg import echelonize, vaxpy, vec
 from beadiag.words import alphabet_from_spec
 
-from reference_helpers import numbered_zero_test, oracle_leg_placements
+from reference_helpers import clear_dashed_memos, numbered_zero_test, oracle_leg_placements
 
 
 def catass_act_per_call(gen, pos, fibers):
@@ -420,3 +421,26 @@ def test_tuples_are_glued_as_keys_not_vectors(monkeypatch):
     assert counts["gr_act"] == 915
     assert counts["_glue_key"] == 1_641
     assert (asked.hits + asked.misses, asked.misses) == (2_570, 53)
+
+
+def test_coequalizer_takes_each_mu_image_once(monkeypatch):
+    """Check (e) takes mu_i of a key once and glues it along every block
+    map of its arity: at l = 3 an arity has three to ten maps."""
+    asked = Counter()
+    mu_action = cl.mu_action
+
+    def counting(i, vector, arity):
+        [key] = vector
+        asked[i, key, arity] += 1
+        return mu_action(i, vector, arity)
+
+    monkeypatch.setattr(cl, "mu_action", counting)
+    monkeypatch.setattr(cache, "_active_dir", None)
+    monkeypatch.setattr(cache, "_spaces", {})
+    clear_dashed_memos()
+    dg.relabel_key.cache_clear()
+    trivial = alphabet_from_spec("trivial")
+    assert verify_bridge(2, trivial, 3)["pass"]
+    tuples = [(i, key, c + 1) for c in range(1, 4) for key in j_space(2, c + 1, trivial).span
+              for i in range(1, c + 1)]
+    assert asked == Counter(tuples) and max(asked.values()) == 1

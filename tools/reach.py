@@ -39,6 +39,7 @@ CELLS = (
     ("verify_bridge(3, trivial, 3)", "bridge.verify_bridge(3, trivial, 3)['pass']", False, 120),
     ("verify_bridge(4, trivial, 1)", "bridge.verify_bridge(4, trivial, 1)['pass']", False, 120),
     ("verify_bridge(4, trivial, 2)", "bridge.verify_bridge(4, trivial, 2)['pass']", False, 120),
+    ("check_gr_laws(3, trivial, 2)", "laws.check_gr_laws(3, trivial, 2)['pass']", False, 120),
     ("alpha_dim(6, trivial, 1)", "bridge.alpha_dim(6, trivial, 1)", True, 600),
     ("a_space(0, 1, 5)", "arcs.a_space(0, 1, 5, trivial).dim()", True, 600),
     ("verify_bridge(5, trivial, 1)", "bridge.verify_bridge(5, trivial, 1)['pass']", True, 600),
@@ -47,7 +48,7 @@ CELLS = (
 
 CHILD = """\
 import json, resource, sys, time
-from beadiag import arcs, bridge, jspaces
+from beadiag import arcs, bridge, jspaces, laws
 from beadiag.words import TRIVIAL_ALPHABET as trivial
 start = time.perf_counter()
 answer = eval(sys.argv[1])
