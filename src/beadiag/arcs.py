@@ -28,7 +28,7 @@ from collections import namedtuple
 
 from . import cache
 from . import diagrams as dg
-from .jspaces import ClosureDiverged, Space, _grow, canonical_vector, full_residue
+from .jspaces import ClosureDiverged, Space, _grow, canonical_vector
 from .linalg import echelonize, vec
 from .words import IDENTITY, inv_letters, mul_letters
 
@@ -284,6 +284,10 @@ class ASpace(Space):
 
     FIELDS = ("m", "d", "alphabet", "class0")
 
+    def __str__(self):
+        return "%sA_%d on %d arcs over %s" % (
+            "class-0 " if self.class0 else "", self.d, self.m, self.alphabet.label)
+
     def dim(self, min_trivalent=0) -> int:
         """Dimension of the image of the span keys K with at least
         ``min_trivalent`` trivalent vertices.  The rows are inter-reduced, so
@@ -323,14 +327,15 @@ def a_space(n, m, d, alphabet, class0=True) -> ASpace:
 
 def _is_zero_in_full_space(vector, d, alphabet) -> bool:
     """Whether a class-0 arc vector of degree d vanishes in the untruncated
-    STU/IHX quotient: its residue modulo the rows of the a_space at the
-    vector's arc count, then modulo the STU closure of what is left.  Those
-    rows are STU relations only, which is exact (see :class:`ASpace`), so
-    the bridge checks test the J-spaces' IHX rows against STU alone."""
+    STU/IHX quotient: whether the a_space at the vector's arc count reduces
+    it to zero.  Its rows are STU relations only, which is exact (see
+    :class:`ASpace`), so the bridge checks test the J-spaces' IHX rows
+    against STU alone.  Raises ``ValueError`` if the vector leaves the
+    space's span."""
     if not vector:
         return True
     space = a_space(alphabet.rank, arc_key_m(next(iter(vector))), d, alphabet, class0=True)
-    return not full_residue(vector, space.relations, arc_closure)
+    return not space.reduce(vector)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ at every arity.
 from __future__ import annotations
 
 from . import diagrams as dg
-from .jspaces import canonical_vector, closure, full_residue, j_space
+from .jspaces import canonical_vector, j_space
 from .linalg import echelonize, vec
 
 
@@ -65,15 +65,14 @@ def mu_transform(d: int, k: int, alphabet) -> dict:
     """The mu map at arity k (source arity k+1): {free key of J_d(k+1), in
     ``free_keys`` order: its image}.
 
-    Each image is reduced in the untruncated target quotient, so an image
-    reduces to zero iff it vanishes there.
+    Each image is reduced by the target space J_d(k), so an image reduces to
+    zero iff it vanishes in the untruncated quotient.  Raises ``ValueError``
+    if an image leaves the target's span, as the images of beaded J_2(4)
+    leave that of J_2(3).
     """
     source = j_space(d, k + 1, alphabet)
     target = j_space(d, k, alphabet)
-    return {
-        key: full_residue(mu_sum({key: 1}, k + 1), target.relations, closure)
-        for key in source.free_keys
-    }
+    return {key: target.reduce(mu_sum({key: 1}, k + 1)) for key in source.free_keys}
 
 
 def outer_check(d: int, alphabet):

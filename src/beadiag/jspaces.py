@@ -5,7 +5,8 @@ IHX is materialised as relation vectors.  A space is presented by a
 spanning set of canonical keys closed under IHX neighbours, together with
 the echelonised relation matrix; any IHX instance touching the closure has
 all three terms inside it, so membership and dimension questions about the
-untruncated quotient restrict exactly to the closure.
+untruncated quotient restrict exactly to the closure; ``Space.reduce``,
+the one zero test, refuses a vector with a key outside it.
 """
 
 from __future__ import annotations
@@ -124,24 +125,6 @@ def closure(seed_keys, relations):
     return _grow(seed_keys, relations, expand, dg.key_beads)
 
 
-def full_residue(vector, relations, close):
-    """The reduced form of a vector in the untruncated quotient.
-
-    Reduces by the echelon rows ``relations``, which must lie in the
-    quotient's relation span, then reduces what is left modulo the relations
-    of the closure of its support under ``close`` (:func:`closure` or
-    ``arcs.arc_closure``).  Exact: a relation that meets a closed key set
-    lies inside it, so the result is zero iff the vector lies in the full
-    relation span, and it is the same as modulo any larger closed key set.
-    """
-    residue = relations.reduce(vector)
-    if not residue:
-        return residue
-    rels = []
-    close(residue.keys(), rels)
-    return echelonize(rels).reduce(residue)
-
-
 class Space:
     """A truncated quotient (:class:`JSpace`, ``arcs.ASpace``): the ``FIELDS``
     parameters, a ``span`` of keys, and echelonized ``relations`` inside it."""
@@ -154,16 +137,25 @@ class Space:
         if len(args) + len(kwargs) != len(names) or set(values) != set(names):
             raise TypeError("%s takes %s" % (type(self).__name__, ", ".join(names)))
         self.__dict__.update((name, values[name]) for name in names)
+        self._span_keys = frozenset(self.span)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_span_keys"}
 
     def __setstate__(self, state):
         # the span holds every key its relations touch, so a loaded entry
         # whose rows leave the span is corrupt; raising makes it a cache miss
-        if not {k for row in state["relations"].rows.values() for k in row} <= set(state["span"]):
+        span_keys = frozenset(state["span"])
+        if not all(span_keys.issuperset(row) for row in state["relations"].rows.values()):
             raise ValueError("relation rows reach keys outside the span")
-        self.__dict__.update(state)
+        self.__dict__.update(state, _span_keys=span_keys)
 
     def reduce(self, vector):
-        """Quotient coordinates of a vector (support on free keys only)."""
+        """Quotient coordinates of a vector (support on free keys only), exact
+        in the untruncated quotient as the span is closed under the relations.
+        Raises ``ValueError`` if the vector leaves the span."""
+        if not self._span_keys.issuperset(vector):
+            raise ValueError("a vector leaves the span of %s" % self)
         return self.relations.reduce(vector)
 
 
@@ -171,6 +163,9 @@ class JSpace(Space):
     """A truncated space J_d(m) over a finite bead alphabet, spanned by a closure."""
 
     FIELDS = ("d", "m", "alphabet")
+
+    def __str__(self):
+        return "J_%d(%d) over %s" % (self.d, self.m, self.alphabet.label)
 
     @property
     def dimension(self) -> int:

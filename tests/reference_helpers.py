@@ -28,8 +28,8 @@ from beadiag import catlie as cl
 from beadiag import diagrams as dg
 from beadiag.arcs import check_position
 from beadiag.bridge import _act_fibers
-from beadiag.jspaces import _grow, canonical_vector, closure, full_residue, ihx_relations, j_space
-from beadiag.linalg import EchelonBasis, echelonize, vec
+from beadiag.jspaces import _grow, canonical_vector, closure, ihx_relations, j_space
+from beadiag.linalg import echelonize, vec
 from beadiag.words import IDENTITY, Word, mul_letters
 
 
@@ -60,8 +60,11 @@ def quotient_dim(span, relations) -> int:
 
 
 def vector_is_zero_in_full_space(vector) -> bool:
-    """Whether a diagram vector vanishes in the untruncated AS/IHX quotient."""
-    return not full_residue(vector, EchelonBasis(), closure)
+    """Whether a diagram vector vanishes in the untruncated AS/IHX quotient:
+    its reduction modulo the IHX relations of the closure of its support."""
+    rels = []
+    closure(vector.keys(), rels)
+    return not echelonize(rels).reduce(vector)
 
 
 def clear_dashed_memos():

@@ -130,6 +130,23 @@ def test_dim_matches_reducing_every_unit_vector(n, m, d, alphabet, class0):
         assert space.dim(t) == brute_force_dim(space, t), t
 
 
+SPAN_CELLS = DIM_CELLS + [(0, 1, d, TRIVIAL_ALPHABET, True)
+                          for d in range(len(PUBLISHED_ON_ONE_ARC)) if d not in (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "n,m,d,alphabet,class0",
+    SPAN_CELLS,
+    ids=["n%d-m%d-d%d-%s-%s" % (n, m, d, a.label, "class0" if c0 else "full")
+         for n, m, d, a, c0 in SPAN_CELLS],
+)
+def test_stu_closure_adds_no_key_to_the_span(n, m, d, alphabet, class0):
+    # the enumerated span is closed, so the A-space's rows decide every
+    # vector on it and Space.reduce refuses none that the checks form
+    span = ar.a_space(n, m, d, alphabet, class0).span
+    assert ar.arc_closure(span, []) == span
+
+
 @pytest.mark.parametrize("d", range(len(PUBLISHED_ON_ONE_ARC)))
 def test_published_dims_on_one_arc(d):
     assert ar.a_space(0, 1, d, TRIVIAL_ALPHABET).dim(0) == PUBLISHED_ON_ONE_ARC[d]

@@ -117,15 +117,17 @@ def test_stu_closure_fixpoint():
             assert set(rel) <= set(clo)
 
 
-def test_zero_test_falls_back_to_the_closure_of_the_support():
-    # the bead x1*x1 lies outside gen:1:1, so the cached a_space cannot
-    # reduce this STU relation to zero and the exact fallback decides
+def test_zero_test_refuses_a_vector_outside_the_span():
+    # the bead x1*x1 lies outside gen:1:1, so this STU relation and its key
+    # leave the cached a_space's span, where its rows cannot decide zero
     dashed = two_leg_strut("x1*x1")
     key, _ = ar.arc_canonicalize([[("leg", 1), ("leg", 2)]], dashed)
     (rel,) = ar.stu_relations(key)
-    assert ar.a_space(1, 1, 1, GEN11).reduce(rel)
-    assert ar._is_zero_in_full_space(rel, 1, GEN11)
-    assert not ar._is_zero_in_full_space(unit(key), 1, GEN11)
+    for vector in (rel, unit(key)):
+        with pytest.raises(ValueError, match="leaves the span of class-0 A_1 on 1 arcs over gen:1:1"):
+            ar._is_zero_in_full_space(vector, 1, GEN11)
+        with pytest.raises(ValueError, match="leaves the span"):
+            ar.a_space(1, 1, 1, GEN11).reduce(vector)
 
 
 def test_a_space_dims_degree_one():

@@ -84,8 +84,8 @@ def test_mu_transform_examples():
 
 
 def test_outer_checks():
-    assert outer_check(1, TRIVIAL_ALPHABET) == (True, None)
-    assert outer_check(2, TRIVIAL_ALPHABET)[0] is True
+    for d in range(5):
+        assert outer_check(d, TRIVIAL_ALPHABET) == (True, None), d
     verdict, witness = outer_check(1, GEN11)
     assert verdict is False
     k, source, image = witness
@@ -124,6 +124,17 @@ def test_outer_quotient_examples():
     assert outer_quotient(1, 2, GEN11) == j_space(1, 2, GEN11).dimension
     for d, alphabet in ((1, GEN11), (2, TRIVIAL_ALPHABET)):
         assert outer_quotient(d, 2 * d, alphabet) == j_space(d, 2 * d, alphabet).dimension
+
+
+@pytest.mark.parametrize("spec", ["gen:1:1", "gen:2:1", "gen:1:2"])
+def test_mu_images_outside_the_target_span_are_refused(spec):
+    # the mu images of beaded J_2(4) leave the span of J_2(3); reduced by
+    # its rows anyway they gave cokernels of dimension -4 (gen:2:1) and -3
+    # (gen:1:2)
+    alphabet = alphabet_from_spec(spec)
+    for compute in (mu_transform, outer_quotient):
+        with pytest.raises(ValueError, match=r"leaves the span of J_2\(3\) over " + spec):
+            compute(2, 3, alphabet)
 
 
 def test_truncate_matches_j_space():

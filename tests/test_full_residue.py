@@ -1,10 +1,11 @@
-"""The one exact reduction, ``jspaces.full_residue``, against the routes it
-replaced.
+"""The one zero test, ``Space.reduce``, against the routes it replaced.
 
 The mu transform used to close the whole target span together with the
 image supports and reduce each image there; the arc zero test used to close
 the support of the vector itself under STU and IHX.  Both are kept here as
-oracles; the arc zero test now closes under STU alone.
+oracles.  Now each reduces by the rows of its own space alone, which is
+exact for a vector inside the space's span and refuses any other vector,
+and the arc zero test's rows are STU relations alone.
 """
 
 from fractions import Fraction

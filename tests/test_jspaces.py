@@ -12,7 +12,7 @@ from beadiag.jspaces import (
     ihx_relations,
     j_space,
 )
-from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
+from beadiag.words import TRIVIAL_ALPHABET, Word, alphabet_from_spec
 
 from reference_helpers import key_degree, quotient_dim, vector_is_zero_in_full_space
 
@@ -89,6 +89,30 @@ def test_dimension_is_span_minus_relation_rank(d, m, spec):
     space = j_space(d, m, alphabet_from_spec(spec))
     rels = [rel for key in space.span for rel in ihx_relations(key)]
     assert space.dimension == quotient_dim([{k: Fraction(1)} for k in space.span], rels)
+
+
+SPAN_CELLS = [(d, m, "trivial") for d in range(5) for m in range(2 * d + 1)] + [
+    (d, m, spec)
+    for spec in ("gen:1:1", "gen:2:1", "gen:1:2")
+    for d, m in [(d, m) for d in range(2) for m in range(2 * d + 1)] + [(2, 3), (2, 4)]
+]
+
+
+@pytest.mark.parametrize("d,m,spec", SPAN_CELLS)
+def test_closure_adds_no_key_to_the_enumeration(d, m, spec):
+    # the IHX closure of these cells grows past no enumerated key, so every
+    # vector a check forms from enumerated keys lies in the span that
+    # Space.reduce accepts
+    alphabet = alphabet_from_spec(spec)
+    assert j_space(d, m, alphabet).span == tuple(dg.enumerate_diagrams(d, m, alphabet))
+
+
+def test_reduce_refuses_a_vector_outside_the_span():
+    space = j_space(1, 2, GEN11)
+    outside = dg.canonicalize(dg.Diagram([0, 1], [], [(0, 1, (Word.parse("x1*x1"),))]))[0]
+    assert outside not in space.span
+    with pytest.raises(ValueError, match="^a vector leaves the span of J_1\\(2\\) over gen:1:1$"):
+        space.reduce({space.span[0]: 1, outside: 1})
 
 
 def test_quotient_reduce_kills_relations():

@@ -10,15 +10,18 @@ import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-# A one-key stub space on the strut with bead x1.  Swapping its legs gives
-# the strut with bead x1^-1, a key outside the stub's span, so S_2 does not
-# act on the space and the coinvariant dimension must not come out as a number.
+# A one-key space on the strut with bead x1 and no relations.  Swapping its
+# legs gives the strut with bead x1^-1, a key outside the span, so S_2 does
+# not act on the space and the coinvariant dimension must not come out as a
+# number: the library's own span check has to raise.
 STUB = """
-import types
 from beadiag import bridge
+from beadiag.jspaces import JSpace
+from beadiag.linalg import echelonize
+from beadiag.words import alphabet_from_spec
 strut_x1 = (2, 0, ((0, 1, ((1, 1),)),))
-space = types.SimpleNamespace(d=1, dimension=1, span=(strut_x1,), free_keys=(strut_x1,),
-                              reduce=dict)
+space = JSpace(d=1, m=2, alphabet=alphabet_from_spec("gen:1:1"), span=(strut_x1,),
+               relations=echelonize([]))
 try:
     print(bridge.coinvariant_dim(space, 2, 1))
 except ValueError as exc:
