@@ -28,7 +28,7 @@ from collections import namedtuple
 
 from . import cache
 from . import diagrams as dg
-from .jspaces import ClosureDiverged, Space, _grow, canonical_vector
+from .jspaces import ClosureDiverged, Space, _closed_span, _diverged, canonical_vector
 from .linalg import echelonize, vec
 from .words import IDENTITY, inv_letters, mul_letters
 
@@ -156,9 +156,8 @@ def compositions(c, m):
 
 # Dashed-key work depends on neither arc beads nor leg counts, so it is
 # memoised for the process with relabel_key's bound: a_space(0, 1, 5) needs
-# 41,203 swap-and-glue pairs, verify_bridge(4, trivial, 1) 2,316.  The
-# helpers look up dg.unglue_leg and dg.glue_pair when called, so a
-# rebinding of those sees every miss.
+# 41,203 swap-and-glue pairs, verify_bridge(4, trivial, 1) 2,316.  It looks
+# up dg.glue_pair when called, so a rebinding of that sees every miss.
 @functools.lru_cache(maxsize=1 << 16)
 def _swap_and_glue(dkey, l):
     """The dashed parts of the STU instance at legs l, l + 1 of a labelled
@@ -167,16 +166,6 @@ def _swap_and_glue(dkey, l):
     swapped = (*range(1, l), l + 1, l, *range(l + 2, dg.key_num_legs(dkey) + 1))
     glued = canonical_vector([(1, dg.glue_pair(dg.rebuild(dkey), l, l + 1))])
     return dg.relabel_key(dkey, swapped), glued
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _unglued(dkey):
-    """Per leg label of a labelled key, the canonical keys of that leg's
-    ungluings (``diagrams.unglue_leg``)."""
-    dashed = dg.rebuild(dkey)
-    return [[k for dia in dg.unglue_leg(dashed, label)
-             for k, _sign in [dg.canonicalize(dia)] if k is not ZERO]
-            for label in range(1, dashed.num_legs + 1)]
 
 
 def stu_relations(key):
@@ -201,40 +190,11 @@ def stu_relations(key):
     return rels
 
 
-def _unglue_neighbours(key):
-    """Keys of the T and U terms of STU instances whose S term is this key.
-
-    Needed so that the closure contains every STU instance touching it: each
-    leg whose dashed edge ends at a trivalent vertex is unglued back onto
-    its arc in both orders, one more leg there (:func:`_unglued`).
-    """
-    m, arc_beads, counts, dkey = key
-    per_label = _unglued(dkey)
-    out = []
-    for j, block in enumerate(_leg_blocks(counts)):
-        counts_t = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-        for label in block:
-            out.extend((m, arc_beads, counts_t, k) for k in per_label[label - 1])
-    return out
-
-
-def arc_closure(seed_keys, relations):
-    """Close a key set under STU (both directions), which implies IHX on
-    the enumerated arc diagrams (:class:`ASpace`).
-
-    Every STU relation of every member is appended to the list
-    ``relations``.  Raises :class:`beadiag.jspaces.ClosureDiverged` on
-    unbounded bead growth, as for the labelled-diagram closure.
-    """
-
-    def expand(key):
-        rels = stu_relations(key)
-        neighbours = {k for rel in rels for k in rel}
-        neighbours.update(_unglue_neighbours(key))
-        return rels, neighbours
-
-    return _grow(seed_keys, relations, expand,
-                 lambda key: dg.key_beads(key[3]) + list(key[1]))
+def arc_closure(keys, relations):
+    """The sorted keys, refused unless closed under STU, which implies IHX
+    on them (:class:`ASpace`); ``jspaces._closed_span`` appends the keys'
+    STU relations to ``relations``."""
+    return _closed_span(keys, relations, stu_relations)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +235,14 @@ def enumerate_arc_diagrams(m, d, alphabet, class0=True):
 class ASpace(Space):
     """A truncated space of degree-d arc diagrams modulo STU/IHX/AS.
 
-    Its rows echelonize the STU relations of the span's closure alone.  STU
-    implies IHX on diagrams whose every dashed component has a leg on an
-    arc (Bar-Natan, Topology 34, 1995), as every enumerated diagram has; and
-    beaded arc spaces build only at d <= 1, where no diagram has an internal
-    edge and so no IHX relation.  So the space is the STU quotient.
+    Its span is its enumeration, its rows echelonize the STU relations of
+    its keys alone.  STU implies IHX on diagrams whose every dashed
+    component has a leg on an arc (Bar-Natan, Topology 34, 1995), as every
+    enumerated one has, and beaded arc spaces build only at d <= 1, with no
+    internal edge.  No leg is unglued: an STU instance whose S term is in
+    the span has a T term of the same degree, arc count and arc beads, so
+    enumerated over the trivial alphabet, and the instance is T's relation
+    (``tests/test_closure_premise.py`` checks beaded cells by growing).
     """
 
     FIELDS = ("m", "d", "alphabet", "class0")
@@ -311,14 +274,14 @@ def a_space(n, m, d, alphabet, class0=True) -> ASpace:
         raise ValueError("alphabet uses generators beyond rank %d" % n)
 
     def build():
-        span = tuple(enumerate_arc_diagrams(m, d, alphabet, class0))
         rels = []
         try:
-            arc_closure(span, rels)
+            span = arc_closure(enumerate_arc_diagrams(m, d, alphabet, class0), rels)
         except ClosureDiverged as exc:
-            raise ClosureDiverged("%sA_%d(%d, %d) over %s: %s" % (
-                "class-0 " if class0 else "", d, n, m, alphabet.label, exc)) from None
-        # largest pivots first fill in least: A(0, 2, 4) in 0.8 s, 2.3 s in closure order
+            name = "%sA_%d(%d, %d)" % ("class-0 " if class0 else "", d, n, m)
+            beads = dg.key_beads(exc.key[3]) + list(exc.key[1])
+            raise _diverged(name, "STU", exc, beads, alphabet) from None
+        # largest pivots first fill in least: A(0, 2, 4) in 0.9 s, 3.9 s in key order
         return ASpace(m=m, d=d, alphabet=alphabet, class0=class0, span=span,
                       relations=echelonize(sorted(rels, key=min, reverse=True)))
 

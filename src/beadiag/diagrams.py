@@ -471,39 +471,6 @@ def glue_pair(diagram: Diagram, a: int, b: int) -> Diagram:
     return Diagram._trusted(tuple(legs), new_tri, new_edges)
 
 
-def unglue_leg(diagram: Diagram, label: int):
-    """The inverse of :func:`glue_pair` at one leg: the diagrams whose legs
-    ``label`` and ``label + 1`` glue to this one.
-
-    If the leg's edge ends at a trivalent vertex, that edge's bead is gauged
-    to 1 there, and the vertex and the edge are removed; the vertex's other
-    two strands become legs ``label`` and ``label + 1``, in both orders
-    (legs above ``label`` move up by one).  The first order is the one
-    ``glue_pair(., label, label + 1)`` maps back to this diagram.  A leg of
-    a strut gives no diagram.
-    """
-    U = diagram.num_legs
-    vert = diagram.vertex_of()
-    h = diagram.legs[label - 1]
-    eidx = next(i for i, (t, hd, _w) in enumerate(diagram.edges) if h in (t, hd))
-    tail, head, w = diagram.edges[eidx]
-    x = vert[tail] if head == h else vert[head]
-    if x < U:
-        return []
-    if w:
-        # head at x needs g = w^-1, tail at x needs g = w
-        diagram = regauge(diagram, {x: inv_letters(w) if vert[head] == x else w})
-    hx = tail if vert[tail] == x else head
-    triple = diagram.tri[x - U]
-    pos = triple.index(hx)
-    second, first = triple[(pos + 1) % 3], triple[(pos + 2) % 3]
-    new_tri = diagram.tri[: x - U] + diagram.tri[x - U + 1 :]
-    new_edges = diagram.edges[:eidx] + diagram.edges[eidx + 1 :]
-    before, after = diagram.legs[: label - 1], diagram.legs[label:]
-    return [Diagram._trusted(before + pair + after, new_tri, new_edges)
-            for pair in ((first, second), (second, first))]
-
-
 def ihx_at_edge(diagram: Diagram, index: int):
     """The three IHX terms [(+1, I), (-1, H), (+1, X)] at an internal edge.
 

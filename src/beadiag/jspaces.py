@@ -1,12 +1,12 @@
 """Spaces of beaded open Jacobi diagrams modulo AS and IHX.
 
 Antisymmetry is folded into canonical signs (module ``diagrams``), so only
-IHX is materialised as relation vectors.  A space is presented by a
-spanning set of canonical keys closed under IHX neighbours, together with
-the echelonised relation matrix; any IHX instance touching the closure has
-all three terms inside it, so membership and dimension questions about the
-untruncated quotient restrict exactly to the closure; ``Space.reduce``,
-the one zero test, refuses a vector with a key outside it.
+IHX is materialised as relation vectors.  A space's span is its
+enumeration and its rows the echelonised IHX relations of those keys.  An
+IHX instance touching a key is, up to sign, the key's relation at an
+edge, so a span that no relation leaves (any other is refused) answers
+questions about the untruncated quotient exactly; ``Space.reduce``, the
+one zero test, refuses a vector with a key outside it.
 """
 
 from __future__ import annotations
@@ -14,19 +14,24 @@ from __future__ import annotations
 from . import cache
 from . import diagrams as dg
 from .linalg import echelonize, vec
-
-MAX_CLOSURE_BEAD_LENGTH = 128
+from .words import format_letters
 
 
 class ClosureDiverged(ValueError):
-    """The relation closure keeps producing longer and longer beads.
+    """A relation of a span key reaches ``key``, outside the span.
 
-    Happens for nontrivial bead alphabets once diagrams have internal edges
-    (degree >= 2): rewiring recombines holonomies into unboundedly long
-    products, so the closure of an alphabet-truncated seed set is infinite
-    and the truncated quotient is not computable by closure.  A bad input,
-    so a ``ValueError``.
+    A relation keeps to its cell, and a span holds every key of its cell
+    with beads in the alphabet, so ``key`` has a bead outside that.  This
+    happens for nontrivial beads once diagrams have internal edges
+    (degree >= 2): rewiring recombines holonomies into longer products, and
+    a closure grown from the span was never seen to stop.  Its rows would
+    not decide zero in the untruncated quotient, so the space is refused;
+    a bad input, so a ``ValueError``.
     """
+
+    def __init__(self, message, key):
+        super().__init__(message)
+        self.key = key
 
 
 def canonical_vector(terms):
@@ -76,53 +81,35 @@ def ihx_relations(key, done=None):
     return out
 
 
-def _grow(seed_keys, relations, expand, beads_of):
-    """Smallest superset of the seeds closed under the neighbours ``expand``
-    reports; the one closure loop behind :func:`closure` and
-    ``arcs.arc_closure``.
-
-    ``expand(key)`` returns the key's relations and its neighbours; every
-    relation is appended to ``relations``, so a caller echelonizes them
-    instead of generating them again.  Raises :class:`ClosureDiverged` when
-    a new key has a bead (``beads_of(key)``) longer than
-    ``MAX_CLOSURE_BEAD_LENGTH`` letters, naming how many keys the closure
-    had reached and how many of them were still waiting to be expanded.
-    """
-    seen = set(seed_keys)
-    frontier = list(seen)
-    while frontier:
-        rels, neighbours = expand(frontier.pop())
-        relations.extend(rels)
-        for nb in neighbours:
-            if nb not in seen:
-                if any(len(w) > MAX_CLOSURE_BEAD_LENGTH for w in beads_of(nb)):
-                    raise ClosureDiverged(
-                        "relation closure produced a bead longer than %d letters after"
-                        " reaching %d keys, with %d still waiting to be expanded"
-                        % (MAX_CLOSURE_BEAD_LENGTH, len(seen), len(frontier))
-                    )
-                seen.add(nb)
-                frontier.append(nb)
-    return tuple(sorted(seen))
+def _closed_span(keys, relations, relations_of):
+    """The sorted keys, a space's span: each key's relations
+    (``relations_of(key)``) are appended to ``relations``, in key order.
+    Raises :class:`ClosureDiverged`, naming the least key outside the span,
+    at the first relation that leaves it."""
+    span = tuple(sorted(set(keys)))
+    members = frozenset(span)
+    for key in span:
+        for rel in relations_of(key):
+            if not members.issuperset(rel):
+                outside = min(k for k in rel if k not in members)
+                raise ClosureDiverged("a relation reaches a key outside the span", outside)
+            relations.append(rel)
+    return span
 
 
-def closure(seed_keys, relations):
-    """Smallest superset of the seeds closed under IHX neighbours.
-
-    The members' IHX relations are appended to the list ``relations``; one
-    ``done`` set shared by their :func:`ihx_relations` calls skips each
-    edge that carries the IHX instance of an earlier relation, up to an
-    automorphism of the member.  Raises
-    :class:`ClosureDiverged` on unbounded bead growth (see the class
-    docstring for when that happens).
-    """
+def closure(keys, relations):
+    """The sorted keys, refused unless closed under IHX (:func:`_closed_span`);
+    one ``done`` set shared by their :func:`ihx_relations` calls skips each
+    edge carrying the IHX instance of an earlier relation, up to automorphism."""
     done = set()
+    return _closed_span(keys, relations, lambda key: ihx_relations(key, done))
 
-    def expand(key):
-        rels = ihx_relations(key, done)
-        return rels, (nb for rel in rels for nb in rel)
 
-    return _grow(seed_keys, relations, expand, dg.key_beads)
+def _diverged(name, kind, exc, beads, alphabet):
+    """Space ``name``'s refusal: the first of ``beads`` (the outside key's) not in the alphabet."""
+    bead = next(w for w in beads if w not in alphabet)
+    return ClosureDiverged("%s over %s: an %s relation reaches the bead %s, outside the alphabet"
+                           % (name, alphabet.label, kind, format_letters(bead)), exc.key)
 
 
 class Space:
@@ -160,7 +147,7 @@ class Space:
 
 
 class JSpace(Space):
-    """A truncated space J_d(m) over a finite bead alphabet, spanned by a closure."""
+    """A truncated space J_d(m) over a finite bead alphabet, spanned by its keys."""
 
     FIELDS = ("d", "m", "alphabet")
 
@@ -188,7 +175,8 @@ def j_space(d: int, m: int, alphabet) -> JSpace:
         try:
             span = closure(dg.enumerate_diagrams(d, m, alphabet), rels)
         except ClosureDiverged as exc:
-            raise ClosureDiverged("J_%d(%d) over %s: %s" % (d, m, alphabet.label, exc)) from None
+            raise _diverged("J_%d(%d)" % (d, m), "IHX", exc, dg.key_beads(exc.key),
+                            alphabet) from None
         return JSpace(d=d, m=m, alphabet=alphabet, span=span, relations=echelonize(rels))
 
     return cache.space("jspace", (d, m, alphabet.rank, alphabet.elements), JSpace, build)

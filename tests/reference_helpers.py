@@ -8,12 +8,16 @@ canonical keys, ``oracle_leg_placements`` the tests' enumerator of every
 fiber-ordered map, ``catass_act`` the generator action on the fibers of
 one such map, and ``numbered_zero_test`` the arc zero test with
 failures injected by vector; ``clear_dashed_memos`` empties the arc
-layer's memos before a test counts dashed work.  ``ihx_relations_arc`` is
-the per-key arc IHX, which STU implies on arcs, so A-spaces no longer
-generate it, and ``arc_closure_with_ihx`` the arc closure under STU and
-it together, whose relations the A-space rows must echelonize to.
-``passi_sigma`` is the degree-two involution as a matrix, whose trace
-``a11_reference_dim`` takes in closed form.
+layer's memo before a test counts dashed work.  ``grow`` is the closure
+that grows a key set until no relation leaves it, the oracle of the
+library's spans, which are their enumerations: ``grown_closure`` under
+IHX, ``grown_arc_closure`` under STU and the ungluings of ``unglue_leg``
+(``unglue_neighbours``).  ``ihx_relations_arc`` is the per-key arc IHX,
+which STU implies on arcs, so A-spaces do not generate it, and
+``arc_closure_with_ihx`` the grown arc closure under STU and it together,
+whose relations the A-space rows must echelonize to.  ``passi_sigma`` is
+the degree-two involution as a matrix, whose trace ``a11_reference_dim``
+takes in closed form.
 Below them: accessors of canonical labelled and arc keys, the leg
 relabelling of a raw diagram (the oracle of ``diagrams.relabel_key``), the
 rank embedding of arc vectors, the truncation dimensions, and the property
@@ -28,9 +32,9 @@ from beadiag import catlie as cl
 from beadiag import diagrams as dg
 from beadiag.arcs import check_position
 from beadiag.bridge import _act_fibers
-from beadiag.jspaces import _grow, canonical_vector, closure, ihx_relations, j_space
+from beadiag.jspaces import ClosureDiverged, canonical_vector, ihx_relations, j_space
 from beadiag.linalg import echelonize, vec
-from beadiag.words import IDENTITY, Word, mul_letters
+from beadiag.words import IDENTITY, Word, inv_letters, mul_letters
 
 
 class RelationOutsideSpan(Exception):
@@ -59,19 +63,132 @@ def quotient_dim(span, relations) -> int:
     return dim
 
 
+MAX_CLOSURE_BEAD_LENGTH = 128
+
+
+def grow(seed_keys, relations, expand, beads_of):
+    """Smallest superset of the seeds closed under the neighbours ``expand``
+    reports.
+
+    ``expand(key)`` returns the key's relations and its neighbours; every
+    relation is appended to ``relations``.  Keys are expanded last in,
+    first out, from the least seed up, so a closure that adds no key
+    expands them in the sorted order of the library's spans, and one that
+    grows follows each new key at once, reaching long beads early.  Raises
+    :class:`beadiag.jspaces.ClosureDiverged` when a new key has a bead
+    (``beads_of(key)``) longer than ``MAX_CLOSURE_BEAD_LENGTH`` letters.
+    """
+    seen = set(seed_keys)
+    frontier = sorted(seen, reverse=True)
+    while frontier:
+        rels, neighbours = expand(frontier.pop())
+        relations.extend(rels)
+        for nb in neighbours:
+            if nb not in seen:
+                if any(len(w) > MAX_CLOSURE_BEAD_LENGTH for w in beads_of(nb)):
+                    raise ClosureDiverged(
+                        "relation closure produced a bead longer than %d letters after"
+                        " reaching %d keys, with %d still waiting to be expanded"
+                        % (MAX_CLOSURE_BEAD_LENGTH, len(seen), len(frontier)), nb)
+                seen.add(nb)
+                frontier.append(nb)
+    return tuple(sorted(seen))
+
+
+def grown_closure(seed_keys, relations):
+    """Smallest superset of the seeds closed under IHX neighbours; the
+    members' IHX relations, with one shared ``done`` set, are appended to
+    ``relations``."""
+    done = set()
+
+    def expand(key):
+        rels = ihx_relations(key, done)
+        return rels, (nb for rel in rels for nb in rel)
+
+    return grow(seed_keys, relations, expand, dg.key_beads)
+
+
 def vector_is_zero_in_full_space(vector) -> bool:
     """Whether a diagram vector vanishes in the untruncated AS/IHX quotient:
     its reduction modulo the IHX relations of the closure of its support."""
     rels = []
-    closure(vector.keys(), rels)
+    grown_closure(vector.keys(), rels)
     return not echelonize(rels).reduce(vector)
 
 
 def clear_dashed_memos():
-    """Empty the process-wide memos of the arc layer's dashed-key work, so
+    """Empty the process-wide memo of the arc layer's dashed-key work, so
     that what a test counts does not depend on which tests ran before it."""
-    for memo in (ar._swap_and_glue, ar._unglued):
-        memo.cache_clear()
+    ar._swap_and_glue.cache_clear()
+
+
+def unglue_leg(diagram, label):
+    """The inverse of ``diagrams.glue_pair`` at one leg: the diagrams whose
+    legs ``label`` and ``label + 1`` glue to this one.
+
+    If the leg's edge ends at a trivalent vertex, that edge's bead is gauged
+    to 1 there, and the vertex and the edge are removed; the vertex's other
+    two strands become legs ``label`` and ``label + 1``, in both orders
+    (legs above ``label`` move up by one).  The first order is the one
+    ``glue_pair(., label, label + 1)`` maps back to this diagram.  A leg of
+    a strut gives no diagram.
+    """
+    U = diagram.num_legs
+    vert = diagram.vertex_of()
+    h = diagram.legs[label - 1]
+    eidx = next(i for i, (t, hd, _w) in enumerate(diagram.edges) if h in (t, hd))
+    tail, head, w = diagram.edges[eidx]
+    x = vert[tail] if head == h else vert[head]
+    if x < U:
+        return []
+    if w:
+        # head at x needs g = w^-1, tail at x needs g = w
+        diagram = dg.regauge(diagram, {x: inv_letters(w) if vert[head] == x else w})
+    hx = tail if vert[tail] == x else head
+    triple = diagram.tri[x - U]
+    pos = triple.index(hx)
+    second, first = triple[(pos + 1) % 3], triple[(pos + 2) % 3]
+    new_tri = diagram.tri[: x - U] + diagram.tri[x - U + 1 :]
+    new_edges = diagram.edges[:eidx] + diagram.edges[eidx + 1 :]
+    before, after = diagram.legs[: label - 1], diagram.legs[label:]
+    return [dg.Diagram._trusted(before + pair + after, new_tri, new_edges)
+            for pair in ((first, second), (second, first))]
+
+
+def unglue_neighbours(key):
+    """Keys of the T and U terms of STU instances whose S term is this key:
+    each leg whose dashed edge ends at a trivalent vertex is unglued back
+    onto its arc in both orders (:func:`unglue_leg`), one more leg there."""
+    m, arc_beads, counts, dkey = key
+    dashed = dg.rebuild(dkey)
+    out = []
+    for j, block in enumerate(ar._leg_blocks(counts)):
+        counts_t = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
+        for label in block:
+            for dia in unglue_leg(dashed, label):
+                k, _sign = dg.canonicalize(dia)
+                if k is not dg.ZERO:
+                    out.append((m, arc_beads, counts_t, k))
+    return out
+
+
+def arc_key_beads(key):
+    """The dashed beads of an arc key, then its arc beads."""
+    return dg.key_beads(key[3]) + list(key[1])
+
+
+def grown_arc_closure(seed_keys, relations):
+    """Smallest superset of the seeds closed under STU in both directions:
+    the members' STU relations, and the keys that unglue them; the STU
+    relations are appended to ``relations``."""
+
+    def expand(key):
+        rels = ar.stu_relations(key)
+        neighbours = {k for rel in rels for k in rel}
+        neighbours.update(unglue_neighbours(key))
+        return rels, neighbours
+
+    return grow(seed_keys, relations, expand, arc_key_beads)
 
 
 def ihx_relations_arc(key):
@@ -88,11 +205,10 @@ def arc_closure_with_ihx(seed_keys, relations):
     def expand(key):
         rels = ar.stu_relations(key) + ihx_relations_arc(key)
         neighbours = {k for rel in rels for k in rel}
-        neighbours.update(ar._unglue_neighbours(key))
+        neighbours.update(unglue_neighbours(key))
         return rels, neighbours
 
-    return _grow(seed_keys, relations, expand,
-                 lambda key: dg.key_beads(key[3]) + list(key[1]))
+    return grow(seed_keys, relations, expand, arc_key_beads)
 
 
 def passi_sigma(m: int):

@@ -1,15 +1,16 @@
-"""``arcs`` does the dashed-key part of the arc closure once per dashed key
-(and leg) in a process: leg swaps and gluings, and ungluings, each
-memoised and rewrapped onto every arc key.  The per-key expansion that
-redid them for every arc key is kept here as the oracle: the closure keys
-and the relation list, in order and item by item, must equal its own.  The
-counter test pins how much dashed work two builds do, without timing
-anything.
+"""``arcs`` does the dashed-key part of the STU relations once per dashed
+key and leg in a process: leg swaps and gluings, memoised and rewrapped
+onto every arc key.  The per-key STU relations that redid them for every
+arc key are kept here as the oracle, in a closure that grows under them
+and the ungluings (``reference_helpers.grow``): the library's keys and
+relation list, in order and item by item, must equal its own, walked from
+the least key up as the library walks its span.  The counter test pins
+how much dashed work two builds do, without timing anything.
 
-The arc closure is STU only, and an A-space eliminates its STU relations
-alone: STU implies IHX on every enumerated diagram (Bar-Natan).  The
-row-equality gate compares its rows with the echelon form of the earlier
-design, which closed under STU and the per-key arc IHX.
+An A-space eliminates its STU relations alone: STU implies IHX on every
+enumerated diagram (Bar-Natan).  The row-equality gate compares its rows
+with the echelon form of the earlier design, which closed under STU and
+the per-key arc IHX.
 """
 
 from collections import Counter
@@ -20,13 +21,18 @@ from beadiag import arcs as ar
 from beadiag import cache
 from beadiag import diagrams as dg
 from beadiag.bridge import verify_bridge
-from beadiag.jspaces import _grow, canonical_vector
+from beadiag.jspaces import canonical_vector
 from beadiag.linalg import echelonize, vec
 from beadiag.words import alphabet_from_spec
 
-from reference_helpers import arc_closure_with_ihx, clear_dashed_memos, ihx_relations_arc
-
-ZERO = dg.ZERO
+from reference_helpers import (
+    arc_closure_with_ihx,
+    arc_key_beads,
+    clear_dashed_memos,
+    grow,
+    ihx_relations_arc,
+    unglue_neighbours,
+)
 
 
 def stu_relations_per_key(key):
@@ -55,44 +61,19 @@ def stu_relations_per_key(key):
     return rels
 
 
-def unglue_neighbours_per_key(key):
-    """Keys of the T and U terms of STU instances whose S term is this key.
-
-    Needed so that the closure contains every STU instance touching it: each
-    leg whose dashed edge ends at a trivalent vertex is unglued back onto
-    its arc in both orders (``diagrams.unglue_leg``), one more leg there.
-    """
-    m, arc_beads, counts, dkey = key
-    dashed = dg.rebuild(dkey)
-    out = []
-    for j, block in enumerate(ar._leg_blocks(counts)):
-        counts_t = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-        for label in block:
-            for dia in dg.unglue_leg(dashed, label):
-                k, _sign = dg.canonicalize(dia)
-                if k is not ZERO:
-                    out.append((m, arc_beads, counts_t, k))
-    return out
-
-
 def arc_closure_per_key(seed_keys, relations):
-    """Close a key set under STU (both directions).
-
-    Every STU relation of every member is appended to the list
-    ``relations``.  Raises :class:`beadiag.jspaces.ClosureDiverged` on
-    unbounded bead growth, as for the labelled-diagram closure.
-    """
+    """Close a key set under STU (both directions): the per-key STU
+    relations, appended to ``relations``, and the ungluings."""
 
     def expand(key):
         rels = stu_relations_per_key(key)
         neighbours = set()
         for rel in rels:
             neighbours.update(rel)
-        neighbours.update(unglue_neighbours_per_key(key))
+        neighbours.update(unglue_neighbours(key))
         return rels, neighbours
 
-    return _grow(seed_keys, relations, expand,
-                 lambda key: dg.key_beads(key[3]) + list(key[1]))
+    return grow(seed_keys, relations, expand, arc_key_beads)
 
 
 CELLS = (
@@ -129,7 +110,9 @@ def test_per_key_functions_need_no_memo(cell):
     space = ar.a_space(alphabet.rank, m, d, alphabet, class0)
     for key in keys:
         assert ar.stu_relations(key) == stu_relations_per_key(key)
-        assert ar._unglue_neighbours(key) == unglue_neighbours_per_key(key)
+        # the STU instances whose S term is the key have their T terms in
+        # the span, so the key's ungluings need no relations of their own
+        assert set(unglue_neighbours(key)) <= set(keys)
         # the STU rows imply every per-key arc IHX relation (Bar-Natan)
         assert not any(space.reduce(rel) for rel in ihx_relations_arc(key))
 
@@ -189,33 +172,27 @@ def test_verify_bridge_closes_each_a_space_span_once(monkeypatch):
 
 
 def test_dashed_work_is_done_once_per_dashed_key(monkeypatch):
-    calls = {"glue_pair": Counter(), "unglue_leg": Counter()}
-    glue_pair, unglue_leg = dg.glue_pair, dg.unglue_leg
+    calls = Counter()
+    glue_pair = dg.glue_pair
 
     def counting_glue(dia, a, b):
         assert b == a + 1
-        calls["glue_pair"][dia.legs, dia.tri, dia.edges, a] += 1
+        calls[dia.legs, dia.tri, dia.edges, a] += 1
         return glue_pair(dia, a, b)
 
-    def counting_unglue(dia, label):
-        calls["unglue_leg"][dia.legs, dia.tri, dia.edges, label] += 1
-        return unglue_leg(dia, label)
-
     monkeypatch.setattr(dg, "glue_pair", counting_glue)
-    monkeypatch.setattr(dg, "unglue_leg", counting_unglue)
     monkeypatch.setattr(cache, "_active_dir", None)
     monkeypatch.setattr(cache, "_spaces", {})
     clear_dashed_memos()
     trivial = alphabet_from_spec("trivial")
     # A(0, 2, 3) and then A(0, 3, 3): the second build reuses the first's
-    # dashed work, and its closure is the one the per-key expansion gives
+    # dashed work
     assert ar.a_space(0, 2, 3, trivial).dim(0) == 23
     assert ar.a_space(0, 3, 3, trivial).dim(0) == 111
     rels = []
     keys = ar.arc_closure(ar.enumerate_arc_diagrams(3, 3, trivial), rels)
     assert (len(keys), len(rels)) == (823, 2058)
-    for name, counter in calls.items():
-        assert counter and max(counter.values()) == 1, name
+    assert calls and max(calls.values()) == 1
 
 
 def test_a_spaces_enumerate_each_labelled_cell_once(monkeypatch):

@@ -9,7 +9,8 @@ vectors and the same neighbour keys.  The full-functor cells are where
 ``mu`` and the antipode slide a nontrivial arc bead onto dashed legs.
 A-spaces eliminate STU relations alone, which imply IHX on arcs, so the
 raw route's arc IHX is checked against the per-key arc IHX the tests keep
-in ``reference_helpers``.
+in ``reference_helpers``; the raw route's ungluings likewise check the
+ungluings of the growing arc closure kept there.
 """
 
 import itertools
@@ -24,7 +25,7 @@ from beadiag.linalg import vec
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec, inv_letters
 
 from reference_helpers import ihx_relations_arc as reference_ihx_relations_arc
-from reference_helpers import rebuild_arc
+from reference_helpers import rebuild_arc, unglue_neighbours
 
 GEN11 = alphabet_from_spec("gen:1:1")
 GEN21 = alphabet_from_spec("gen:2:1")
@@ -256,4 +257,4 @@ def test_key_operations_match_the_raw_route(alphabet, m, d, class0):
             assert ar.perm_arcs(sigma, unit) == perm_arcs(sigma, unit), (sigma, key)
         assert ar.stu_relations(key) == stu_relations(key), key
         assert reference_ihx_relations_arc(key) == ihx_relations_arc(key), key
-        assert ar._unglue_neighbours(key) == _unglue_neighbours(key), key
+        assert unglue_neighbours(key) == _unglue_neighbours(key), key

@@ -141,8 +141,9 @@ SPAN_CELLS = DIM_CELLS + [(0, 1, d, TRIVIAL_ALPHABET, True) for d in (0, 1, 4)]
          for n, m, d, a, c0 in SPAN_CELLS],
 )
 def test_stu_closure_adds_no_key_to_the_span(n, m, d, alphabet, class0):
-    # the enumerated span is closed, so the A-space's rows decide every
-    # vector on it and Space.reduce refuses none that the checks form
+    # these cells build: no STU relation of an enumerated key leaves the
+    # span, so the A-space's rows decide every vector on it and
+    # Space.reduce refuses none that the checks form
     span = ar.a_space(n, m, d, alphabet, class0).span
     assert ar.arc_closure(span, []) == span
 

@@ -7,6 +7,7 @@ import pytest
 from beadiag import arcs as ar
 from beadiag import diagrams as dg
 from beadiag import laws
+from beadiag.jspaces import ClosureDiverged
 from beadiag.laws import check_gr_laws, check_hopf_antipode
 from beadiag.words import IDENTITY, TRIVIAL_ALPHABET, Word, alphabet_from_spec
 
@@ -16,10 +17,12 @@ from reference_helpers import (
     arc_key_degree,
     arc_key_is_class0,
     epsilon_embed,
+    grown_arc_closure,
     homotopy_class,
     homotopy_class_raw,
     ihx_relations_arc,
     rebuild_arc,
+    unglue_neighbours,
 )
 
 GEN11 = alphabet_from_spec("gen:1:1")
@@ -108,13 +111,23 @@ def test_stu_closure_fixpoint():
     dashed = two_leg_strut("x1")
     arcs = [[("leg", 1), ("leg", 2)]]
     key, _ = ar.arc_canonicalize(arcs, dashed)
-    clo = ar.arc_closure([key], [])
-    assert key in clo
-    assert ar.arc_closure(clo, []) == clo
-    # every relation of a member stays inside the closure
+    # the library refuses a key set that one of its STU relations leaves,
+    # naming the least key outside it; the oracle grows it instead
+    outside = "^a relation reaches a key outside the span$"
+    with pytest.raises(ClosureDiverged, match=outside) as caught:
+        ar.arc_closure([key], [])
+    clo = grown_arc_closure([key], [])
+    assert key in clo and caught.value.key in clo
+    assert caught.value.key == min(k for k in ar.stu_relations(key)[0] if k != key)
+    assert grown_arc_closure(clo, []) == clo
+    rels = []
+    assert ar.arc_closure(clo, rels) == clo
+    assert rels == [rel for k in clo for rel in ar.stu_relations(k)]
+    # every relation and every ungluing of a member stays inside the closure
     for k in clo:
         for rel in ar.stu_relations(k) + ihx_relations_arc(k):
             assert set(rel) <= set(clo)
+        assert set(unglue_neighbours(k)) <= set(clo)
 
 
 def test_zero_test_refuses_a_vector_outside_the_span():

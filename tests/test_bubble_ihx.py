@@ -19,6 +19,7 @@ from beadiag.jspaces import canonical_vector
 from beadiag.linalg import echelonize, vec
 from beadiag.words import TRIVIAL_ALPHABET
 
+from reference_helpers import grow
 from test_ihx_once import CELLS, _cell_id
 
 
@@ -51,7 +52,7 @@ def closure_at_every_bubble(seed_keys, relations):
         rels = ihx_relations_at_every_bubble(key, done)
         return rels, (nb for rel in rels for nb in rel)
 
-    return jspaces._grow(seed_keys, relations, expand, dg.key_beads)
+    return grow(seed_keys, relations, expand, dg.key_beads)
 
 
 def bubble_edges(key):
@@ -123,4 +124,4 @@ def test_j52_makes_fewer_hx_forms(monkeypatch):
     seeds = dg.enumerate_diagrams(5, 2, TRIVIAL_ALPHABET)
     calls = _hx_forms(monkeypatch, jspaces.closure, seeds)
     oracle_calls = _hx_forms(monkeypatch, closure_at_every_bubble, seeds)
-    assert calls <= 694 < 836 < oracle_calls == 1304
+    assert calls <= 684 < 836 < oracle_calls == 1296

@@ -18,7 +18,8 @@ from move_fuzzer import (
     seed_diagrams,
     shuffle_presentation,
 )
-from reference_helpers import clear_dashed_memos, relabel_legs
+import reference_helpers
+from reference_helpers import relabel_legs
 
 GEN11 = alphabet_from_spec("gen:1:1")
 
@@ -86,10 +87,8 @@ def assert_valid(dia):
 
 def test_trusted_rewrites_pass_validation(monkeypatch):
     # a warm relabel_key memo would answer without building the relabelled
-    # diagram, so it would never reach the recording canonicalize below; a
-    # warm dashed memo would not reach the recording unglue_leg
+    # diagram, so it would never reach the recording canonicalize below
     dg.relabel_key.cache_clear()
-    clear_dashed_memos()
     made = []
     canonicalize = dg.canonicalize
 
@@ -120,24 +119,23 @@ def test_trusted_rewrites_pass_validation(monkeypatch):
             arcs = [[("bead", ((1, 1),))] + [("leg", lab) for lab in range(1, m + 1)]]
             arcs, dashed, _sign = random_arc_moves(rng, arcs, dia, GEN11)
             ar.arc_canonicalize(arcs, dashed)
-    # the ungluings of the arc closure build their dashed parts in unglue_leg
+    # the ungluings of the growing arc closure, which the tests keep as the
+    # oracle of the A-spaces' span, build their dashed parts in unglue_leg
     unglued = []
-    unglue_leg = dg.unglue_leg
+    unglue_leg = reference_helpers.unglue_leg
 
     def recording_unglue(dia, label):
         out = unglue_leg(dia, label)
         unglued.extend(out)
         return out
 
-    monkeypatch.setattr(dg, "unglue_leg", recording_unglue)
-    # each dashed key is unglued once, so these cells alone unglue 12
-    # diagrams; the degree-3 cell brings the corpus to 156
+    monkeypatch.setattr(reference_helpers, "unglue_leg", recording_unglue)
     arc_cells = [(TRIVIAL_ALPHABET, m, d, True) for m in (1, 2) for d in (1, 2)]
     arc_cells += [(TRIVIAL_ALPHABET, 1, 3, True)]
     arc_cells += [(GEN11, m, 1, class0) for m in (1, 2) for class0 in (True, False)]
     for alphabet, m, d, class0 in arc_cells:
         for key in ar.enumerate_arc_diagrams(m, d, alphabet, class0):
-            ar._unglue_neighbours(key)
+            reference_helpers.unglue_neighbours(key)
     assert len(made) > 3000 and len(unglued) > 80
     for dia in made + unglued:
         assert_valid(dia)

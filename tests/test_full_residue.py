@@ -14,11 +14,11 @@ import pytest
 
 from beadiag import arcs as ar
 from beadiag.catlie import mu_sum, mu_transform
-from beadiag.jspaces import closure, j_space
+from beadiag.jspaces import j_space
 from beadiag.linalg import echelonize
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
 
-from reference_helpers import arc_closure_with_ihx, ihx_relations_arc
+from reference_helpers import arc_closure_with_ihx, grown_closure, ihx_relations_arc
 
 
 def closure_of_span_mu_transform(d, k, alphabet):
@@ -33,7 +33,7 @@ def closure_of_span_mu_transform(d, k, alphabet):
         support.update(img)
     target = j_space(d, k, alphabet)
     rels = []
-    closure(set(target.span) | support, rels)
+    grown_closure(set(target.span) | support, rels)
     basis = echelonize(rels)
     return {key: basis.reduce(img) for key, img in raw_images.items()}
 

@@ -13,6 +13,7 @@ from beadiag.linalg import echelonize, vaxpy, vec
 from beadiag.words import TRIVIAL_ALPHABET, alphabet_from_spec
 
 from move_fuzzer import random_move_sequence, seed_diagrams
+from reference_helpers import grow
 
 
 def _ihx_relations_every_edge(key):
@@ -35,7 +36,7 @@ def _closure_every_edge(seed_keys, relations):
         rels = _ihx_relations_every_edge(key)
         return rels, (nb for rel in rels for nb in rel)
 
-    return jspaces._grow(seed_keys, relations, expand, dg.key_beads)
+    return grow(seed_keys, relations, expand, dg.key_beads)
 
 
 GEN11 = alphabet_from_spec("gen:1:1")

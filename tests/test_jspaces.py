@@ -14,7 +14,7 @@ from beadiag.jspaces import (
 )
 from beadiag.words import TRIVIAL_ALPHABET, Word, alphabet_from_spec
 
-from reference_helpers import key_degree, quotient_dim, vector_is_zero_in_full_space
+from reference_helpers import grown_closure, key_degree, quotient_dim, vector_is_zero_in_full_space
 
 GEN11 = alphabet_from_spec("gen:1:1")
 
@@ -48,9 +48,21 @@ def test_closure_examples():
     assert closure(matchings[:1], []) == (matchings[0],)  # struts have no IHX sites
     assert closure([], []) == ()
     bubble = dg.enumerate_diagrams(2, 2, TRIVIAL_ALPHABET)
-    clo = closure(bubble, [])
-    assert set(bubble) <= set(clo)
-    assert closure(clo, []) == clo  # fixpoint
+    assert closure(bubble, []) == tuple(bubble)
+    # keys that are not closed under IHX are refused, not grown: the
+    # relation at the H shape's one edge reaches its other two wirings
+    h_shape, _ = dg.canonicalize(dg.Diagram(
+        [0, 1, 2, 3],
+        [(4, 5, 6), (7, 8, 9)],
+        [(0, 4, ()), (1, 5, ()), (2, 7, ()), (3, 8, ()), (6, 9, ())],
+    ))
+    rels = []
+    outside = "^a relation reaches a key outside the span$"
+    with pytest.raises(ClosureDiverged, match=outside) as caught:
+        closure([h_shape], rels)
+    assert rels == [] and caught.value.key in ihx_relations(h_shape)[0]
+    grown = grown_closure([h_shape], [])
+    assert len(grown) == 3 and closure(grown, rels) == grown and rels
 
 
 def test_j_space_paper_dims():
@@ -70,7 +82,7 @@ def test_dimension_stability_under_seed_enlargement():
     # adding closure members to the seeds never changes the dimension
     space = j_space(2, 2, TRIVIAL_ALPHABET)
     seeds = dg.enumerate_diagrams(2, 2, TRIVIAL_ALPHABET)
-    enlarged = closure(list(space.span) + seeds, [])
+    enlarged = grown_closure(list(space.span) + seeds, [])
     rels = []
     for key in enlarged:
         rels.extend(ihx_relations(key))
@@ -100,9 +112,9 @@ SPAN_CELLS = [(d, m, "trivial") for d in range(5) for m in range(2 * d + 1)] + [
 
 @pytest.mark.parametrize("d,m,spec", SPAN_CELLS)
 def test_closure_adds_no_key_to_the_enumeration(d, m, spec):
-    # the IHX closure of these cells grows past no enumerated key, so every
-    # vector a check forms from enumerated keys lies in the span that
-    # Space.reduce accepts
+    # these cells build: no IHX relation of an enumerated key leaves the
+    # enumeration, so every vector a check forms from enumerated keys lies
+    # in the span that Space.reduce accepts
     alphabet = alphabet_from_spec(spec)
     assert j_space(d, m, alphabet).span == tuple(dg.enumerate_diagrams(d, m, alphabet))
 
@@ -124,10 +136,10 @@ def test_quotient_reduce_kills_relations():
 
 def test_beaded_closure_divergence_is_reported():
     # with nontrivial beads and internal edges, rewiring recombines
-    # holonomies into ever longer products; this must fail loudly, saying
-    # which space diverged and how far the closure got
-    message = ("J_2(2) over gen:1:1: relation closure produced a bead longer than 128 letters"
-               " after reaching 265 keys, with 137 still waiting to be expanded")
+    # holonomies into longer products; the build must fail loudly, naming
+    # the space and the first bead outside the alphabet that a relation of
+    # its span reaches
+    message = "J_2(2) over gen:1:1: an IHX relation reaches the bead x1^-2, outside the alphabet"
     with pytest.raises(ClosureDiverged) as caught:
         j_space(2, 2, GEN11)
     assert str(caught.value) == message
