@@ -28,7 +28,7 @@ from collections import namedtuple
 
 from . import cache
 from . import diagrams as dg
-from .jspaces import ClosureDiverged, Space, _closed_span, _diverged, canonical_vector
+from .jspaces import ClosureDiverged, Space, _closed_span, _diverged
 from .linalg import echelonize, vec
 from .words import IDENTITY, inv_letters, mul_letters
 
@@ -154,37 +154,24 @@ def compositions(c, m):
 # STU relations, closure
 
 
-# Dashed-key work depends on neither arc beads nor leg counts, so it is
-# memoised for the process with relabel_key's bound: a_space(0, 1, 5) needs
-# 41,203 swap-and-glue pairs, verify_bridge(4, trivial, 1) 2,316.  It looks
-# up dg.glue_pair when called, so a rebinding of that sees every miss.
-@functools.lru_cache(maxsize=1 << 16)
-def _swap_and_glue(dkey, l):
-    """The dashed parts of the STU instance at legs l, l + 1 of a labelled
-    key: the key with the two legs swapped, as (key, sign), and the two legs
-    glued onto a tripod (a vector)."""
-    swapped = (*range(1, l), l + 1, l, *range(l + 2, dg.key_num_legs(dkey) + 1))
-    glued = canonical_vector([(1, dg.glue_pair(dg.rebuild(dkey), l, l + 1))])
-    return dg.relabel_key(dkey, swapped), glued
-
-
 def stu_relations(key):
     """One STU relation per adjacent leg pair on an arc: T - U - S = 0.
 
     For legs l, l + 1 adjacent on arc j: T is the key, U swaps the two
-    labels, and S glues the two legs onto a tripod whose free end, leg l,
-    takes their place on the arc (:func:`_swap_and_glue`).
+    labels (``diagrams.relabel_key``), and S glues the two legs onto a
+    tripod whose free end, leg l, takes their place on the arc
+    (``diagrams.glue_key``; a zero S term, sign 0, drops out of ``vec``).
     """
     m, arc_beads, counts, dkey = key
+    n = sum(counts)
     rels = []
     for j, block in enumerate(_leg_blocks(counts)):
         counts_s = counts[:j] + (counts[j] - 1,) + counts[j + 1 :]
         for l in block[:-1]:
-            (u_dkey, u_sign), glued = _swap_and_glue(dkey, l)
-            rel = vec(
-                [(key, 1), ((m, arc_beads, counts, u_dkey), -u_sign)]
-                + [((m, arc_beads, counts_s, k), -c) for k, c in glued.items()]
-            )
+            u_dkey, u_sign = dg.relabel_key(dkey, (*range(1, l), l + 1, l, *range(l + 2, n + 1)))
+            s_dkey, s_sign = dg.glue_key(dkey, l, l + 1)
+            rel = vec([(key, 1), ((m, arc_beads, counts, u_dkey), -u_sign),
+                       ((m, arc_beads, counts_s, s_dkey), -s_sign)])
             if rel:
                 rels.append(rel)
     return rels
@@ -321,19 +308,16 @@ def check_position(gen, pos, m):
 
 @functools.lru_cache(maxsize=1 << 12)
 def _moves(gen, counts, j):
-    """The leg bookkeeping of a generator other than eta at arc j (0-based)
+    """The leg bookkeeping of mu, the antipode or delta at arc j (0-based)
     of keys with these leg counts: (the labels of arc j's legs, the terms),
     one term (new leg counts, leg order, sign) per image, the leg order as
-    ``diagrams.relabel_key`` takes it.  eps has no term when arc j carries
-    legs; delta has one per split of arc j's legs between the two copies,
-    in the order of ``itertools.product((0, 1), repeat=#legs)`` over the
-    legs' copies."""
+    ``diagrams.relabel_key`` takes it.  delta has one term per split of arc
+    j's legs between the two copies, in the order of
+    ``itertools.product((0, 1), repeat=#legs)`` over the legs' copies."""
     start, end = sum(counts[:j]), sum(counts[: j + 1])
     labels = tuple(range(1, sum(counts) + 1))
     before, here, after = labels[:start], labels[start:end], labels[end:]
-    if gen == "eps":
-        terms = [] if here else [(counts[:j] + counts[j + 1 :], labels, 1)]
-    elif gen == "mu":
+    if gen == "mu":
         terms = [(counts[:j] + (counts[j] + counts[j + 1],) + counts[j + 2 :], labels, 1)]
     elif gen == "antipode":
         terms = [(counts, before + here[::-1] + after, (-1) ** len(here))]
@@ -348,17 +332,18 @@ def _moves(gen, counts, j):
 
 def _act_arc_key(gen, pos, key):
     """Action of one generator at arc position pos on a canonical key, as
-    (key, sign) terms; :func:`gr_act` has checked the position.  The leg
-    bookkeeping comes from :func:`_moves`; per key, this builds the arc
-    beads and, but for eps, relabels the dashed key once per term."""
+    (key, sign) terms; :func:`gr_act` has checked the position.  eta and
+    eps move no leg; for the others the leg bookkeeping comes from
+    :func:`_moves`, and per key this builds the arc beads and relabels the
+    dashed key once per term."""
     m, arc_beads, counts, dkey = key
     if gen == "eta":
         return [(insert_bare_arc(key, pos), 1)]
     j = pos - 1
     if gen == "eps":
-        # no leg moves, so the dashed key stays as it is
-        return [((m - 1, arc_beads[:j] + arc_beads[pos:], counts2, dkey), sign)
-                for counts2, _order, sign in _moves(gen, counts, j)[1]]
+        # zero on an arc with legs; else the dashed key stays as it is
+        return [] if counts[j] else [
+            ((m - 1, arc_beads[:j] + arc_beads[pos:], counts[:j] + counts[pos:], dkey), 1)]
     bead = IDENTITY  # slid back across arc j's legs onto their dashed edges
     if gen == "mu":
         # the second arc's bead slides back across the first arc's legs

@@ -43,13 +43,14 @@ def _check_arity(vector, arity):
 
 
 def mu_action(i: int, vector, arity: int):
-    """The gluing generator mu_i from arity ``arity`` down to ``arity - 1``."""
+    """The gluing generator mu_i from arity ``arity`` down to ``arity - 1``,
+    one memoised ``diagrams.glue_key`` per key (a ZERO image, sign 0, drops
+    out of ``vec``)."""
     if not (1 <= i <= arity - 1):
         raise ValueError("mu_%d undefined at arity %d" % (i, arity))
     _check_arity(vector, arity)
-    return canonical_vector(
-        (coeff, dg.glue_pair(dg.rebuild(key), i, arity)) for key, coeff in vector.items()
-    )
+    return vec((k2, coeff * sign) for key, coeff in vector.items()
+               for k2, sign in [dg.glue_key(key, i, arity)])
 
 
 def mu_sum(vector, arity: int):

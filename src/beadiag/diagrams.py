@@ -444,6 +444,18 @@ def relabel_key(key, order):
     return relabel(rebuild(key), order)
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def glue_key(key, a, b):
+    """(key, sign) of a canonical key with legs a and b glued onto a tripod,
+    or (ZERO, 0): the canonical form of ``glue_pair(rebuild(key), a, b)``.
+
+    Memoised like :func:`relabel_key`: an STU S term at legs c, c + 1 and
+    mu_c at arity c + 1 share an entry.  It looks up ``glue_pair`` when
+    called, so a rebinding of that sees every miss.
+    """
+    return canonicalize(glue_pair(rebuild(key), a, b))
+
+
 def key_num_legs(key):
     return key[0]
 

@@ -7,8 +7,8 @@ raw-arc routes that the arc-canonicalization oracles compare with the
 canonical keys, ``oracle_leg_placements`` the tests' enumerator of every
 fiber-ordered map, ``catass_act`` the generator action on the fibers of
 one such map, and ``numbered_zero_test`` the arc zero test with
-failures injected by vector; ``clear_dashed_memos`` empties the arc
-layer's memo before a test counts dashed work.  ``grow`` is the closure
+failures injected by vector; ``clear_dashed_memos`` empties the gluing
+memo before a test counts dashed work.  ``grow`` is the closure
 that grows a key set until no relation leaves it, the oracle of the
 library's spans, which are their enumerations: ``grown_closure`` under
 IHX, ``grown_arc_closure`` under STU and the ungluings of ``unglue_leg``
@@ -117,9 +117,10 @@ def vector_is_zero_in_full_space(vector) -> bool:
 
 
 def clear_dashed_memos():
-    """Empty the process-wide memo of the arc layer's dashed-key work, so
-    that what a test counts does not depend on which tests ran before it."""
-    ar._swap_and_glue.cache_clear()
+    """Empty the process-wide memo of gluings (``diagrams.glue_key``), which
+    the STU relations and mu share, so that what a test counts does not
+    depend on which tests ran before it."""
+    dg.glue_key.cache_clear()
 
 
 def unglue_leg(diagram, label):

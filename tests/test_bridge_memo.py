@@ -424,23 +424,27 @@ def test_tuples_are_glued_as_keys_not_vectors(monkeypatch):
 
 
 def test_coequalizer_takes_each_mu_image_once(monkeypatch):
-    """Check (e) takes mu_i of a key once and glues it along every block
-    map of its arity: at l = 3 an arity has three to ten maps."""
-    asked = Counter()
-    mu_action = cl.mu_action
+    """Check (e) asks ``catlie.mu_action`` once per tuple, and mu_i of a key
+    is one memoised ``diagrams.glue_key``, which the STU relations share:
+    over three arc counts in one process, no presentation reaches
+    ``glue_pair`` twice with the same legs, and every mu image is among
+    those glued."""
+    glued = Counter()
+    glue_pair = dg.glue_pair
 
-    def counting(i, vector, arity):
-        [key] = vector
-        asked[i, key, arity] += 1
-        return mu_action(i, vector, arity)
+    def counting(dia, a, b):
+        glued[dia.legs, dia.tri, dia.edges, a, b] += 1
+        return glue_pair(dia, a, b)
 
-    monkeypatch.setattr(cl, "mu_action", counting)
+    monkeypatch.setattr(dg, "glue_pair", counting)
     monkeypatch.setattr(cache, "_active_dir", None)
     monkeypatch.setattr(cache, "_spaces", {})
     clear_dashed_memos()
-    dg.relabel_key.cache_clear()
     trivial = alphabet_from_spec("trivial")
-    assert verify_bridge(2, trivial, 3)["pass"]
-    tuples = [(i, key, c + 1) for c in range(1, 4) for key in j_space(2, c + 1, trivial).span
-              for i in range(1, c + 1)]
-    assert asked == Counter(tuples) and max(asked.values()) == 1
+    for l in (1, 2, 3):
+        assert verify_bridge(2, trivial, l)["pass"]
+    assert glued and max(glued.values()) == 1
+    mu_images = {(dia.legs, dia.tri, dia.edges, i, c + 1)
+                 for c in range(1, 4) for key in j_space(2, c + 1, trivial).span
+                 for dia in [dg.rebuild(key)] for i in range(1, c + 1)}
+    assert mu_images <= set(glued)
