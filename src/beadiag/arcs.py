@@ -50,12 +50,17 @@ def _lift(m, arc_beads, counts, dashed, order, deposits):
     Diagram.  Its leg ``order[i]`` becomes leg i + 1, after the edge at each
     leg l in ``deposits`` takes the holonomy ``deposits[l]`` slid onto it
     (``diagrams.regauge``).  A key with nothing to deposit is only
-    renumbered (``diagrams.relabel_key``).  Neither step changes which
-    automorphisms fix the legs, so from a key the result is never ZERO.
+    renumbered: as it is when the order is the identity, else by
+    ``diagrams.relabel_key``, which no other arc operation calls.  Neither
+    step changes which automorphisms fix the legs, so from a key the result
+    is never ZERO.
     """
     if not isinstance(dashed, dg.Diagram):
         if not deposits:
-            dkey, sign = dg.relabel_key(dashed, tuple(order))
+            order = tuple(order)
+            if order == _leg_blocks((len(order),))[0]:  # 1..U, the identity
+                return ((m, arc_beads, counts, dashed), 1)
+            dkey, sign = dg.relabel_key(dashed, order)
             return ((m, arc_beads, counts, dkey), sign)
         dashed = dg.rebuild(dashed)
     dashed = dg.regauge(dashed, {l - 1: w for l, w in deposits.items()})
@@ -111,8 +116,7 @@ def _glue_key(fibers, key):
     labelled key with its legs relabelled in (arc, position) order.
     """
     m = len(fibers)
-    dkey, sign = dg.relabel_key(key, tuple(itertools.chain(*fibers)))
-    return (m, (IDENTITY,) * m, tuple(map(len, fibers)), dkey), sign
+    return _lift(m, (IDENTITY,) * m, tuple(map(len, fibers)), key, itertools.chain(*fibers), {})
 
 
 def on_bare_arcs(fibers, jvector):
@@ -158,7 +162,7 @@ def stu_relations(key):
     """One STU relation per adjacent leg pair on an arc: T - U - S = 0.
 
     For legs l, l + 1 adjacent on arc j: T is the key, U swaps the two
-    labels (``diagrams.relabel_key``), and S glues the two legs onto a
+    labels (:func:`_lift`), and S glues the two legs onto a
     tripod whose free end, leg l, takes their place on the arc
     (``diagrams.glue_key``; a zero S term, sign 0, drops out of ``vec``).
     """
@@ -168,10 +172,10 @@ def stu_relations(key):
     for j, block in enumerate(_leg_blocks(counts)):
         counts_s = counts[:j] + (counts[j] - 1,) + counts[j + 1 :]
         for l in block[:-1]:
-            u_dkey, u_sign = dg.relabel_key(dkey, (*range(1, l), l + 1, l, *range(l + 2, n + 1)))
+            u_key, u_sign = _lift(m, arc_beads, counts, dkey,
+                                  (*range(1, l), l + 1, l, *range(l + 2, n + 1)), {})
             s_dkey, s_sign = dg.glue_key(dkey, l, l + 1)
-            rel = vec([(key, 1), ((m, arc_beads, counts, u_dkey), -u_sign),
-                       ((m, arc_beads, counts_s, s_dkey), -s_sign)])
+            rel = vec([(key, 1), (u_key, -u_sign), ((m, arc_beads, counts_s, s_dkey), -s_sign)])
             if rel:
                 rels.append(rel)
     return rels
@@ -307,35 +311,30 @@ def check_position(gen, pos, m):
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _moves(gen, counts, j):
-    """The leg bookkeeping of mu, the antipode or delta at arc j (0-based)
-    of keys with these leg counts: (the labels of arc j's legs, the terms),
-    one term (new leg counts, leg order, sign) per image, the leg order as
-    ``diagrams.relabel_key`` takes it.  delta has one term per split of arc
-    j's legs between the two copies, in the order of
-    ``itertools.product((0, 1), repeat=#legs)`` over the legs' copies."""
-    start, end = sum(counts[:j]), sum(counts[: j + 1])
-    labels = tuple(range(1, sum(counts) + 1))
-    before, here, after = labels[:start], labels[start:end], labels[end:]
-    if gen == "mu":
-        terms = [(counts[:j] + (counts[j] + counts[j + 1],) + counts[j + 2 :], labels, 1)]
-    elif gen == "antipode":
-        terms = [(counts, before + here[::-1] + after, (-1) ** len(here))]
-    else:
-        splits = [((), ())]  # (first copy, second copy), the last leg's side varying fastest
-        for l in here:
-            splits = [s for one, two in splits for s in ((one + (l,), two), (one, two + (l,)))]
-        terms = [(counts[:j] + (len(one), len(two)) + counts[j + 1 :], before + one + two + after, 1)
-                 for one, two in splits]
-    return here, tuple(terms)
+def _moves(gen, start, count, total):
+    """The leg bookkeeping of the antipode or delta at an arc with ``count``
+    legs after ``start`` legs on earlier arcs, of keys with ``total`` legs:
+    (the labels of the arc's legs, the terms), one term (leg counts that
+    replace the arc's, leg order, sign) per image, the leg order as
+    :func:`_lift` takes it.  delta has one term per split of the arc's legs
+    between the two copies, in the order of
+    ``itertools.product((0, 1), repeat=count)`` over the legs' copies."""
+    labels = tuple(range(1, total + 1))
+    before, here, after = labels[:start], labels[start : start + count], labels[start + count :]
+    if gen == "antipode":
+        return here, (((len(here),), before + here[::-1] + after, (-1) ** len(here)),)
+    splits = [((), ())]  # (first copy, second copy), the last leg's side varying fastest
+    for l in here:
+        splits = [s for one, two in splits for s in ((one + (l,), two), (one, two + (l,)))]
+    return here, tuple(((len(one), len(two)), before + one + two + after, 1) for one, two in splits)
 
 
 def _act_arc_key(gen, pos, key):
     """Action of one generator at arc position pos on a canonical key, as
-    (key, sign) terms; :func:`gr_act` has checked the position.  eta and
-    eps move no leg; for the others the leg bookkeeping comes from
-    :func:`_moves`, and per key this builds the arc beads and relabels the
-    dashed key once per term."""
+    (key, sign) terms; :func:`gr_act` has checked the position.  eta, eps
+    and mu keep every leg label; the antipode and delta read their leg
+    orders from :func:`_moves`, and per key this builds the arc beads and
+    lifts the dashed key once per term."""
     m, arc_beads, counts, dkey = key
     if gen == "eta":
         return [(insert_bare_arc(key, pos), 1)]
@@ -344,23 +343,26 @@ def _act_arc_key(gen, pos, key):
         # zero on an arc with legs; else the dashed key stays as it is
         return [] if counts[j] else [
             ((m - 1, arc_beads[:j] + arc_beads[pos:], counts[:j] + counts[pos:], dkey), 1)]
-    bead = IDENTITY  # slid back across arc j's legs onto their dashed edges
     if gen == "mu":
         # the second arc's bead slides back across the first arc's legs
         bead = arc_beads[pos]
-        m2 = m - 1
         beads2 = arc_beads[:j] + (mul_letters(arc_beads[j], bead),) + arc_beads[pos + 1 :]
-    elif gen == "antipode":
+        counts2 = counts[:j] + (counts[j] + counts[pos],) + counts[pos + 1 :]
+        deposits = dict.fromkeys(_leg_blocks(counts)[j], bead) if bead else {}
+        return [_lift(m - 1, beads2, counts2, dkey, range(1, sum(counts) + 1), deposits)]
+    if gen == "antipode":
         # reversed legs; the inverted bead slides back across all of them
         bead = inv_letters(arc_beads[j])
         m2, beads2 = m, arc_beads[:j] + (bead,) + arc_beads[pos:]
     else:
-        # delta: both copies start with the arc's bead
+        # delta: both copies start with the arc's bead; nothing slides
+        bead = IDENTITY
         m2, beads2 = m + 1, arc_beads[:j] + (arc_beads[j],) + arc_beads[j:]
-    here, terms = _moves(gen, counts, j)
+    here, terms = _moves(gen, sum(counts[:j]), counts[j], sum(counts))
     deposits = dict.fromkeys(here, bead) if bead else {}
-    return [(key2, sign * s) for counts2, order, s in terms
-            for key2, sign in [_lift(m2, beads2, counts2, dkey, order, deposits)]]
+    head, tail = counts[:j], counts[pos:]
+    return [(key2, sign * s) for split, order, s in terms
+            for key2, sign in [_lift(m2, beads2, head + split + tail, dkey, order, deposits)]]
 
 
 def gr_act(gen, pos, vector, act=_act_arc_key):
@@ -439,8 +441,10 @@ def cross_effect_dim(spec: FunctorSpec, k: int) -> int:
 
 
 def nonpoly_witness(n, d, k, alphabet):
-    """The chain-of-struts diagram with one beaded bare arc, plus a
-    certificate that its cross-effect class is nonzero.
+    """The chain-of-struts diagram on k arcs, its 2d legs one per arc on
+    arcs 1..2d and every later arc bare but for a bead, plus a certificate
+    that its cross-effect class is nonzero.  An arc bare of beads too would
+    make it the image of a bare-arc insertion, zero in the cross-effect.
 
     Returns (key, reduced_vector); the reduced vector is nonzero iff the
     class survives in the cokernel.
@@ -449,19 +453,12 @@ def nonpoly_witness(n, d, k, alphabet):
     if not nontrivial:
         raise ValueError("alphabet has no nontrivial bead")
     if k < 2 * d + 1:
-        raise ValueError("need k >= 2d+1 so the beaded arc is bare")
+        raise ValueError("need k >= 2d+1 so that some arc carries a bead and no leg")
     w = nontrivial[0]
     legs = list(range(2 * d))
     edges = [(2 * i, 2 * i + 1, ()) for i in range(d)]
     dashed = dg.Diagram(legs, [], edges)
-    arcs = []
-    for j in range(1, k + 1):
-        if j <= 2 * d:
-            arcs.append([("leg", j)])
-        elif j < k:
-            arcs.append([])
-        else:
-            arcs.append([("bead", w)])
+    arcs = [[("leg", j)] if j <= 2 * d else [("bead", w)] for j in range(1, k + 1)]
     key, sign = arc_canonicalize(arcs, dashed)
     if key is ZERO:
         raise RuntimeError("the chain-of-struts witness canonicalized to zero")

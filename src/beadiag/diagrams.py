@@ -437,7 +437,7 @@ def relabel_key(key, order):
     for a tuple ``order``: :func:`relabel` of ``rebuild(key)``.
 
     Pure, so memoised for the life of the process; the bound holds the
-    47,417 distinct relabellings of ``verify_bridge(4, trivial, 1)``.
+    46,959 distinct relabellings of ``verify_bridge(4, trivial, 1)``.
     """
     if sorted(order) != list(range(1, key_num_legs(key) + 1)):
         raise DiagramError("leg order must be a permutation of 1..%d" % key_num_legs(key))

@@ -37,8 +37,10 @@ def check_gr_laws(d, alphabet, m):
     the spanning set of the class-0 space at m arcs.  Returns a report."""
 
     def failures_at(v, gr_act):
+        tripled = {}  # j: delta_j(delta_j v), for coassociativity and merging
         for j in range(1, m + 1):
             doubled = gr_act("delta", j, v)
+            tripled[j] = gr_act("delta", j, doubled)
             if vaxpy(gr_act("eps", j, doubled), -1, v):
                 yield ("counit_left", j)
             if vaxpy(gr_act("eps", j + 1, doubled), -1, v):
@@ -47,7 +49,7 @@ def check_gr_laws(d, alphabet, m):
             swap[j], swap[j + 1] = j + 1, j
             if vaxpy(ar.perm_arcs(swap, doubled), -1, doubled):
                 yield ("cocommutativity", j)
-            if vaxpy(gr_act("delta", j, doubled), -1, gr_act("delta", j + 1, doubled)):
+            if vaxpy(tripled[j], -1, gr_act("delta", j + 1, doubled)):
                 yield ("coassociativity", j)
             if vaxpy(gr_act("mu", j, gr_act("eta", j, v)), -1, v):
                 yield ("unit_left", j)
@@ -55,11 +57,10 @@ def check_gr_laws(d, alphabet, m):
                 yield ("unit_right", j)
             if not _antipode_axiom_holds(v, doubled, j, d, alphabet, gr_act):
                 yield ("antipode_axiom", j)
-        for j in range(1, m + 1):
+        for j, t in tripled.items():
             # associativity of concatenation, on a twice-doubled arc
-            tripled = gr_act("delta", j, gr_act("delta", j, v))
-            lhs = gr_act("mu", j, gr_act("mu", j, tripled))
-            rhs = gr_act("mu", j, gr_act("mu", j + 1, tripled))
+            lhs = gr_act("mu", j, gr_act("mu", j, t))
+            rhs = gr_act("mu", j, gr_act("mu", j + 1, t))
             if vaxpy(lhs, -1, rhs):
                 yield ("merge_associativity", j)
 

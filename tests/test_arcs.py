@@ -7,6 +7,7 @@ import pytest
 from beadiag import arcs as ar
 from beadiag import diagrams as dg
 from beadiag import laws
+from beadiag.bridge import verify_bridge
 from beadiag.jspaces import ClosureDiverged
 from beadiag.laws import check_gr_laws, check_hopf_antipode
 from beadiag.words import IDENTITY, TRIVIAL_ALPHABET, Word, alphabet_from_spec
@@ -243,7 +244,25 @@ def test_gr_laws_take_each_generator_image_once_per_call(monkeypatch):
     fresh_reports, fresh_calls = _suite_reports(monkeypatch, lambda f: f, cells)
     assert reports == fresh_reports
     assert all(report["pass"] for report in reports)
-    assert calls <= 4987 < fresh_calls == 11873
+    # 11,873 fresh calls while the merging loop doubled each doubled arc again
+    assert calls <= 4987 < fresh_calls == 10930
+
+
+def test_no_identity_leg_order_reaches_relabel_key(monkeypatch):
+    # arcs._lift answers an identity order with the key itself, so the
+    # bridge and the law suites ask the relabel_key memo only to move legs
+    asked = []
+    relabel_key = dg.relabel_key
+
+    def recording(key, order):
+        asked.append(order)
+        return relabel_key(key, order)
+
+    monkeypatch.setattr(dg, "relabel_key", recording)
+    assert verify_bridge(2, TRIVIAL_ALPHABET, 3)["pass"]
+    assert check_gr_laws(2, TRIVIAL_ALPHABET, 3)["pass"]
+    assert asked
+    assert [o for o in asked if o == tuple(range(1, len(o) + 1))] == []
 
 
 def test_hopf_antipode_takes_each_generator_image_once_per_call(monkeypatch):
@@ -287,6 +306,15 @@ def test_epsilon_embed():
     assert space1.dim(0) <= space2.dim(0)
     with pytest.raises(ValueError):
         epsilon_embed(unit(space1.span[-1]), 0)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_nonpoly_witness_survives_past_twice_the_degree(k):
+    # every arc after the two strut legs carries the bead: a bead-free bare
+    # arc would make the class an insertion image, zero at k = 4 and 5
+    key, reduced = ar.nonpoly_witness(1, 1, k, GEN11)
+    assert arc_key_counts(key) == (1, 1) + (0,) * (k - 2)
+    assert all(key[1][2:]) and reduced
 
 
 def test_nonpoly_witness():

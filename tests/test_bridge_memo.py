@@ -415,12 +415,13 @@ def test_tuples_are_glued_as_keys_not_vectors(monkeypatch):
     asked = dg.relabel_key.cache_info()
     # 3,697 on_bare_arcs calls when each tuple was glued as a one-term
     # vector; 3,664 _glue_key calls and 4,593 relabel_key asks for 80
-    # relabellings while every fiber-ordered map was glued to find its class
+    # relabellings while every fiber-ordered map was glued to find its class;
+    # 2,570 asks for 53 while identity orders were asked too
     assert counts["on_bare_arcs"] == 105
     assert counts["_is_zero_in_full_space"] == 1_020
     assert counts["gr_act"] == 915
     assert counts["_glue_key"] == 1_641
-    assert (asked.hits + asked.misses, asked.misses) == (2_570, 53)
+    assert (asked.hits + asked.misses, asked.misses) == (741, 48)
 
 
 def test_coequalizer_takes_each_mu_image_once(monkeypatch):

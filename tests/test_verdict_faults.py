@@ -14,7 +14,12 @@ keep passing:
 * the antipode axiom of the law suites: an antipode without its sign
   (-1)^#legs;
 * their coassociativity: a delta that doubles its terms with legs on both
-  copies at positions above 1.
+  copies at positions above 1;
+* their counit, unit and merge-associativity laws: eps, eta or mu taking
+  the sign (-1)^(the arcs on one side of its position), as if it passed
+  each of them by a transposition;
+* their cocommutativity: an arc permutation that reads each arc's legs back
+  to front.
 
 The rows are dropped from spaces the process has built, and the spaces that
 the zero tests read are built before a fault that would reach their
@@ -146,3 +151,59 @@ def test_a_delta_doubled_above_position_1_fails_coassociativity_alone(monkeypatc
     report = laws.check_gr_laws(d, alphabet, 1)
     assert not report["pass"]
     assert {name for name, *_rest in report["failures"]} == {"coassociativity"}
+
+
+def _signed_by_the_arcs(act, faulty_gen, side):
+    """``act`` with ``faulty_gen`` taking the sign (-1)^(the arcs before or
+    after its position); eta and mu change the arc count by their
+    ``arcs._GEN_RANGES`` offset."""
+
+    def faulty(gen, pos, key):
+        terms = act(gen, pos, key)
+        if gen != faulty_gen:
+            return terms
+        passed = pos - 1 if side == "before" else key[0] + ar._GEN_RANGES[gen] - pos
+        return [(k, sign * (-1) ** passed) for k, sign in terms]
+
+    return faulty
+
+
+@pytest.mark.parametrize("gen, side, verdict", [
+    ("eps", "after", "counit_left"),
+    ("eps", "before", "counit_right"),
+    ("eta", "after", "unit_left"),
+    ("eta", "before", "unit_right"),
+    ("mu", "before", "merge_associativity"),
+])
+@pytest.mark.parametrize("d, spec", [(1, "trivial"), (2, "trivial"), (1, "gen:1:1")])
+def test_a_generator_signed_by_the_arcs_it_passes_fails_one_law_alone(
+        monkeypatch, gen, side, verdict, d, spec):
+    # at one arc each of these faults flips one generator image of the suite:
+    # eps_1 (after) or eps_2 (before) on the doubled arc, eta_1 (after) or
+    # eta_2 (before) on the arc, mu_2 on the twice-doubled arc; the antipode
+    # axiom's eps_1, eta_1 and mu_1 pass no arc
+    alphabet = alphabet_from_spec(spec)
+    assert laws.check_gr_laws(d, alphabet, 1)["pass"]
+    monkeypatch.setattr(ar, "_act_arc_key", _signed_by_the_arcs(ar._act_arc_key, gen, side))
+    report = laws.check_gr_laws(d, alphabet, 1)
+    assert not report["pass"]
+    assert {name for name, *_rest in report["failures"]} == {verdict}
+
+
+@pytest.mark.parametrize("d, spec, m", [(2, "trivial", 1), (1, "gen:1:1", 1), (2, "trivial", 2)])
+def test_arcs_swapped_back_to_front_fail_cocommutativity_alone(monkeypatch, d, spec, m):
+    # only cocommutativity permutes arcs; the fault shows at no cell over
+    # the trivial alphabet at d = 1, so those cells are left out
+    alphabet = alphabet_from_spec(spec)
+    assert laws.check_gr_laws(d, alphabet, m)["pass"]
+    permuted = ar._permuted
+
+    def back_to_front(news, counts):
+        olds, counts2, _order = permuted(news, counts)
+        blocks = ar._leg_blocks(counts)
+        return olds, counts2, tuple(l for o in olds for l in reversed(blocks[o]))
+
+    monkeypatch.setattr(ar, "_permuted", back_to_front)
+    report = laws.check_gr_laws(d, alphabet, m)
+    assert not report["pass"]
+    assert {name for name, *_rest in report["failures"]} == {"cocommutativity"}
