@@ -244,7 +244,6 @@ def test_gr_laws_take_each_generator_image_once_per_call(monkeypatch):
     fresh_reports, fresh_calls = _suite_reports(monkeypatch, lambda f: f, cells)
     assert reports == fresh_reports
     assert all(report["pass"] for report in reports)
-    # 11,873 fresh calls while the merging loop doubled each doubled arc again
     assert calls <= 4987 < fresh_calls == 10930
 
 
